@@ -5,9 +5,12 @@
 //! is `F(x) = {f(x, ϑ) : ϑ ∈ Θ}`, kept here in *parametrised* form. Every
 //! algorithm of Section IV (differential hulls, Pontryagin sweeps, Birkhoff
 //! expansion) reduces to optimising `f` — or a linear functional of `f` —
-//! over `Θ`, which [`ImpreciseDrift::extremal_theta`] performs by vertex
-//! enumeration with an optional grid refinement for drifts that are not
-//! affine in `ϑ`.
+//! over `Θ`, which [`extremal_theta`] performs by vertex enumeration with an
+//! optional grid refinement for drifts that are not affine in `ϑ`. The scan
+//! is a free function over the trait rather than a trait method, so every
+//! optimiser — the scalar [`extremal_theta`] and the differential hull's
+//! batched reduction alike — visits the same [`theta_candidates`] in the
+//! same order and no drift can redefine one without the other.
 
 use mfu_ctmc::params::ParamSpace;
 use mfu_ctmc::population::PopulationModel;
@@ -67,56 +70,57 @@ pub trait ImpreciseDrift {
     fn theta_refinement(&self) -> usize {
         0
     }
+}
 
-    /// The parameter vectors examined when optimising over `Θ`: the
-    /// vertices of the box followed, when
-    /// [`ImpreciseDrift::theta_refinement`] is positive, by a regular grid
-    /// of the box.
-    ///
-    /// [`ImpreciseDrift::extremal_theta`] scans exactly this list in exactly
-    /// this order; batched optimisers (the differential-hull construction)
-    /// reuse it so that a lane-parallel scan visits candidates in the same
-    /// sequence and reproduces the scalar argmax bit for bit.
-    fn theta_candidates(&self) -> Vec<Vec<f64>> {
-        let mut candidates = self.params().vertices();
-        let refinement = self.theta_refinement();
-        if refinement > 0 {
-            candidates.extend(self.params().grid(refinement + 1));
+/// The parameter vectors examined when optimising over `Θ`: the vertices of
+/// the box followed, when [`ImpreciseDrift::theta_refinement`] is positive,
+/// by a regular grid of the box.
+///
+/// [`extremal_theta`] scans exactly this list in exactly this order; batched
+/// optimisers (the differential-hull construction) reuse it so that a
+/// lane-parallel scan visits candidates in the same sequence and reproduces
+/// the scalar argmax bit for bit.
+pub fn theta_candidates<D: ImpreciseDrift + ?Sized>(drift: &D) -> Vec<Vec<f64>> {
+    let mut candidates = drift.params().vertices();
+    let refinement = drift.theta_refinement();
+    if refinement > 0 {
+        candidates.extend(drift.params().grid(refinement + 1));
+    }
+    candidates
+}
+
+/// Returns the parameter in `Θ` maximising the scalar functional
+/// `direction · f(x, ϑ)`, together with the attained value.
+///
+/// The search scans [`theta_candidates`] in order, keeping the first
+/// strict maximum. For drifts affine in `ϑ` the vertex search is exact,
+/// which is what produces the bang-bang extremal controls of Figure 2.
+/// The differential hull runs this same scan, batched, on every rectangle
+/// point of its bound evaluations.
+pub fn extremal_theta<D: ImpreciseDrift + ?Sized>(
+    drift: &D,
+    x: &StateVec,
+    direction: &StateVec,
+) -> (Vec<f64>, f64) {
+    let mut best_theta = drift.params().midpoint();
+    let mut best_value = f64::NEG_INFINITY;
+    let mut buffer = StateVec::zeros(drift.dim());
+    for theta in theta_candidates(drift) {
+        drift.drift_into(x, &theta, &mut buffer);
+        // `direction · f` as a left fold from +0.0, the fold the hull's
+        // batched reduction runs too (`Iterator::sum`, and so
+        // `StateVec::dot`, starts from −0.0 and can differ in the sign of
+        // a zero)
+        let value = buffer
+            .iter()
+            .zip(direction.iter())
+            .fold(0.0, |acc, (f, d)| acc + f * d);
+        if value > best_value {
+            best_value = value;
+            best_theta = theta;
         }
-        candidates
     }
-
-    /// Returns the parameter in `Θ` maximising the scalar functional
-    /// `direction · f(x, ϑ)`, together with the attained value.
-    ///
-    /// The search scans [`ImpreciseDrift::theta_candidates`] in order. For
-    /// drifts affine in `ϑ` the vertex search is exact, which is what
-    /// produces the bang-bang extremal controls of Figure 2.
-    fn extremal_theta(&self, x: &StateVec, direction: &StateVec) -> (Vec<f64>, f64) {
-        let mut best_theta = self.params().midpoint();
-        let mut best_value = f64::NEG_INFINITY;
-        let mut buffer = StateVec::zeros(self.dim());
-        for theta in self.theta_candidates() {
-            self.drift_into(x, &theta, &mut buffer);
-            let value = buffer.dot(direction);
-            if value > best_value {
-                best_value = value;
-                best_theta = theta;
-            }
-        }
-        (best_theta, best_value)
-    }
-
-    /// Component-wise extremes of the drift coordinate `i` over `Θ` at state `x`,
-    /// returned as `(min, max)`. Used by the differential-hull construction.
-    fn coordinate_range(&self, x: &StateVec, i: usize) -> (f64, f64) {
-        let mut direction = StateVec::zeros(self.dim());
-        direction[i] = 1.0;
-        let (_, max) = self.extremal_theta(x, &direction);
-        direction[i] = -1.0;
-        let (_, neg_min) = self.extremal_theta(x, &direction);
-        (-neg_min, max)
-    }
+    (best_theta, best_value)
 }
 
 impl<D: ImpreciseDrift + ?Sized> ImpreciseDrift for &D {
@@ -149,7 +153,7 @@ impl<D: ImpreciseDrift + ?Sized> ImpreciseDrift for &D {
 /// # Example
 ///
 /// ```
-/// use mfu_core::drift::{FnDrift, ImpreciseDrift};
+/// use mfu_core::drift::{extremal_theta, FnDrift};
 /// use mfu_ctmc::params::ParamSpace;
 /// use mfu_num::StateVec;
 ///
@@ -157,7 +161,7 @@ impl<D: ImpreciseDrift + ?Sized> ImpreciseDrift for &D {
 /// let drift = FnDrift::new(1, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
 ///     dx[0] = -th[0] * x[0];
 /// });
-/// let (best, value) = drift.extremal_theta(&StateVec::from(vec![1.0]), &StateVec::from(vec![1.0]));
+/// let (best, value) = extremal_theta(&drift, &StateVec::from(vec![1.0]), &StateVec::from(vec![1.0]));
 /// assert_eq!(best, vec![1.0]); // the slowest decay maximises ẋ
 /// assert!((value + 1.0).abs() < 1e-12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -283,26 +287,13 @@ mod tests {
         let d = linear_drift();
         let x = StateVec::from([1.0, 0.0]);
         // maximise ẋ0 = a·x0 + b: best vertex is a = 2, b = 1
-        let (theta, value) = d.extremal_theta(&x, &StateVec::from([1.0, 0.0]));
+        let (theta, value) = extremal_theta(&d, &x, &StateVec::from([1.0, 0.0]));
         assert_eq!(theta, vec![2.0, 1.0]);
         assert!((value - 3.0).abs() < 1e-12);
         // minimise ẋ0 (maximise its negation): a = 1, b = -1
-        let (theta, value) = d.extremal_theta(&x, &StateVec::from([-1.0, 0.0]));
+        let (theta, value) = extremal_theta(&d, &x, &StateVec::from([-1.0, 0.0]));
         assert_eq!(theta, vec![1.0, -1.0]);
         assert!((value - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coordinate_range_brackets_all_vertices() {
-        let d = linear_drift();
-        let x = StateVec::from([1.0, 0.5]);
-        let (lo, hi) = d.coordinate_range(&x, 0);
-        assert!((lo - 0.0).abs() < 1e-12); // a=1, b=-1 → 1*1 - 1 = 0
-        assert!((hi - 3.0).abs() < 1e-12); // a=2, b=1 → 3
-        for theta in d.params().vertices() {
-            let v = d.drift(&x, &theta)[0];
-            assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
-        }
     }
 
     #[test]
@@ -321,8 +312,8 @@ mod tests {
         };
         let x = StateVec::from([0.0]);
         let direction = StateVec::from([1.0]);
-        let (_, vertex_only) = make(0).extremal_theta(&x, &direction);
-        let (theta, refined) = make(20).extremal_theta(&x, &direction);
+        let (_, vertex_only) = extremal_theta(&make(0), &x, &direction);
+        let (theta, refined) = extremal_theta(&make(20), &x, &direction);
         assert!(
             vertex_only.abs() < 1e-12,
             "vertices alone miss the interior optimum"
@@ -332,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_drift_matches_scalar_per_lane() {
+    fn default_drift_batch_into_matches_scalar_per_lane() {
         let d = linear_drift();
         let states = [[2.0, 3.0], [0.5, -1.0], [0.0, 7.5]];
         let thetas = [[1.0, -1.0], [2.0, 1.0], [1.5, 0.25]];
@@ -362,7 +353,7 @@ mod tests {
     #[test]
     fn theta_candidates_drive_the_extremal_scan() {
         let d = linear_drift();
-        let candidates = d.theta_candidates();
+        let candidates = theta_candidates(&d);
         assert_eq!(candidates, d.params().vertices());
         let refined = FnDrift::new(
             1,
@@ -372,7 +363,7 @@ mod tests {
             },
         )
         .with_theta_refinement(3);
-        let candidates = refined.theta_candidates();
+        let candidates = theta_candidates(&refined);
         let vertices = refined.params().vertices();
         assert_eq!(&candidates[..vertices.len()], &vertices[..]);
         assert_eq!(

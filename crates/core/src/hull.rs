@@ -13,8 +13,10 @@
 //! ```
 //!
 //! The optimisation over the rectangle is performed by corner enumeration
-//! (optionally refined with edge midpoints); the optimisation over `Θ` uses
-//! [`ImpreciseDrift::coordinate_range`]. The paper (Figures 4 and 5) shows
+//! (optionally refined with edge midpoints); the optimisation over `Θ` scans
+//! [`theta_candidates`] like [`extremal_theta`](crate::drift::extremal_theta).
+//! Every rectangle point × Θ-candidate drift of one bound evaluation goes
+//! through a single [`ImpreciseDrift::drift_batch_into`] call. The paper (Figures 4 and 5) shows
 //! that this method is cheap and accurate for small parameter ranges but
 //! becomes very loose — eventually trivial — as the range grows, which is
 //! exactly the behaviour reproduced by the benchmarks.
@@ -27,7 +29,7 @@ use mfu_num::ode::{Integrator, OdeSystem, Rk4};
 use mfu_num::StateVec;
 use mfu_obs::{Counter, Field, Obs};
 
-use crate::drift::ImpreciseDrift;
+use crate::drift::{theta_candidates, ImpreciseDrift};
 use crate::{CoreError, Result};
 
 /// Coordinate-wise lower/upper bounds on a time grid.
@@ -120,15 +122,6 @@ pub struct HullOptions {
     /// Optional clamp applied to both bounds after every report interval
     /// (e.g. `[0, 1]` for densities); `None` leaves the bounds unclamped.
     pub clamp: Option<(f64, f64)>,
-    /// When `true` (the default), each bound evaluation batches every
-    /// rectangle point × Θ-candidate drift into one
-    /// [`ImpreciseDrift::drift_batch_into`] pass instead of one scalar call
-    /// per pair. The results are bit-identical — the argmax reductions
-    /// replicate the scalar scan order exactly — so this is purely a
-    /// performance knob. Disable for drifts that override
-    /// [`ImpreciseDrift::extremal_theta`] or
-    /// [`ImpreciseDrift::coordinate_range`] with non-default semantics.
-    pub batch_drift: bool,
     /// Run budget; only the wall-clock cap applies to the hull integration,
     /// checked once per report interval. A tripped deadline returns the
     /// bounds accumulated so far with
@@ -143,7 +136,6 @@ impl Default for HullOptions {
             time_intervals: 100,
             refine_midpoints: true,
             clamp: None,
-            batch_drift: true,
             budget: RunBudget::unlimited(),
         }
     }
@@ -202,12 +194,7 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
             drift: &self.drift,
             dim,
             refine_midpoints: self.options.refine_midpoints,
-            batch_drift: self.options.batch_drift,
-            theta_candidates: if self.options.batch_drift {
-                self.drift.theta_candidates()
-            } else {
-                Vec::new()
-            },
+            theta_candidates: theta_candidates(&self.drift),
             vertex_evals: Cell::new(0),
             scratch: RefCell::new(HullScratch::default()),
         };
@@ -296,9 +283,7 @@ struct HullOde<'a, D> {
     drift: &'a D,
     dim: usize,
     refine_midpoints: bool,
-    batch_drift: bool,
-    /// The Θ scan list of [`ImpreciseDrift::extremal_theta`], precomputed
-    /// once (it does not depend on the state); empty when batching is off.
+    /// The Θ scan list, precomputed once (it does not depend on the state).
     theta_candidates: Vec<Vec<f64>>,
     // `OdeSystem::rhs` takes `&self`, so the eval tally lives in a `Cell`;
     // the hull ODE is integrated on one thread, making this sound and free.
@@ -306,7 +291,7 @@ struct HullOde<'a, D> {
     scratch: RefCell<HullScratch>,
 }
 
-/// Reusable batch buffers for [`HullOde::extreme_over_box_batched`].
+/// Reusable batch buffers for [`HullOde::extreme_over_box`].
 #[derive(Default)]
 struct HullScratch {
     /// Rectangle points in visit order, point-major (`point · dim + i`).
@@ -319,8 +304,7 @@ struct HullScratch {
 impl<D: ImpreciseDrift> HullOde<'_, D> {
     /// Visits the corner (and optionally midpoint) points of the rectangle
     /// `[lower, upper]` with coordinate `pin` fixed to `pin_value`, in a
-    /// fixed deterministic order shared by the scalar and batched bound
-    /// evaluations.
+    /// fixed deterministic order.
     fn for_each_rect_point<F: FnMut(&StateVec)>(
         &self,
         lower: &StateVec,
@@ -372,40 +356,15 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
     /// Enumerates the corner (and optionally midpoint) values of the other
     /// coordinates, with coordinate `pin` fixed to `pin_value`, and returns
     /// the extreme of drift coordinate `pin` over those points and over `Θ`.
+    ///
+    /// One [`ImpreciseDrift::drift_batch_into`] pass evaluates every
+    /// rectangle point × Θ-candidate pair. Per point, the reduction then
+    /// runs the [`extremal_theta`](crate::drift::extremal_theta) scan with
+    /// direction `+e_pin` for an upper bound or `−e_pin` for a lower one —
+    /// same candidate order, same strict comparisons, same left-to-right
+    /// dot-product fold — so the result is bit for bit what the scalar scan
+    /// gives on each point.
     fn extreme_over_box(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        want_max: bool,
-    ) -> f64 {
-        if self.batch_drift {
-            return self.extreme_over_box_batched(lower, upper, pin, pin_value, want_max);
-        }
-        let mut best = if want_max {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        self.for_each_rect_point(lower, upper, pin, pin_value, |point| {
-            self.vertex_evals.set(self.vertex_evals.get() + 1);
-            let (lo, hi) = self.drift.coordinate_range(point, pin);
-            let value = if want_max { hi } else { lo };
-            if (want_max && value > best) || (!want_max && value < best) {
-                best = value;
-            }
-        });
-        best
-    }
-
-    /// Batched twin of [`HullOde::extreme_over_box`]: one
-    /// [`ImpreciseDrift::drift_batch_into`] pass evaluates every rectangle
-    /// point × Θ-candidate pair, then the reduction replays the scalar
-    /// `coordinate_range`/`extremal_theta` scans — same visit order, same
-    /// comparisons, same left-to-right dot-product fold — on the batched
-    /// values, so the result is bit-identical to the scalar path.
-    fn extreme_over_box_batched(
         &self,
         lower: &StateVec,
         upper: &StateVec,
@@ -440,10 +399,12 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
             &mut scratch.drifts,
         );
 
-        // replay of `StateVec::dot` with the unit direction `sign · e_pin`:
-        // the same left fold from 0.0 over every coordinate, zero terms
-        // included, so even the sign of a zero result matches the scalar scan
-        let dot_pin = |lane: usize, sign: f64| -> f64 {
+        // the extremal scan's direction is `sign · e_pin`: `+e_pin` finds the
+        // maximum, `−e_pin` minus the minimum. The dot product with it is
+        // `extremal_theta`'s left fold from +0.0 over every coordinate, zero
+        // terms included, so even the sign of a zero result matches.
+        let sign = if want_max { 1.0 } else { -1.0 };
+        let dot_pin = |lane: usize| -> f64 {
             let mut acc = 0.0;
             for i in 0..self.dim {
                 let dir = if i == pin { sign } else { 0.0 };
@@ -459,23 +420,14 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
         };
         for p in 0..n_points {
             self.vertex_evals.set(self.vertex_evals.get() + 1);
-            // coordinate_range = extremal scan with +e_pin, then with −e_pin
-            let mut max_value = f64::NEG_INFINITY;
+            let mut extreme = f64::NEG_INFINITY;
             for c in 0..n_cands {
-                let value = dot_pin(p * n_cands + c, 1.0);
-                if value > max_value {
-                    max_value = value;
+                let value = dot_pin(p * n_cands + c);
+                if value > extreme {
+                    extreme = value;
                 }
             }
-            let mut neg_min = f64::NEG_INFINITY;
-            for c in 0..n_cands {
-                let value = dot_pin(p * n_cands + c, -1.0);
-                if value > neg_min {
-                    neg_min = value;
-                }
-            }
-            let (lo, hi) = (-neg_min, max_value);
-            let value = if want_max { hi } else { lo };
+            let value = if want_max { extreme } else { -extreme };
             if (want_max && value > best) || (!want_max && value < best) {
                 best = value;
             }
@@ -636,76 +588,61 @@ mod tests {
     }
 
     #[test]
-    fn batched_bounds_are_bit_identical_to_scalar_bounds() {
+    fn box_extremes_match_the_scalar_extremal_scan() {
         // the coupled 2-d drift exercises midpoint refinement and a
         // non-trivial rectangle enumeration; a refined Θ adds grid candidates
         let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
-        let make_drift = || {
-            FnDrift::new(
-                2,
-                theta.clone(),
-                |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                    dx[0] = th[0] * (x[1] - x[0]);
-                    dx[1] = x[0] - x[1];
-                },
-            )
-            .with_theta_refinement(2)
+        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * (x[1] - x[0]);
+            dx[1] = x[0] * x[1] - th[0] * th[0] * x[1];
+        })
+        .with_theta_refinement(2);
+        let ode = HullOde {
+            drift: &drift,
+            dim: 2,
+            refine_midpoints: true,
+            theta_candidates: theta_candidates(&drift),
+            vertex_evals: Cell::new(0),
+            scratch: RefCell::new(HullScratch::default()),
         };
-        let x0 = StateVec::from([1.0, 0.0]);
-        let scalar = DifferentialHull::new(
-            make_drift(),
-            HullOptions {
-                batch_drift: false,
-                ..HullOptions::default()
-            },
-        )
-        .bounds(&x0, 1.0)
-        .unwrap();
-        let batched = DifferentialHull::new(
-            make_drift(),
-            HullOptions {
-                batch_drift: true,
-                ..HullOptions::default()
-            },
-        )
-        .bounds(&x0, 1.0)
-        .unwrap();
-        assert_eq!(scalar.times(), batched.times());
-        for k in 0..scalar.times().len() {
-            for i in 0..2 {
-                assert_eq!(
-                    scalar.lower()[k][i].to_bits(),
-                    batched.lower()[k][i].to_bits(),
-                    "lower bound {i} at node {k}"
-                );
-                assert_eq!(
-                    scalar.upper()[k][i].to_bits(),
-                    batched.upper()[k][i].to_bits(),
-                    "upper bound {i} at node {k}"
-                );
+        // the definition: per rectangle point, the scalar extremal scan with
+        // ±e_pin; then the extreme over the points
+        let reference = |lower: &StateVec, upper: &StateVec, pin, pin_value, want_max: bool| {
+            let mut best = if want_max {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            };
+            ode.for_each_rect_point(lower, upper, pin, pin_value, |point| {
+                let mut direction = StateVec::zeros(2);
+                direction[pin] = if want_max { 1.0 } else { -1.0 };
+                let (_, extreme) = crate::drift::extremal_theta(&drift, point, &direction);
+                let value = if want_max { extreme } else { -extreme };
+                if (want_max && value > best) || (!want_max && value < best) {
+                    best = value;
+                }
+            });
+            best
+        };
+        let boxes = [
+            ([1.0, 0.0], [1.0, 0.0]),
+            ([0.2, -0.5], [0.9, 0.4]),
+            ([-1.0, 0.25], [0.0, 0.25]),
+        ];
+        for (lo, hi) in boxes {
+            let (lower, upper) = (StateVec::from(lo), StateVec::from(hi));
+            for pin in 0..2 {
+                for (pin_value, want_max) in [(lower[pin], false), (upper[pin], true)] {
+                    let batched = ode.extreme_over_box(&lower, &upper, pin, pin_value, want_max);
+                    let scalar = reference(&lower, &upper, pin, pin_value, want_max);
+                    assert_eq!(
+                        batched.to_bits(),
+                        scalar.to_bits(),
+                        "box {lo:?}..{hi:?}, pin {pin}, max {want_max}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn batched_and_scalar_paths_count_vertex_evals_identically() {
-        let count_with = |batch_drift: bool| {
-            let obs = Obs::with_metrics();
-            let hull = DifferentialHull::new(
-                decay_drift(1.0, 2.0),
-                HullOptions {
-                    batch_drift,
-                    ..HullOptions::default()
-                },
-            )
-            .with_obs(obs.clone());
-            hull.bounds(&StateVec::from([1.0]), 1.0).unwrap();
-            obs.metrics
-                .snapshot()
-                .unwrap()
-                .counter(Counter::CoreHullVertexEvals)
-        };
-        assert_eq!(count_with(false), count_with(true));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! anything order-sensitive belongs in an array. The writer emits finite
 //! numbers via Rust's shortest round-trip formatting, so
 //! `parse(render(x))` reproduces every `f64` bit for bit; non-finite
-//! numbers have no JSON spelling and render as `null`. Strings escape
-//! quotes, backslashes and every control character (`\n`/`\r`/`\t`/`\b`/
-//! `\f` short forms, `\u00XX` otherwise); the reader additionally accepts
-//! arbitrary `\uXXXX` escapes including UTF-16 surrogate pairs.
+//! numbers have no JSON spelling and render as `null`. Strings go through
+//! [`mfu_obs::write_json_string`], the escaper the tracer and metrics
+//! snapshot share: quotes, backslashes and every control character
+//! (`\n`/`\r`/`\t`/`\b`/`\f` short forms, `\u00XX` otherwise). The reader
+//! additionally accepts arbitrary `\uXXXX` escapes including UTF-16
+//! surrogate pairs.
 //!
 //! ```
 //! use mfu_core::json::{parse, Json};
@@ -34,6 +36,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use mfu_obs::write_json_string;
 
 /// A parsed or constructed JSON value (numbers as `f64`, object keys
 /// sorted).
@@ -138,7 +142,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Number(v) => write_number(*v, out),
-            Json::String(s) => write_string(s, out),
+            Json::String(s) => write_json_string(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -155,7 +159,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(key, out);
+                    write_json_string(key, out);
                     out.push(':');
                     value.write(out);
                 }
@@ -180,29 +184,6 @@ fn write_number(v: f64, out: &mut String) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
-/// all control characters.
-pub fn write_string(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -479,6 +460,24 @@ mod tests {
             "\"say \\\"hi\\\"\\\\path\\nline\\ttab\\rret\\bbell\\f\\u0001end\""
         );
         assert_eq!(parse(&rendered).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn trace_events_with_every_control_character_parse_and_round_trip() {
+        let nasty: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/ϑ".chars())
+            .collect();
+        let (tracer, buffer) = mfu_obs::Tracer::to_buffer();
+        tracer.event(&nasty, &[(nasty.as_str(), mfu_obs::Field::Str(&nasty))]);
+        let line = buffer.contents();
+        let doc = parse(line.trim_end()).unwrap();
+        assert_eq!(doc.get("ev").and_then(Json::as_str), Some(nasty.as_str()));
+        assert_eq!(doc.get(&nasty).and_then(Json::as_str), Some(nasty.as_str()));
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
+        // one escaper: the tracer writes the bytes this module renders
+        assert!(line.contains(&Json::string(nasty.as_str()).render()));
+        assert!(line.contains("\\b") && line.contains("\\f") && line.contains("\\u0001"));
     }
 
     #[test]

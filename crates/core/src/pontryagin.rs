@@ -21,12 +21,12 @@
 use mfu_guard::{BudgetTracker, RunBudget, DIVERGENCE_CAP};
 use mfu_num::batch::{BatchTheta, SoaBatch};
 use mfu_num::grid::{GridSignal, TimeGrid};
-use mfu_num::jacobian::{finite_difference_jacobian_into, Jacobian, JacobianScratch};
+use mfu_num::jacobian::Jacobian;
 use mfu_num::ode::Trajectory;
 use mfu_num::StateVec;
 use mfu_obs::{Counter, Field, Gauge, Obs};
 
-use crate::drift::ImpreciseDrift;
+use crate::drift::{extremal_theta, ImpreciseDrift};
 use crate::signal::GridParamSignal;
 use crate::{CoreError, Result};
 
@@ -132,14 +132,6 @@ pub struct PontryaginOptions {
     /// solver escalates automatically: it reruns the sweep from every vertex
     /// and keeps the best result, exactly as `multi_start` would have.
     pub auto_escalate: bool,
-    /// When `true` (the default), the finite-difference Jacobians of the
-    /// costate sweep evaluate all `2·dim` perturbed drifts in one
-    /// [`ImpreciseDrift::drift_batch_into`] pass, and the escalation ladder's
-    /// Θ-vertex probes integrate every vertex in lockstep with one batched
-    /// drift evaluation per RK4 stage. Results and observability counters
-    /// are bit-identical to the scalar path; this is purely a performance
-    /// knob.
-    pub batch_drift: bool,
     /// Run budget for the sweep. `max_sweeps` caps the iterations of each
     /// restart (on top of `max_iterations`); `wall_clock` is checked once per
     /// sweep iteration, per restart. A tripped budget ends the sweep early
@@ -159,7 +151,6 @@ impl Default for PontryaginOptions {
             jacobian_step: 1e-6,
             multi_start: false,
             auto_escalate: true,
-            batch_drift: true,
             budget: RunBudget::unlimited(),
         }
     }
@@ -408,35 +399,22 @@ impl PontryaginSolver {
             let ascent = objective.ascent_weights();
             let margin = 10.0 * self.options.tolerance;
             let threshold = sign * best.objective_value() + margin;
-            let mut probe_steps = 0u64;
-            let suspicious = if self.options.batch_drift {
-                // one lockstep integration evaluates every vertex probe; the
-                // scan below then replays the scalar short-circuit so the
-                // verdict and the RK4-step tally match the scalar path
-                let vertices = drift.params().vertices();
-                let values =
-                    self.probe_constant_controls_batched(drift, x0, horizon, &vertices, &ascent);
-                let mut found = false;
-                for value in &values {
-                    probe_steps += self.options.grid_intervals.max(1) as u64;
-                    if value.is_some_and(|v| v > threshold) {
-                        found = true;
-                        break;
-                    }
-                }
-                found
-            } else {
-                drift.params().vertices().into_iter().any(|vertex| {
-                    probe_steps += self.options.grid_intervals.max(1) as u64;
-                    self.probe_constant_control(drift, x0, horizon, &vertex, &ascent)
-                        .is_ok_and(|value| value > threshold)
-                })
-            };
-            self.obs.metrics.add(Counter::CoreRk4Steps, probe_steps);
-            if suspicious {
+            // One lockstep integration evaluates every vertex probe. The
+            // RK4-step tally counts the probes up to the first one that
+            // beats the sweep, as a probe-by-probe scan would.
+            let vertices = drift.params().vertices();
+            let values = self.probe_constant_controls(drift, x0, horizon, &vertices, &ascent);
+            let beaten_by = values
+                .iter()
+                .position(|value| value.is_some_and(|v| v > threshold));
+            let probed = beaten_by.map_or(values.len(), |v| v + 1);
+            self.obs.metrics.add(
+                Counter::CoreRk4Steps,
+                (probed * self.options.grid_intervals.max(1)) as u64,
+            );
+            if beaten_by.is_some() {
                 let offset = usize::try_from(restarts).unwrap_or(usize::MAX);
-                let vertex_outcomes =
-                    self.sweep_all(drift, x0, horizon, &objective, drift.params().vertices());
+                let vertex_outcomes = self.sweep_all(drift, x0, horizon, &objective, vertices);
                 for (index, outcome) in vertex_outcomes {
                     restarts += 1;
                     let candidate = outcome?;
@@ -540,45 +518,18 @@ impl PontryaginSolver {
         outcomes
     }
 
-    /// Terminal ascent value of the constant-control trajectory `ϑ ≡ theta`,
-    /// the cheap feasibility probe of the escalation ladder. Every constant
-    /// control is a feasible selection of the inclusion, so its terminal
-    /// value is a certified lower bound on the (ascent) extremal value.
-    fn probe_constant_control<D: ImpreciseDrift>(
-        &self,
-        drift: &D,
-        x0: &StateVec,
-        horizon: f64,
-        theta: &[f64],
-        ascent: &StateVec,
-    ) -> Result<f64> {
-        let grid = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1))?;
-        let h = grid.step();
-        let mut rk4 = Rk4Scratch::new(drift.dim());
-        let mut x = x0.clone();
-        let mut next = StateVec::zeros(drift.dim());
-        for _ in 0..grid.intervals() {
-            rk4_step_into(
-                &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
-                &x,
-                h,
-                &mut next,
-                &mut rk4,
-            )?;
-            std::mem::swap(&mut x, &mut next);
-        }
-        Ok(ascent.dot(&x))
-    }
-
-    /// The lockstep twin of [`PontryaginSolver::probe_constant_control`]:
-    /// integrates one lane per Θ vertex, evaluating all lanes' drifts with a
-    /// single [`ImpreciseDrift::drift_batch_into`] call per RK4 stage. Each
-    /// lane performs exactly the scalar probe's arithmetic (stage states
-    /// `x + c·h·k`, weighted final sum, left-fold terminal dot product), so
-    /// `out[v]` is bit-identical to the scalar probe of vertex `v`; a lane
-    /// whose step goes non-finite reports `None`, matching the scalar
-    /// probe's error.
-    fn probe_constant_controls_batched<D: ImpreciseDrift>(
+    /// Terminal ascent values of the constant-control trajectories
+    /// `ϑ ≡ vertices[v]`, the cheap feasibility probes of the escalation
+    /// ladder. Every constant control is a feasible selection of the
+    /// inclusion, so its terminal value is a certified lower bound on the
+    /// (ascent) extremal value.
+    ///
+    /// The probes integrate in lockstep, one lane per vertex, with a single
+    /// [`ImpreciseDrift::drift_batch_into`] call per RK4 stage. Each lane
+    /// performs exactly the sweep's scalar RK4 arithmetic (stage states
+    /// `x + c·h·k`, weighted final sum, left-fold terminal dot product); a
+    /// lane whose step goes non-finite reports `None`.
+    fn probe_constant_controls<D: ImpreciseDrift>(
         &self,
         drift: &D,
         x0: &StateVec,
@@ -661,7 +612,8 @@ impl PontryaginSolver {
                 if !alive[lane] {
                     return None;
                 }
-                // replay of `ascent.dot(&x)`: left fold from 0.0
+                // `ascent · x` as a left fold from +0.0; the value is only
+                // compared with the sweep's, where the sign of a zero is moot
                 let mut acc = 0.0;
                 for i in 0..dim {
                     acc += ascent[i] * x.get(i, lane);
@@ -721,7 +673,6 @@ impl PontryaginSolver {
         // thousands of times per solve and allocate nothing.
         let mut rk4 = Rk4Scratch::new(dim);
         let mut jac = Jacobian::zeros(dim, dim);
-        let mut jac_scratch = JacobianScratch::new(dim, dim);
         let mut jac_batch = BatchedJacobianScratch::default();
         let mut midpoint = StateVec::zeros(dim);
 
@@ -794,25 +745,14 @@ impl PontryaginSolver {
                 // evaluation zeroes the matrix, preserving the historical
                 // "treat a bad Jacobian as no costate motion" behaviour.
                 half_sum_into(&state[k], &state[k + 1], &mut midpoint);
-                let jacobian_ok = if self.options.batch_drift {
-                    batched_jacobian_into(
-                        drift,
-                        theta,
-                        &midpoint,
-                        self.options.jacobian_step,
-                        &mut jac,
-                        &mut jac_batch,
-                    )
-                } else {
-                    finite_difference_jacobian_into(
-                        &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
-                        &midpoint,
-                        self.options.jacobian_step,
-                        &mut jac,
-                        &mut jac_scratch,
-                    )
-                    .is_ok()
-                };
+                let jacobian_ok = batched_jacobian_into(
+                    drift,
+                    theta,
+                    &midpoint,
+                    self.options.jacobian_step,
+                    &mut jac,
+                    &mut jac_batch,
+                );
                 // A matrix the costate step cannot resolve (see
                 // `MAX_COSTATE_STEP_GROWTH`) counts as a failed evaluation.
                 if !jacobian_ok || jac.inf_norm() * h > MAX_COSTATE_STEP_GROWTH {
@@ -839,7 +779,7 @@ impl PontryaginSolver {
             let mut control_change = 0.0_f64;
             for k in 0..n {
                 half_sum_into(&costate[k], &costate[k + 1], &mut midpoint);
-                let (theta_star, _) = drift.extremal_theta(&state[k], &midpoint);
+                let (theta_star, _) = extremal_theta(drift, &state[k], &midpoint);
                 let mut updated = Vec::with_capacity(theta_dim);
                 for j in 0..theta_dim {
                     let relaxed =
@@ -915,23 +855,25 @@ impl PontryaginSolver {
 }
 
 /// Reusable batch buffers of [`batched_jacobian_into`].
-#[derive(Default)]
-struct BatchedJacobianScratch {
+#[derive(Debug, Default)]
+pub struct BatchedJacobianScratch {
     points: SoaBatch,
     drifts: SoaBatch,
     lane: Vec<f64>,
 }
 
-/// The batched twin of
-/// [`finite_difference_jacobian_into`]: all `2·dim` perturbed states of the
-/// central-difference stencil are evaluated in one
+/// The central-difference drift Jacobian `∂f/∂x (x, ϑ)` of the costate
+/// sweep, written into `jac`.
+///
+/// All `2·dim` perturbed states of the stencil are evaluated in one
 /// [`ImpreciseDrift::drift_batch_into`] pass (lane `2j` holds `x + h·e_j`,
 /// lane `2j + 1` holds `x − h·e_j`), then the entries are formed with the
-/// identical `(f⁺ − f⁻) / (2h)` arithmetic, so the resulting matrix is bit
-/// for bit the scalar one. Returns `false` — the caller zeroes the matrix —
-/// exactly when the scalar variant would have returned an error: an invalid
-/// step or a non-finite entry.
-fn batched_jacobian_into<D: ImpreciseDrift>(
+/// `(f⁺ − f⁻) / (2h)` arithmetic of
+/// [`finite_difference_jacobian_into`](mfu_num::jacobian::finite_difference_jacobian_into),
+/// so the matrix is bit for bit that scalar reference's. Returns `false` —
+/// the sweep then zeroes the matrix — exactly when the reference returns an
+/// error: an invalid step or a non-finite entry.
+pub fn batched_jacobian_into<D: ImpreciseDrift + ?Sized>(
     drift: &D,
     theta: &[f64],
     x: &StateVec,
@@ -1226,112 +1168,104 @@ mod tests {
     }
 
     #[test]
-    fn batched_solve_is_bit_identical_to_scalar_solve() {
-        // two-parameter switching problem: exercises the batched Jacobian on
-        // every sweep iteration and a genuinely moving control
+    fn batched_jacobian_matches_the_finite_difference_reference() {
+        use mfu_num::jacobian::{finite_difference_jacobian_into, JacobianScratch};
+
         let theta = ParamSpace::new(vec![
             ("a", Interval::new(0.5, 3.0).unwrap()),
             ("b", Interval::new(0.5, 1.5).unwrap()),
         ])
         .unwrap();
-        let make_drift = || {
-            FnDrift::new(
-                2,
-                theta.clone(),
-                |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                    dx[0] = th[0] * (1.0 - x[0]);
-                    dx[1] = th[0] * x[0] - th[1] * x[1];
-                },
-            )
-        };
-        let x0 = StateVec::from([0.0, 0.0]);
-        let solve_with = |batch_drift: bool, multi_start: bool| {
-            PontryaginSolver::new(PontryaginOptions {
-                grid_intervals: 60,
-                multi_start,
-                batch_drift,
-                ..Default::default()
-            })
-            .maximize_coordinate(&make_drift(), &x0, 2.0, 1)
-            .unwrap()
-        };
-        for multi_start in [false, true] {
-            let scalar = solve_with(false, multi_start);
-            let batched = solve_with(true, multi_start);
-            assert_eq!(
-                scalar.objective_value().to_bits(),
-                batched.objective_value().to_bits(),
-                "objective (multi_start = {multi_start})"
-            );
-            assert_eq!(scalar.iterations(), batched.iterations());
-            assert_eq!(scalar.converged(), batched.converged());
-            for (a, b) in scalar
-                .state()
-                .values()
-                .iter()
-                .chain(scalar.control().values())
-                .chain(scalar.costate().values())
-                .zip(
-                    batched
-                        .state()
-                        .values()
-                        .iter()
-                        .chain(batched.control().values())
-                        .chain(batched.costate().values()),
+        let drift = FnDrift::new(3, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = -th[0] * x[0] * x[1] + th[1] * x[2];
+            dx[1] = th[0] * x[0] * x[1] - x[1] / (1.0 + x[2] * x[2]);
+            dx[2] = x[1].max(0.25) - th[1] * x[2];
+        });
+        let mut batched = Jacobian::zeros(3, 3);
+        let mut reference = Jacobian::zeros(3, 3);
+        let mut batch_scratch = BatchedJacobianScratch::default();
+        let mut scratch = JacobianScratch::new(3, 3);
+        for (x, th) in [
+            ([0.7, 0.2, 0.1], [0.5, 1.5]),
+            ([0.1, 0.25, 0.65], [3.0, 0.5]),
+            ([0.0, 1.0, 0.0], [1.75, 1.0]),
+        ] {
+            let x = StateVec::from(x);
+            for h in [1e-6, 1e-3] {
+                let ok =
+                    batched_jacobian_into(&drift, &th, &x, h, &mut batched, &mut batch_scratch);
+                let reference_ok = finite_difference_jacobian_into(
+                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, &th, dx),
+                    &x,
+                    h,
+                    &mut reference,
+                    &mut scratch,
                 )
-            {
-                for i in 0..a.dim() {
-                    assert_eq!(a[i].to_bits(), b[i].to_bits());
+                .is_ok();
+                assert!(ok && reference_ok);
+                for i in 0..3 {
+                    for j in 0..3 {
+                        assert_eq!(
+                            batched.entry(i, j).to_bits(),
+                            reference.entry(i, j).to_bits(),
+                            "entry ({i}, {j}) at x = {x}, h = {h}"
+                        );
+                    }
                 }
             }
+            // both reject an invalid step
+            assert!(!batched_jacobian_into(
+                &drift,
+                &th,
+                &x,
+                0.0,
+                &mut batched,
+                &mut batch_scratch
+            ));
         }
     }
 
     #[test]
-    fn batched_probes_match_scalar_escalation_and_counters() {
-        // the stunted sweep from the escalation test: the vertex probes must
-        // reach the same verdict, counters and final value with batching on
-        let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
-        let make_drift = || {
-            FnDrift::new(
-                1,
-                theta.clone(),
-                |_x: &StateVec, th: &[f64], dx: &mut StateVec| dx[0] = th[0],
-            )
-        };
-        let x0 = StateVec::from([0.0]);
-        let run = |batch_drift: bool| {
-            let obs = Obs::with_metrics();
-            let solution = PontryaginSolver::new(PontryaginOptions {
-                grid_intervals: 50,
-                max_iterations: 1,
-                relaxation: 0.01,
-                batch_drift,
-                ..Default::default()
-            })
-            .with_obs(obs.clone())
-            .maximize_coordinate(&make_drift(), &x0, 1.0, 0)
-            .unwrap();
-            (solution, obs.metrics.snapshot().unwrap())
-        };
-        let (scalar, scalar_metrics) = run(false);
-        let (batched, batched_metrics) = run(true);
-        assert_eq!(
-            scalar.objective_value().to_bits(),
-            batched.objective_value().to_bits()
-        );
-        for counter in [
-            Counter::CorePontryaginEscalations,
-            Counter::CorePontryaginRestarts,
-            Counter::CoreRk4Steps,
-            Counter::CoreJacobianEvals,
-            Counter::CorePontryaginSweeps,
-        ] {
-            assert_eq!(
-                scalar_metrics.counter(counter),
-                batched_metrics.counter(counter),
-                "{counter:?}"
-            );
+    fn lockstep_probes_match_scalar_constant_control_integration() {
+        // the switching problem's vertices probe genuinely different
+        // trajectories; each lane must equal the sweep's scalar RK4
+        let theta = ParamSpace::new(vec![
+            ("a", Interval::new(0.5, 3.0).unwrap()),
+            ("b", Interval::new(0.5, 1.5).unwrap()),
+        ])
+        .unwrap();
+        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * (1.0 - x[0]);
+            dx[1] = th[0] * x[0] - th[1] * x[1];
+        });
+        let x0 = StateVec::from([0.1, 0.0]);
+        let ascent = StateVec::from([0.5, -1.0]);
+        let solver = PontryaginSolver::new(PontryaginOptions {
+            grid_intervals: 60,
+            ..Default::default()
+        });
+        let vertices = drift.params().vertices();
+        let probes = solver.probe_constant_controls(&drift, &x0, 2.0, &vertices, &ascent);
+        assert_eq!(probes.len(), vertices.len());
+        let h = 2.0 / 60.0;
+        for (vertex, probe) in vertices.iter().zip(&probes) {
+            let mut rk4 = Rk4Scratch::new(2);
+            let mut x = x0.clone();
+            let mut next = StateVec::zeros(2);
+            for _ in 0..60 {
+                rk4_step_into(
+                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, vertex, dx),
+                    &x,
+                    h,
+                    &mut next,
+                    &mut rk4,
+                )
+                .unwrap();
+                std::mem::swap(&mut x, &mut next);
+            }
+            // equal as numbers: bit for bit unless both are zeros, whose
+            // sign the probe's +0.0 fold and `dot`'s −0.0 start may differ in
+            assert_eq!(*probe, Some(ascent.dot(&x)), "vertex {vertex:?}");
         }
     }
 

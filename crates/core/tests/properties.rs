@@ -3,7 +3,7 @@
 //! dominate every admissible constant parameter, extremal-θ optimisation
 //! dominates random samples).
 
-use mfu_core::drift::{FnDrift, ImpreciseDrift};
+use mfu_core::drift::{extremal_theta, FnDrift, ImpreciseDrift};
 use mfu_core::hull::{DifferentialHull, HullOptions};
 use mfu_core::inclusion::DifferentialInclusion;
 use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
@@ -121,7 +121,7 @@ proptest! {
         let drift = coupled_drift(0.3, -0.2, 0.2, 1.0);
         let x = StateVec::from([x0, x1]);
         let direction = StateVec::from([d0, d1]);
-        let (_, best) = drift.extremal_theta(&x, &direction);
+        let (_, best) = extremal_theta(&drift, &x, &direction);
         let theta = 0.2 + pick * 0.8;
         let value = drift.drift(&x, &[theta]).dot(&direction);
         prop_assert!(value <= best + 1e-9);

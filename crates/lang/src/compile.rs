@@ -455,7 +455,7 @@ init S = 0.7, I = 0.3, R = 0;
         let model = compile(SIR).unwrap();
         let drift = model.reduced_drift();
         let x = StateVec::from([0.6, 0.2]);
-        let (theta, _) = drift.extremal_theta(&x, &StateVec::from([0.0, 1.0]));
+        let (theta, _) = mfu_core::drift::extremal_theta(&drift, &x, &StateVec::from([0.0, 1.0]));
         assert_eq!(theta, vec![10.0]);
     }
 }

@@ -254,9 +254,10 @@ impl JacobianScratch {
 /// Allocation-free central-difference Jacobian: the vector field writes into
 /// a caller buffer and the matrix plus all temporaries are preallocated.
 ///
-/// This is the inner-loop variant of [`finite_difference_jacobian`] used by
-/// the Pontryagin costate sweep, which evaluates one Jacobian per grid
-/// interval per iteration.
+/// This is the allocation-free variant of [`finite_difference_jacobian`],
+/// and the scalar reference of the Pontryagin costate sweep's batched
+/// Jacobian (`mfu_core::pontryagin::batched_jacobian_into`), which must
+/// match it bit for bit.
 ///
 /// # Errors
 ///

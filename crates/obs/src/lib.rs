@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Timer};
-pub use trace::{BufferSink, Field, Span, Tracer};
+pub use trace::{write_json_string, BufferSink, Field, Span, Tracer};
 
 /// Bundle of the two observability instruments.
 ///

@@ -426,12 +426,9 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\"{}\":\"{}\"",
-                crate::trace::escape_json(key),
-                crate::trace::escape_json(value)
-            );
+            crate::trace::write_json_string(key, &mut out);
+            out.push(':');
+            crate::trace::write_json_string(value, &mut out);
         }
         out.push_str("}}");
         out

@@ -87,14 +87,14 @@ impl Tracer {
         let Some(core) = &self.core else { return };
         let t_ns = u64::try_from(core.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut line = String::with_capacity(64);
-        line.push_str("{\"ev\":\"");
-        line.push_str(&escape_json(name));
-        line.push_str("\",\"t_ns\":");
+        line.push_str("{\"ev\":");
+        write_json_string(name, &mut line);
+        line.push_str(",\"t_ns\":");
         line.push_str(&t_ns.to_string());
         for (key, value) in fields {
-            line.push_str(",\"");
-            line.push_str(&escape_json(key));
-            line.push_str("\":");
+            line.push(',');
+            write_json_string(key, &mut line);
+            line.push(':');
             write_field(&mut line, value);
         }
         line.push_str("}\n");
@@ -206,19 +206,21 @@ fn write_field(out: &mut String, field: &Field<'_>) {
             let _ = write!(out, "{v}");
         }
         Field::F64(_) => out.push_str("null"),
-        Field::Str(s) => {
-            out.push('"');
-            out.push_str(&escape_json(s));
-            out.push('"');
-        }
+        Field::Str(s) => write_json_string(s, out),
         Field::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
     }
 }
 
-/// Escapes a string for embedding inside a JSON string literal.
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes and every control character (`\n`/`\r`/`\t`/`\b`/`\f` in
+/// their short forms, `\u00XX` otherwise).
+///
+/// This is the workspace's one JSON string escaper: trace events, the
+/// metrics snapshot and the `mfu_core::json` writer all go through it.
+#[inline]
+pub fn write_json_string(s: &str, out: &mut String) {
+    use std::fmt::Write as _;
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -226,14 +228,15 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]

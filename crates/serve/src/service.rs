@@ -67,8 +67,8 @@ impl Default for ServiceOptions {
 }
 
 /// A drift with its parameter box replaced (narrowed or widened) by a
-/// request override. Delegates evaluation verbatim; the trait's default
-/// candidate/extremal machinery then enumerates the *override* box.
+/// request override. Delegates evaluation verbatim; the Θ scans
+/// (`mfu_core::drift::theta_candidates`) then enumerate the *override* box.
 struct WithBox<D> {
     inner: D,
     params: ParamSpace,

@@ -5,24 +5,24 @@
 //! of the stochastic process, which requires many independent replications.
 //! This module exploits the machine along both axes:
 //!
-//! * **across cores** — replications are distributed over scoped worker
-//!   threads; set the worker count with [`EnsembleOptions::threads`]
-//!   (`0` means one thread per available core, and the count is clamped
-//!   to the number of replications, so oversubscribed workers simply
-//!   idle);
-//! * **within a core** — τ-leap ensembles additionally advance each
-//!   worker's replications in *lockstep* ([`crate::lockstep`]), sharing
-//!   one batched SoA propensity rescan per round across all of the
-//!   worker's still-running trajectories. The batched rescan is
-//!   bit-identical to the scalar one, so summaries do not depend on
-//!   [`EnsembleOptions::batch_propensities`]; switch it off to pin down
-//!   the scalar reference when debugging.
+//! * **across cores** — replications are distributed round-robin over
+//!   scoped worker threads; set the worker count with
+//!   [`EnsembleOptions::threads`] (`0` means one thread per available
+//!   core, and the count is clamped to the number of replications, so
+//!   oversubscribed workers simply idle);
+//! * **within a core** — τ-leap replications run on the lockstep engine
+//!   ([`crate::lockstep`]) in groups of up to 64 per worker, sharing one
+//!   batched SoA propensity rescan per round across the group's
+//!   still-running trajectories. The exact engine re-evaluates a few
+//!   dependency-pruned rates per event, which has no batched shape, so
+//!   exact replications run one at a time.
 //!
-//! Either way every replication `k` keeps its own RNG stream seeded with
-//! `base_seed.wrapping_add(k)`, so summaries are deterministic in the
-//! seed for a fixed thread count.
-
-use std::sync::Mutex;
+//! Every replication `k` keeps its own RNG stream seeded with
+//! `base_seed.wrapping_add(k)`. Each worker returns its partial statistics
+//! from its join handle and the partials are merged in worker order, so
+//! summaries are deterministic in the seed for a fixed thread count;
+//! [`EnsembleSummary::final_states`] lists the horizon states in
+//! replication order whatever the thread count.
 
 use mfu_num::StateVec;
 
@@ -47,12 +47,6 @@ pub struct EnsembleOptions {
     pub threads: usize,
     /// Number of intervals of the common time grid used for the summary.
     pub grid_intervals: usize,
-    /// Advance each worker's τ-leap replications in lockstep, batching
-    /// their propensity rescans into shared SoA evaluations
-    /// (`RateProgram::eval_batch_into`); see [`crate::lockstep`]. On by
-    /// default; results are bit-identical either way, so this is purely a
-    /// performance knob. Ignored by the exact (non-τ-leap) algorithm.
-    pub batch_propensities: bool,
 }
 
 impl Default for EnsembleOptions {
@@ -62,7 +56,6 @@ impl Default for EnsembleOptions {
             base_seed: 1,
             threads: 0,
             grid_intervals: 100,
-            batch_propensities: true,
         }
     }
 }
@@ -127,7 +120,7 @@ impl EnsembleSummary {
         self.stats[k].first().map_or(0, RunningStats::count)
     }
 
-    /// Final (horizon) states of every replication.
+    /// Final (horizon) states of every replication, in replication order.
     pub fn final_states(&self) -> &[StateVec] {
         &self.final_states
     }
@@ -157,54 +150,61 @@ impl EnsembleSummary {
     }
 }
 
-/// Accumulator shared by the ensemble workers: per-grid-point statistics,
-/// final states, and the first error observed (if any).
-type EnsembleAccumulator = (Vec<Vec<RunningStats>>, Vec<StateVec>, Option<SimError>);
-
 /// How many replications a worker advances per lockstep group: bounds the
 /// number of concurrently live trajectories (each holds its recorded
 /// states) while keeping the batch wide enough to fill the VM's small
 /// register slab tier.
 const LOCKSTEP_GROUP: usize = 64;
 
-/// Folds one completed replication into a worker's local accumulators.
-///
-/// Grid sampling is all-or-error: a truncated run or a failed
-/// `trajectory.at(t)` converts into a typed error instead of silently
-/// shrinking a grid point's observation count (the historical `if let Ok`
-/// bug).
-fn absorb_run(
-    run: &SimulationRun,
-    times: &[f64],
-    t_end: f64,
-    local_stats: &mut [Vec<RunningStats>],
-    local_finals: &mut Vec<StateVec>,
-) -> Result<()> {
-    // Grid sampling needs the full horizon: a prefix is not a meaningful
-    // ensemble member, so a truncated replication converts back into a
-    // typed error.
-    if let mfu_guard::Outcome::Truncated { reason, reached_t } = run.outcome() {
-        return Err(match reason {
-            mfu_guard::TruncationReason::MaxEvents => SimError::EventBudgetExhausted {
-                events: run.events(),
-                reached: reached_t,
-            },
-            _ => SimError::Truncated {
-                reason,
-                events: run.events(),
-                reached: reached_t,
-            },
-        });
-    }
-    let trajectory = run.trajectory();
-    for (k, &t) in times.iter().enumerate() {
-        let state = trajectory.at(t)?;
-        for (i, &v) in state.as_slice().iter().enumerate() {
-            local_stats[k][i].push(v);
+/// One worker's share of an ensemble: per-grid-point statistics over its
+/// replications, their horizon states tagged with the replication index,
+/// and the error that stopped the worker (if any).
+struct Partial {
+    stats: Vec<Vec<RunningStats>>,
+    finals: Vec<(usize, StateVec)>,
+    error: Option<SimError>,
+}
+
+impl Partial {
+    /// Folds one completed replication into the partial.
+    ///
+    /// Grid sampling is all-or-error: a truncated run or a failed
+    /// `trajectory.at(t)` converts into a typed error instead of silently
+    /// shrinking a grid point's observation count (the historical `if let Ok`
+    /// bug).
+    fn absorb(
+        &mut self,
+        replication: usize,
+        run: &SimulationRun,
+        times: &[f64],
+        t_end: f64,
+    ) -> Result<()> {
+        // Grid sampling needs the full horizon: a prefix is not a meaningful
+        // ensemble member, so a truncated replication converts back into a
+        // typed error.
+        if let mfu_guard::Outcome::Truncated { reason, reached_t } = run.outcome() {
+            return Err(match reason {
+                mfu_guard::TruncationReason::MaxEvents => SimError::EventBudgetExhausted {
+                    events: run.events(),
+                    reached: reached_t,
+                },
+                _ => SimError::Truncated {
+                    reason,
+                    events: run.events(),
+                    reached: reached_t,
+                },
+            });
         }
+        let trajectory = run.trajectory();
+        for (k, &t) in times.iter().enumerate() {
+            let state = trajectory.at(t)?;
+            for (i, &v) in state.as_slice().iter().enumerate() {
+                self.stats[k][i].push(v);
+            }
+        }
+        self.finals.push((replication, trajectory.at(t_end)?));
+        Ok(())
     }
-    local_finals.push(trajectory.at(t_end)?);
-    Ok(())
 }
 
 /// Runs `options.replications` independent simulations and summarises them.
@@ -215,8 +215,8 @@ fn absorb_run(
 ///
 /// # Errors
 ///
-/// Returns the first simulation error encountered, or an invalid-input error
-/// when `options.replications == 0`.
+/// Returns the first error of the lowest-numbered worker that hit one, or
+/// an invalid-input error when `options.replications == 0`.
 pub fn run_ensemble<F, P>(
     simulator: &Simulator,
     initial_counts: &[i64],
@@ -248,129 +248,117 @@ where
     };
     let threads = threads.min(options.replications).max(1);
 
-    let dim = simulator.model().dim();
     let grid_n = options.grid_intervals;
     let times: Vec<f64> = (0..=grid_n)
         .map(|k| sim_options.t_end * k as f64 / grid_n as f64)
         .collect();
 
-    // Shared accumulators guarded by a mutex: merging is cheap relative to
-    // simulation, so contention is negligible.
-    let accumulator: Mutex<EnsembleAccumulator> = Mutex::new((
-        vec![vec![RunningStats::new(); dim]; grid_n + 1],
-        Vec::new(),
-        None,
-    ));
+    // Lockstep groups apply to τ-leap only: the exact engine re-evaluates
+    // a few dependency-pruned rates per event, which has no batched shape
+    // (every lane would need a rescan after every event of every other
+    // lane), so exact replications run one at a time.
+    let lockstep = matches!(sim_options.algorithm, SimulationAlgorithm::TauLeap(_));
+    let dim = simulator.model().dim();
 
-    // Lockstep grouping applies to τ-leap ensembles only: the exact engine
-    // re-evaluates a few dependency-pruned rates per event, which has no
-    // batched shape (every lane would need a rescan after every event of
-    // every other lane).
-    let lockstep = options.batch_propensities
-        && matches!(sim_options.algorithm, SimulationAlgorithm::TauLeap(_));
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let accumulator = &accumulator;
-            let make_policy = &make_policy;
-            let times = &times;
-            scope.spawn(move || {
-                let mut local_stats = vec![vec![RunningStats::new(); dim]; grid_n + 1];
-                let mut local_finals = Vec::new();
-                let mut local_error: Option<SimError> = None;
-                // The worker's replications, in the order the sequential
-                // path runs them — lockstep groups absorb results in the
-                // same order, so the Welford update sequence (and thus the
-                // summary, bit for bit) does not depend on the grouping.
-                let assigned: Vec<usize> =
-                    (worker..options.replications).step_by(threads).collect();
-                if lockstep {
-                    'groups: for group in assigned.chunks(LOCKSTEP_GROUP) {
-                        let policies: Vec<P> = group.iter().map(|_| make_policy()).collect();
-                        let seeds: Vec<u64> = group
-                            .iter()
-                            .map(|&r| options.base_seed.wrapping_add(r as u64))
-                            .collect();
-                        let outcome = simulate_tau_leap_lockstep(
-                            simulator,
-                            initial_counts,
-                            policies,
-                            sim_options,
-                            &seeds,
-                        );
-                        let results = match outcome {
-                            Ok(results) => results,
-                            Err(err) => {
-                                local_error = Some(err);
-                                break 'groups;
+    let partials: Vec<Partial> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                let make_policy = &make_policy;
+                let times = &times;
+                scope.spawn(move || {
+                    let mut partial = Partial {
+                        stats: vec![vec![RunningStats::new(); dim]; grid_n + 1],
+                        finals: Vec::new(),
+                        error: None,
+                    };
+                    // The worker's replications in ascending order, folded in
+                    // that order whether grouped or not, so the Welford update
+                    // sequence (and thus the partial, bit for bit) does not
+                    // depend on the grouping.
+                    let assigned: Vec<usize> =
+                        (worker..options.replications).step_by(threads).collect();
+                    let seed = |r: usize| options.base_seed.wrapping_add(r as u64);
+                    if lockstep {
+                        'groups: for group in assigned.chunks(LOCKSTEP_GROUP) {
+                            let policies: Vec<P> = group.iter().map(|_| make_policy()).collect();
+                            let seeds: Vec<u64> = group.iter().map(|&r| seed(r)).collect();
+                            let results = match simulate_tau_leap_lockstep(
+                                simulator,
+                                initial_counts,
+                                policies,
+                                sim_options,
+                                &seeds,
+                            ) {
+                                Ok(results) => results,
+                                Err(err) => {
+                                    partial.error = Some(err);
+                                    break 'groups;
+                                }
+                            };
+                            for (&replication, result) in group.iter().zip(results) {
+                                let absorbed = result.and_then(|run| {
+                                    partial.absorb(replication, &run, times, sim_options.t_end)
+                                });
+                                if let Err(err) = absorbed {
+                                    partial.error = Some(err);
+                                    break 'groups;
+                                }
                             }
-                        };
-                        for result in results {
-                            let absorbed = result.and_then(|run| {
-                                absorb_run(
-                                    &run,
-                                    times,
-                                    sim_options.t_end,
-                                    &mut local_stats,
-                                    &mut local_finals,
+                        }
+                    } else {
+                        for &replication in &assigned {
+                            let mut policy = make_policy();
+                            let absorbed = simulator
+                                .simulate(
+                                    initial_counts,
+                                    &mut policy,
+                                    sim_options,
+                                    seed(replication),
                                 )
-                            });
+                                .and_then(|run| {
+                                    partial.absorb(replication, &run, times, sim_options.t_end)
+                                });
                             if let Err(err) = absorbed {
-                                local_error = Some(err);
-                                break 'groups;
+                                partial.error = Some(err);
+                                break;
                             }
                         }
                     }
-                } else {
-                    for &replication in &assigned {
-                        let seed = options.base_seed.wrapping_add(replication as u64);
-                        let mut policy = make_policy();
-                        let sampled = simulator
-                            .simulate(initial_counts, &mut policy, sim_options, seed)
-                            .and_then(|run| {
-                                absorb_run(
-                                    &run,
-                                    times,
-                                    sim_options.t_end,
-                                    &mut local_stats,
-                                    &mut local_finals,
-                                )
-                            });
-                        if let Err(err) = sampled {
-                            local_error = Some(err);
-                            break;
-                        }
-                    }
-                }
-                // A worker that panicked while holding the lock only leaves
-                // behind merged partial statistics — recover the data
-                // instead of propagating the poison as a second panic.
-                let mut guard = accumulator
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                for (k, row) in local_stats.iter().enumerate() {
-                    for (i, cell) in row.iter().enumerate() {
-                        guard.0[k][i].merge(cell);
-                    }
-                }
-                guard.1.extend(local_finals);
-                if guard.2.is_none() {
-                    guard.2 = local_error;
-                }
-            });
-        }
+                    partial
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                // re-raise worker panics with their original payload
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
     });
 
-    let (stats, final_states, error) = accumulator
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(err) = error {
-        return Err(err);
+    // Merge in worker order: the result depends on the seed and the thread
+    // count only, never on which worker finished first.
+    let mut stats = vec![vec![RunningStats::new(); dim]; grid_n + 1];
+    let mut finals = Vec::with_capacity(options.replications);
+    for partial in partials {
+        if let Some(err) = partial.error {
+            return Err(err);
+        }
+        for (row, local) in stats.iter_mut().zip(&partial.stats) {
+            for (cell, local) in row.iter_mut().zip(local) {
+                cell.merge(local);
+            }
+        }
+        finals.extend(partial.finals);
     }
+    finals.sort_by_key(|&(replication, _)| replication);
     Ok(EnsembleSummary {
         times,
         stats,
-        final_states,
+        final_states: finals.into_iter().map(|(_, state)| state).collect(),
     })
 }
 
@@ -425,7 +413,6 @@ mod tests {
             base_seed: 3,
             threads: 2,
             grid_intervals: 10,
-            ..Default::default()
         };
         let summary = run_ensemble(
             &sim,
@@ -460,7 +447,6 @@ mod tests {
                 base_seed: 11,
                 threads: 4,
                 grid_intervals: 20,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -493,7 +479,6 @@ mod tests {
             base_seed: 5,
             threads: 3,
             grid_intervals: 16,
-            ..Default::default()
         };
         let summary = run_ensemble(
             &sim,
@@ -532,7 +517,6 @@ mod tests {
                 base_seed: u64::MAX - 1,
                 threads: 2,
                 grid_intervals: 4,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -602,7 +586,6 @@ mod tests {
                     base_seed: 7,
                     threads: 4,
                     grid_intervals: 8,
-                    ..Default::default()
                 },
             )
             .unwrap();
@@ -654,7 +637,6 @@ mod tests {
                     base_seed: 9,
                     threads,
                     grid_intervals: 6,
-                    ..Default::default()
                 },
             )
             .unwrap()
@@ -689,29 +671,41 @@ mod tests {
     }
 
     #[test]
-    fn tau_leap_summaries_do_not_depend_on_propensity_batching() {
-        // One worker pins the Welford merge order, so the only remaining
-        // degree of freedom between the two runs is the lockstep batching
-        // itself — which must be invisible, bit for bit.
+    fn multi_threaded_summaries_are_deterministic_and_in_replication_order() {
+        // Workers merge in worker order, not finish order: repeated calls
+        // agree bit for bit, and final state `k` is replication `k`'s
+        // horizon state, exactly what a lone run with seed
+        // `base_seed + k` reaches.
         let sim = Simulator::new(bike_model(), 500).unwrap();
         let sim_options =
             SimulationOptions::new(4.0).tau_leap(crate::tauleap::TauLeapOptions::new(0.05));
-        let run_with = |batch: bool| {
+        let options = EnsembleOptions {
+            replications: 9,
+            base_seed: 21,
+            threads: 3,
+            grid_intervals: 12,
+        };
+        let run = || {
             run_ensemble(
                 &sim,
                 &[250],
                 || ConstantPolicy::new(vec![1.5, 0.75]),
                 &sim_options,
-                &EnsembleOptions {
-                    replications: 10,
-                    base_seed: 21,
-                    threads: 1,
-                    grid_intervals: 12,
-                    batch_propensities: batch,
-                },
+                &options,
             )
             .unwrap()
         };
-        assert_summaries_bit_identical(&run_with(true), &run_with(false));
+        let first = run();
+        for _ in 0..5 {
+            assert_summaries_bit_identical(&first, &run());
+        }
+        for (k, state) in first.final_states().iter().enumerate() {
+            let mut policy = ConstantPolicy::new(vec![1.5, 0.75]);
+            let solo = sim
+                .simulate(&[250], &mut policy, &sim_options, 21 + k as u64)
+                .unwrap();
+            let expected = solo.trajectory().at(4.0).unwrap();
+            assert_eq!(state.as_slice(), expected.as_slice(), "replication {k}");
+        }
     }
 }

@@ -34,6 +34,14 @@
 //! policies additionally declare themselves via
 //! [`ParameterPolicy::is_constant`], letting the simulator query ϑ once
 //! per run instead of once per event.
+//!
+//! # τ-leaping
+//!
+//! [`Simulator::simulate`] is also the entry point of a single τ-leap run
+//! ([`SimulationAlgorithm::TauLeap`]). That run does not use the machinery
+//! above: it goes to the lockstep engine of [`crate::lockstep`] as a group
+//! of one, the same engine `run_ensemble` feeds wider groups, so a lone run
+//! and lane `k` of an ensemble group are one computation.
 
 use mfu_ctmc::population::PopulationModel;
 use mfu_ctmc::transition::apply_firings;
@@ -45,6 +53,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use crate::lockstep::simulate_tau_leap_lockstep;
 use crate::policy::ParameterPolicy;
 use crate::selection::{SelectionStrategy, Selector};
 use crate::tauleap::TauLeapOptions;
@@ -55,9 +64,10 @@ use crate::{Result, SimError};
 /// [`SimulationAlgorithm::Exact`] is the event-by-event Gillespie SSA —
 /// statistically exact at any scale, but `O(N)` events per unit time.
 /// [`SimulationAlgorithm::TauLeap`] is the explicit τ-leaping
-/// approximation of the [`tauleap`](crate::tauleap) module: many firings
-/// per step under the Cao–Gillespie step-size bound, making the large-`N`
-/// regime (where the paper's mean-field guarantees bite) affordable.
+/// approximation of the [`tauleap`](crate::tauleap) module, run by the
+/// [`lockstep`](crate::lockstep) engine: many firings per step under the
+/// Cao–Gillespie step-size bound, making the large-`N` regime (where the
+/// paper's mean-field guarantees bite) affordable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimulationAlgorithm {
     /// Event-by-event exact SSA (the default).
@@ -373,7 +383,7 @@ pub struct SimulationRun {
 
 impl SimulationRun {
     /// Assembles a run from its parts (used by the exact engine here and
-    /// the τ-leap engine in [`tauleap`](crate::tauleap)).
+    /// the τ-leap engine in [`lockstep`](crate::lockstep)).
     pub(crate) fn from_parts(
         trajectory: Trajectory,
         events: usize,
@@ -570,6 +580,11 @@ impl Simulator {
 
     /// Runs one replication with a fresh RNG seeded by `seed`.
     ///
+    /// The exact algorithm runs here. A τ-leap replication runs on the
+    /// lockstep engine as a group of one ([`simulate_tau_leap_lockstep`]),
+    /// so a single run and lane `k` of an ensemble group are the same
+    /// computation.
+    ///
     /// # Errors
     ///
     /// Returns an error if the initial counts have the wrong dimension or are
@@ -585,44 +600,13 @@ impl Simulator {
         options: &SimulationOptions,
         seed: u64,
     ) -> Result<SimulationRun> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.simulate_with_rng(initial_counts, policy, options, &mut rng)
-    }
-
-    /// Runs one replication with a caller-provided RNG.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::simulate`].
-    pub fn simulate_with_rng(
-        &self,
-        initial_counts: &[i64],
-        policy: &mut dyn ParameterPolicy,
-        options: &SimulationOptions,
-        rng: &mut StdRng,
-    ) -> Result<SimulationRun> {
-        if initial_counts.len() != self.model.dim() {
-            return Err(SimError::invalid_input(format!(
-                "expected {} initial counts, got {}",
-                self.model.dim(),
-                initial_counts.len()
-            )));
+        if let SimulationAlgorithm::TauLeap(_) = options.algorithm {
+            let mut runs =
+                simulate_tau_leap_lockstep(self, initial_counts, vec![policy], options, &[seed])?;
+            return runs.pop().expect("a group of one yields one run");
         }
-        if initial_counts.iter().any(|&c| c < 0) {
-            return Err(SimError::invalid_input(
-                "initial counts must be non-negative",
-            ));
-        }
-        if let SimulationAlgorithm::TauLeap(leap) = options.algorithm {
-            return crate::tauleap::simulate_tau_leap(
-                self,
-                initial_counts,
-                policy,
-                options,
-                &leap,
-                rng,
-            );
-        }
+        self.check_counts(initial_counts)?;
+        let rng = &mut StdRng::seed_from_u64(seed);
         policy.reset();
 
         let dim = self.model.dim();
@@ -855,6 +839,24 @@ impl Simulator {
             options.propensity,
             outcome,
         ))
+    }
+
+    /// Checks that `counts` is a valid initial state: one non-negative count
+    /// per species.
+    pub(crate) fn check_counts(&self, counts: &[i64]) -> Result<()> {
+        if counts.len() != self.model.dim() {
+            return Err(SimError::invalid_input(format!(
+                "expected {} initial counts, got {}",
+                self.model.dim(),
+                counts.len()
+            )));
+        }
+        if counts.iter().any(|&c| c < 0) {
+            return Err(SimError::invalid_input(
+                "initial counts must be non-negative",
+            ));
+        }
+        Ok(())
     }
 
     /// Evaluates the scaled propensity of transition `k`, validating the

@@ -23,18 +23,18 @@
 //!   [`SelectionStrategy`](selection::SelectionStrategy) next to the
 //!   `O(K)` roulette-scan reference;
 //! * [`tauleap`] — approximate explicit τ-leaping for the large-`N`
-//!   regime: adaptive Cao–Gillespie step selection, Poisson firing
-//!   counts, a negative-population guard and an exact-SSA fallback,
-//!   selected per run via
+//!   regime: its options and adaptive Cao–Gillespie step selection
+//!   (Poisson firing counts, a negative-population guard and an exact-SSA
+//!   fallback run in [`lockstep`]), selected per run via
 //!   [`SimulationAlgorithm`](gillespie::SimulationAlgorithm) on
 //!   [`SimulationOptions`](gillespie::SimulationOptions);
 //! * [`ensemble`] — parallel replication of simulations with summary
 //!   statistics on a common time grid (scoped worker threads via
 //!   [`EnsembleOptions::threads`](ensemble::EnsembleOptions::threads));
-//! * [`lockstep`] — lockstep τ-leap replication batching: groups of
-//!   replications advance together and share one batched SoA propensity
-//!   rescan per round (`RateProgram::eval_batch_into`), bit-identical to
-//!   running each replication alone;
+//! * [`lockstep`] — the τ-leap engine: groups of replications advance
+//!   together and share one batched SoA propensity rescan per round
+//!   (`RateProgram::eval_batch_into`); a single run is a group of one,
+//!   and every lane is bit-identical to that lone run;
 //! * [`stats`] — running statistics and empirical summaries;
 //! * [`steady`] — sampling of the stationary regime (burn-in plus thinning),
 //!   used to compare the empirical steady state against the Birkhoff centre.

@@ -1,4 +1,5 @@
-//! Lockstep τ-leap replication batching: many trajectories, one rescan.
+//! The τ-leap engine: replications advance in lockstep and share their
+//! propensity rescans.
 //!
 //! A τ-leap run spends essentially all of its time in full propensity
 //! rescans — `K` rate-program evaluations per leap and per fallback SSA
@@ -14,27 +15,29 @@
 //! states and per-lane parameter vectors into one [`SoaBatch`], performs
 //! a single batched evaluation per transition class, and hands each lane
 //! its row of results to resume on. Everything *between* rescans — policy
-//! queries, Poisson draws, τ selection, guards, recording — runs per lane
-//! with that lane's own RNG stream, replicating the scalar engine in
-//! [`crate::tauleap`] statement for statement.
+//! queries, Poisson draws, τ selection ([`crate::tauleap`]), guards,
+//! recording — runs per lane with that lane's own RNG stream.
+//!
+//! This is the only τ-leap engine. [`Simulator::simulate`] runs a τ-leap
+//! replication as a group of one, and [`crate::ensemble::run_ensemble`]
+//! runs groups of up to 64 per worker. The rescan shape follows the width
+//! a round observes: a round with a single paused lane — a group of one,
+//! or the last lane still running in a wider group — calls each class's
+//! scalar `rate` directly and skips the SoA gather, which has nothing to
+//! share at width 1.
 //!
 //! # Bit-identity contract
 //!
 //! Lane `i` of a lockstep group produces a [`SimulationRun`] (trajectory,
 //! final counts, outcome, and every [`SimCounters`] field) bit-identical
-//! to `simulator.simulate(...)` with the same seed, policy, and options.
-//! This holds because (a) the batched VM guarantees each lane of
-//! `eval_batch_into` equals the scalar `eval` bit-for-bit, and (b) no
-//! other lane state feeds into a lane's arithmetic — lanes only *pause
-//! together*. The only observable differences are scheduling-level: trace
-//! events of different replications interleave, and wall-clock budgets
-//! (if armed) see different real-time profiles, exactly as they do across
-//! machines.
-//!
-//! [`crate::ensemble::run_ensemble`] uses this engine automatically for
-//! τ-leap ensembles unless
-//! [`EnsembleOptions::batch_propensities`](crate::ensemble::EnsembleOptions::batch_propensities)
-//! is switched off.
+//! to `simulator.simulate(...)` — a group of one — with the same seed,
+//! policy, and options. This holds because (a) the batched VM guarantees
+//! each lane of `eval_batch_into` equals the scalar `eval` bit-for-bit,
+//! and (b) no other lane state feeds into a lane's arithmetic — lanes only
+//! *pause together*. The only observable differences are scheduling-level:
+//! trace events of different replications interleave, and wall-clock
+//! budgets (if armed) see different real-time profiles, exactly as they do
+//! across machines.
 
 use mfu_ctmc::transition::{accumulate_firings, apply_firings};
 use mfu_guard::{BudgetTracker, Outcome, TruncationReason};
@@ -53,7 +56,7 @@ use crate::gillespie::{
 };
 use crate::policy::ParameterPolicy;
 use crate::selection::{linear_select, SelectionStrategy};
-use crate::tauleap::{query_theta, reactant_orders, select_tau, TauLeapOptions};
+use crate::tauleap::{reactant_orders, select_tau, TauLeapOptions};
 use crate::{Result, SimError};
 
 /// Shared per-group context threaded through the lane state machines.
@@ -72,7 +75,7 @@ struct Ctx<'a> {
 /// policy query and the post-rescan continuation.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Top of the scalar engine's `'run` loop: rescan, then select τ.
+    /// Leap start: rescan, then select τ.
     Outer,
     /// Inside an exact-SSA fallback burst: rescan, then one exact step.
     Burst,
@@ -153,33 +156,44 @@ impl<P: ParameterPolicy> Lane<P> {
         self.result.is_some()
     }
 
-    /// Pre-rescan policy handling — the statements the scalar engine runs
-    /// immediately before each full rescan.
+    /// Pre-rescan policy handling: re-queries the policy when the rescan
+    /// needs a fresh ϑ. Constant policies are queried once per run.
     fn prepare(&mut self, ctx: &Ctx<'_>) -> Result<()> {
         let requery = match self.phase {
             Phase::Outer => !(self.theta_known && self.policy_constant),
-            // The leap start already queried for burst step 0.
+            // Non-constant policies are re-queried per exact step (the exact
+            // engine's event-level resolution); the leap start already
+            // queried for burst step 0.
             Phase::Burst => self.burst_step > 0 && !self.policy_constant,
         };
         if requery {
-            self.theta = query_theta(
-                ctx.simulator,
-                &mut self.policy,
-                ctx.options,
-                self.t,
-                &self.x,
-                self.steps as u64,
-                &mut self.rng,
-            )?;
+            self.theta = self.query_policy(ctx)?;
             self.theta_known = true;
         }
         Ok(())
     }
 
-    /// Validates and scales this lane's row of raw batched densities,
-    /// replicating `Simulator::eval_rate` in transition order (including
-    /// its stop-at-first-unhealthy-rate semantics, so an armed fault plan
-    /// sees exactly the scalar perturbation sequence).
+    /// Queries the policy at `(t, x)` and validates or clamps its output
+    /// against the model's parameter space — the contract the exact engine
+    /// applies at every event.
+    fn query_policy(&mut self, ctx: &Ctx<'_>) -> Result<Vec<f64>> {
+        let mut theta = self.policy.value(self.t, &self.x, &mut self.rng);
+        if let Some(plan) = ctx.simulator.fault_plan() {
+            plan.perturb_params(self.steps as u64, &mut theta);
+        }
+        let params = ctx.simulator.model().params();
+        if params.contains(&theta) {
+            Ok(theta)
+        } else if ctx.options.strict_policy {
+            Err(SimError::PolicyOutOfRange { time: self.t })
+        } else {
+            Ok(params.clamp(&theta)?)
+        }
+    }
+
+    /// Validates and scales this lane's row of raw densities in transition
+    /// order, like `Simulator::eval_rate`: an armed fault plan perturbs
+    /// each density, and the first unhealthy one fails the lane.
     fn validate_rates(
         &mut self,
         ctx: &Ctx<'_>,
@@ -208,8 +222,8 @@ impl<P: ParameterPolicy> Lane<P> {
         Ok(total)
     }
 
-    /// Resumes the lane on a fresh rescan: `'run`-top continuation for
-    /// [`Phase::Outer`], one exact fallback step for [`Phase::Burst`].
+    /// Resumes the lane on a fresh rescan: τ selection and leap attempts
+    /// for [`Phase::Outer`], one exact fallback step for [`Phase::Burst`].
     fn on_rates(&mut self, ctx: &Ctx<'_>, raw: &[f64], lane: usize, width: usize) -> Result<()> {
         let total = self.validate_rates(ctx, raw, lane, width)?;
         self.tally.propensity_evals += ctx.n_transitions as u64;
@@ -237,11 +251,12 @@ impl<P: ParameterPolicy> Lane<P> {
         self.inner_loop(ctx)
     }
 
-    /// The scalar engine's guarded inner loop, minus the rescans: runs
-    /// leap attempts (with halve/demote guards) until the lane finishes or
-    /// pauses for its next rescan.
+    /// The guarded leap loop between two rescans: runs leap attempts —
+    /// rejecting and halving τ on negative populations, demoting the run to
+    /// exact SSA once halvings pile up — until the lane finishes or pauses
+    /// for its next rescan.
     fn inner_loop(&mut self, ctx: &Ctx<'_>) -> Result<()> {
-        let tracer = ctx.simulator.obs().tracer.clone();
+        let tracer = &ctx.simulator.obs().tracer;
         loop {
             if self.tracker.expired() {
                 self.outcome = Outcome::Truncated {
@@ -251,6 +266,8 @@ impl<P: ParameterPolicy> Lane<P> {
                 return self.finish(ctx);
             }
             if self.demoted || self.tau < self.threshold.min(ctx.options.t_end - self.t) {
+                // exact fallback burst: τ is no longer worth its bias (or
+                // the halving ladder demoted the run for good)
                 self.tally.tau_fallback_bursts += 1;
                 if tracer.is_enabled() {
                     tracer.event(
@@ -289,6 +306,7 @@ impl<P: ParameterPolicy> Lane<P> {
                 .zip(self.delta.iter())
                 .any(|(&c, &d)| c + d < 0)
             {
+                // negative-population guard: reject wholesale, halve τ
                 self.tally.tau_halvings += 1;
                 if tracer.is_enabled() {
                     tracer.event(
@@ -386,6 +404,8 @@ impl<P: ParameterPolicy> Lane<P> {
         }
         self.steps += 1;
         self.tally.tau_fallback_steps += 1;
+        // `t > last` guards against a stalled clock when a rate explosion
+        // drives `dt` below the ulp of `t`.
         if self.recorder.should_record(self.steps, self.t) && self.t > self.trajectory.last_time() {
             self.trajectory.push(self.t, self.x.clone())?;
         }
@@ -411,8 +431,8 @@ impl<P: ParameterPolicy> Lane<P> {
         Ok(())
     }
 
-    /// The scalar engine's post-`'run` epilogue: pin the horizon (or the
-    /// truncation point), flush counters, emit the run summary.
+    /// Ends the lane: pins the horizon (or, for a truncated run, the state
+    /// actually reached), flushes counters, emits the run summary.
     fn finish(&mut self, ctx: &Ctx<'_>) -> Result<()> {
         let pin_time = match self.outcome {
             Outcome::Completed => ctx.options.t_end,
@@ -470,9 +490,10 @@ impl<P: ParameterPolicy> Lane<P> {
 ///
 /// `options.algorithm` must select
 /// [`SimulationAlgorithm::TauLeap`]; each returned entry is exactly what
-/// [`Simulator::simulate`] returns for the same replication (see the
-/// module docs for the bit-identity contract). A failed replication does
-/// not stop the others — errors are returned per lane.
+/// [`Simulator::simulate`] — a group of one — returns for the same
+/// replication (see the module docs for the bit-identity contract). A
+/// failed replication does not stop the others — errors are returned per
+/// lane. Policies may be borrowed (`&mut P` is a policy too).
 ///
 /// # Errors
 ///
@@ -496,18 +517,7 @@ pub fn simulate_tau_leap_lockstep<P: ParameterPolicy>(
             "one policy per seed is required for a lockstep group",
         ));
     }
-    if initial_counts.len() != simulator.model().dim() {
-        return Err(SimError::invalid_input(format!(
-            "expected {} initial counts, got {}",
-            simulator.model().dim(),
-            initial_counts.len()
-        )));
-    }
-    if initial_counts.iter().any(|&c| c < 0) {
-        return Err(SimError::invalid_input(
-            "initial counts must be non-negative",
-        ));
-    }
+    simulator.check_counts(initial_counts)?;
 
     let model = simulator.model();
     let orders = reactant_orders(simulator);
@@ -536,7 +546,7 @@ pub fn simulate_tau_leap_lockstep<P: ParameterPolicy>(
 
     loop {
         // 1. Pre-rescan work: policy queries per paused lane. A query
-        // error fails that lane alone, exactly like the scalar `?`.
+        // error fails that lane alone.
         active.clear();
         for (li, lane) in lanes.iter_mut().enumerate() {
             if lane.finished() {
@@ -551,24 +561,36 @@ pub fn simulate_tau_leap_lockstep<P: ParameterPolicy>(
             break;
         }
 
-        // 2. One batched rescan for every paused lane: lane `l` of the
-        // batch is replication `active[l]` at its current state and
-        // parameter vector.
+        // 2. One rescan for every paused lane: row `k` of `raw` holds
+        // transition `k`'s density for each lane `l`, replication
+        // `active[l]` at its current state and parameter vector. A single
+        // paused lane has nothing to share, so it takes the scalar rates
+        // and skips the gather.
         let width = active.len();
-        x_batch.reset(dim, width);
-        theta_batch.reset(n_params, width);
-        for (l, &li) in active.iter().enumerate() {
-            x_batch.set_lane(l, lanes[li].x.as_slice());
-            theta_batch.set_lane(l, &lanes[li].theta);
-        }
         raw.clear();
-        raw.resize(ctx.n_transitions * width, 0.0);
-        for (k, class) in model.transitions().iter().enumerate() {
-            class.rate_fn().eval_batch_into(
-                &x_batch,
-                BatchTheta::PerLane(&theta_batch),
-                &mut raw[k * width..(k + 1) * width],
+        if let [li] = active[..] {
+            let lane = &lanes[li];
+            raw.extend(
+                model
+                    .transitions()
+                    .iter()
+                    .map(|class| class.rate(&lane.x, &lane.theta)),
             );
+        } else {
+            x_batch.reset(dim, width);
+            theta_batch.reset(n_params, width);
+            for (l, &li) in active.iter().enumerate() {
+                x_batch.set_lane(l, lanes[li].x.as_slice());
+                theta_batch.set_lane(l, &lanes[li].theta);
+            }
+            raw.resize(ctx.n_transitions * width, 0.0);
+            for (k, class) in model.transitions().iter().enumerate() {
+                class.rate_fn().eval_batch_into(
+                    &x_batch,
+                    BatchTheta::PerLane(&theta_batch),
+                    &mut raw[k * width..(k + 1) * width],
+                );
+            }
         }
 
         // 3. Resume each lane on its row of results.
@@ -645,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_lanes_are_bit_identical_to_scalar_runs() {
+    fn wide_lanes_are_bit_identical_to_groups_of_one() {
         let simulator = Simulator::new(sir_model(), 20_000).unwrap();
         let options = SimulationOptions::new(2.0).tau_leap(TauLeapOptions::new(0.05));
         let seeds: Vec<u64> = (0..6).collect();
@@ -658,15 +680,15 @@ mod tests {
                 .unwrap();
         for (lane, &seed) in batched.iter().zip(&seeds) {
             let mut policy = ConstantPolicy::new(vec![5.0]);
-            let scalar = simulator
+            let solo = simulator
                 .simulate(&[14_000, 6_000, 0], &mut policy, &options, seed)
                 .unwrap();
-            assert_runs_bit_identical(lane.as_ref().unwrap(), &scalar);
+            assert_runs_bit_identical(lane.as_ref().unwrap(), &solo);
         }
     }
 
     #[test]
-    fn lockstep_matches_scalar_through_fallback_bursts_and_truncation() {
+    fn wide_lanes_match_groups_of_one_through_fallback_bursts_and_truncation() {
         // Boundary-parked pure death engages the exact fallback burst on
         // every lane; a tight event cap exercises the truncated epilogue.
         let simulator = Simulator::new(death_model(), 50).unwrap();
@@ -683,10 +705,10 @@ mod tests {
             let run = lane.as_ref().unwrap();
             assert!(run.counters().tau_fallback_bursts > 0);
             let mut policy = ConstantPolicy::new(vec![1.0]);
-            let scalar = simulator
+            let solo = simulator
                 .simulate(&[50], &mut policy, &options, seed)
                 .unwrap();
-            assert_runs_bit_identical(run, &scalar);
+            assert_runs_bit_identical(run, &solo);
         }
 
         let capped = options.max_events(3);
@@ -700,18 +722,18 @@ mod tests {
             let run = lane.as_ref().unwrap();
             assert!(run.is_truncated());
             let mut policy = ConstantPolicy::new(vec![1.0]);
-            let scalar = simulator
+            let solo = simulator
                 .simulate(&[50], &mut policy, &capped, seed)
                 .unwrap();
-            assert_runs_bit_identical(run, &scalar);
+            assert_runs_bit_identical(run, &solo);
         }
     }
 
     #[test]
-    fn lockstep_matches_scalar_under_stateful_and_random_policies() {
+    fn wide_lanes_match_groups_of_one_under_stateful_and_random_policies() {
         // Non-constant policies re-query per burst step with the lane's own
         // RNG stream; both a state-feedback and an RNG-consuming policy
-        // must replay the scalar draw order exactly.
+        // must replay a group of one's draw order exactly.
         let simulator = Simulator::new(sir_model(), 5_000).unwrap();
         let options = SimulationOptions::new(1.5).tau_leap(TauLeapOptions::new(0.05));
         let seeds: Vec<u64> = (10..14).collect();
@@ -723,10 +745,10 @@ mod tests {
                 .unwrap();
         for (lane, &seed) in batched.iter().zip(&seeds) {
             let mut policy = make_hysteresis();
-            let scalar = simulator
+            let solo = simulator
                 .simulate(&[3_500, 1_500, 0], &mut policy, &options, seed)
                 .unwrap();
-            assert_runs_bit_identical(lane.as_ref().unwrap(), &scalar);
+            assert_runs_bit_identical(lane.as_ref().unwrap(), &solo);
         }
 
         let make_jump = || {
@@ -740,10 +762,10 @@ mod tests {
                 .unwrap();
         for (lane, &seed) in batched.iter().zip(&seeds) {
             let mut policy = make_jump();
-            let scalar = simulator
+            let solo = simulator
                 .simulate(&[3_500, 1_500, 0], &mut policy, &options, seed)
                 .unwrap();
-            assert_runs_bit_identical(lane.as_ref().unwrap(), &scalar);
+            assert_runs_bit_identical(lane.as_ref().unwrap(), &solo);
         }
     }
 

@@ -58,6 +58,28 @@ pub trait ParameterPolicy {
     }
 }
 
+/// A borrowed policy is a policy: [`Simulator::simulate`] hands its
+/// `&mut dyn ParameterPolicy` to the lockstep engine as a group of one.
+///
+/// [`Simulator::simulate`]: crate::gillespie::Simulator::simulate
+impl<P: ParameterPolicy + ?Sized> ParameterPolicy for &mut P {
+    fn reset(&mut self) {
+        (**self).reset();
+    }
+
+    fn value(&mut self, t: f64, x: &StateVec, rng: &mut dyn RngCore) -> Vec<f64> {
+        (**self).value(t, x, rng)
+    }
+
+    fn is_constant(&self) -> bool {
+        (**self).is_constant()
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+}
+
 /// The uncertain scenario: a constant (but possibly unknown) parameter value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstantPolicy {
@@ -453,5 +475,19 @@ mod tests {
             let theta = p.value(k as f64, &StateVec::from([0.0]), &mut r);
             assert_eq!(theta[0], 2.0);
         }
+    }
+
+    #[test]
+    fn borrowed_policies_forward_every_method() {
+        let mut owned = HysteresisPolicy::new(vec![0.0], 0, 1.0, 10.0, 0, 0.5, 0.85, true);
+        let mut borrowed: &mut dyn ParameterPolicy = &mut owned;
+        assert!(!ParameterPolicy::is_constant(&borrowed));
+        assert_eq!(ParameterPolicy::name(&borrowed), "hysteresis");
+        let mut r = rng();
+        assert_eq!(borrowed.value(0.0, &StateVec::from([0.4]), &mut r)[0], 1.0);
+        ParameterPolicy::reset(&mut borrowed);
+        assert!(owned.is_high(), "reset reached the borrowed policy");
+        let mut constant = ConstantPolicy::new(vec![3.0]);
+        assert!(ParameterPolicy::is_constant(&&mut constant));
     }
 }

@@ -1,4 +1,5 @@
-//! Explicit τ-leaping: approximate stochastic simulation for large `N`.
+//! Explicit τ-leaping: approximate stochastic simulation for large `N` —
+//! the algorithm's options and its step-size selection.
 //!
 //! The exact Gillespie SSA pays one event per CTMC jump, so the cost of a
 //! run grows linearly with the population scale `N` — exactly wrong for
@@ -42,32 +43,22 @@
 //!   resumes leaping. A model that never leaves the guarded regime
 //!   therefore degrades to the exact algorithm rather than mis-simulating.
 //!
-//! Runs are deterministic in the seed (one RNG stream drives policy
-//! queries, Poisson draws and fallback steps alike), but the stream
-//! consumption differs from the exact engine's, so a τ-leap run is *not*
-//! event-comparable to an exact run at the same seed — only
-//! distributionally close (`O(ε)` bias on the means). Select the engine
-//! via [`SimulationOptions::algorithm`] /
+//! # Engine
+//!
+//! The engine that runs these leaps is the lockstep engine of
+//! [`crate::lockstep`]: [`Simulator::simulate`] runs a τ-leap replication
+//! as a group of one, and ensembles run wider groups that share their
+//! propensity rescans. Runs are deterministic in the seed (one RNG stream
+//! drives policy queries, Poisson draws and fallback steps alike), but the
+//! stream consumption differs from the exact engine's, so a τ-leap run is
+//! *not* event-comparable to an exact run at the same seed — only
+//! distributionally close (`O(ε)` bias on the means). Select the algorithm
+//! via [`SimulationOptions::algorithm`](crate::gillespie::SimulationOptions::algorithm) /
 //! [`SimulationAlgorithm::TauLeap`](crate::gillespie::SimulationAlgorithm);
 //! `ensemble`, `steady` and the `mfu run --algorithm tau-leap` CLI all
 //! thread it through.
 
-use mfu_ctmc::transition::accumulate_firings;
-use mfu_guard::{BudgetTracker, Outcome, TruncationReason};
-use mfu_num::ode::Trajectory;
-use mfu_num::StateVec;
-use rand::poisson;
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use mfu_obs::Field;
-
-use crate::gillespie::{
-    PropensityStrategy, Recorder, SimCounters, SimulationOptions, SimulationRun, Simulator,
-};
-use crate::policy::ParameterPolicy;
-use crate::selection::{linear_select, SelectionStrategy};
-use crate::{Result, SimError};
+use crate::gillespie::Simulator;
 
 /// Tuning knobs of the explicit τ-leap engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,8 +144,7 @@ impl Default for TauLeapOptions {
 
 /// Highest order of any reaction *consuming* each species, bounded via
 /// the rates' species supports (see the module docs); species nothing
-/// consumes keep the neutral order 1. Shared with the lockstep ensemble
-/// engine (`crate::lockstep`), which must select identical step sizes.
+/// consumes keep the neutral order 1.
 pub(crate) fn reactant_orders(simulator: &Simulator) -> Vec<f64> {
     let mut orders = vec![1.0_f64; simulator.model().dim()];
     for (k, class) in simulator.model().transitions().iter().enumerate() {
@@ -210,341 +200,16 @@ pub(crate) fn select_tau(
     tau
 }
 
-/// Queries the parameter policy at `(t, x)` and validates or clamps its
-/// output against the model's parameter space — the same contract the
-/// exact engine applies at every event.
-pub(crate) fn query_theta(
-    simulator: &Simulator,
-    policy: &mut dyn ParameterPolicy,
-    options: &SimulationOptions,
-    t: f64,
-    x: &StateVec,
-    events: u64,
-    rng: &mut StdRng,
-) -> Result<Vec<f64>> {
-    let mut theta_raw = policy.value(t, x, rng);
-    if let Some(plan) = simulator.fault_plan() {
-        plan.perturb_params(events, &mut theta_raw);
-    }
-    if simulator.model().params().contains(&theta_raw) {
-        Ok(theta_raw)
-    } else if options.strict_policy {
-        Err(SimError::PolicyOutOfRange { time: t })
-    } else {
-        Ok(simulator.model().params().clamp(&theta_raw)?)
-    }
-}
-
-/// Runs one τ-leap replication. Called by
-/// [`Simulator::simulate_with_rng`] after input validation when
-/// [`SimulationOptions::algorithm`] selects
-/// [`SimulationAlgorithm::TauLeap`](crate::gillespie::SimulationAlgorithm).
-pub(crate) fn simulate_tau_leap(
-    simulator: &Simulator,
-    initial_counts: &[i64],
-    policy: &mut dyn ParameterPolicy,
-    options: &SimulationOptions,
-    leap: &TauLeapOptions,
-    rng: &mut StdRng,
-) -> Result<SimulationRun> {
-    policy.reset();
-
-    let model = simulator.model();
-    let dim = model.dim();
-    let n_transitions = model.transitions().len();
-    let scale = simulator.scale() as f64;
-    let sparse_jumps = simulator.sparse_jumps();
-    let orders = reactant_orders(simulator);
-
-    let mut counts = initial_counts.to_vec();
-    let mut x: StateVec = counts.iter().map(|&c| c as f64 / scale).collect();
-    let mut t = 0.0_f64;
-    let mut steps = 0usize;
-    // Run-local observability counters (see `SimCounters`): maintained
-    // unconditionally, flushed once after the run, never touching the RNG
-    // or any float — the run is bit-identical with observability on or off.
-    let mut tally = SimCounters::default();
-    let tracer = simulator.obs().tracer.clone();
-
-    let mut rates = vec![0.0_f64; n_transitions];
-    let mut mu = vec![0.0_f64; dim];
-    let mut sigma2 = vec![0.0_f64; dim];
-    let mut firings = vec![0_i64; n_transitions];
-    let mut delta = vec![0_i64; dim];
-
-    let mut trajectory = Trajectory::new(dim);
-    trajectory.push(0.0, x.clone())?;
-    let mut recorder = Recorder::new(options);
-
-    // Budget enforcement mirrors the exact engine: tripped caps break out
-    // with a truncated outcome, preserving the prefix. The demotion flag
-    // implements the escalation ladder — once set, every remaining step
-    // goes through the exact fallback path.
-    let max_events = options.effective_max_events();
-    let mut tracker = BudgetTracker::start(&options.budget);
-    let mut outcome = Outcome::Completed;
-    let mut demoted = false;
-
-    // Constant policies are queried once, like in the exact engine. Policy
-    // faults disable the short-circuit so injected jumps are observed.
-    let policy_constant = policy.is_constant()
-        && !simulator
-            .fault_plan()
-            .is_some_and(mfu_guard::FaultPlan::has_policy_faults);
-    let mut theta: Vec<f64> = Vec::new();
-    let mut theta_known = false;
-
-    'run: loop {
-        // Query the policy at the leap's start instant.
-        if !(theta_known && policy_constant) {
-            theta = query_theta(simulator, policy, options, t, &x, steps as u64, rng)?;
-            theta_known = true;
-        }
-
-        // Propensities are always fully rescanned: a leap is O(K) anyway.
-        let mut total = 0.0_f64;
-        for (k, rate) in rates.iter_mut().enumerate() {
-            *rate = simulator.eval_rate(k, &x, &theta, t, steps as u64)?;
-            total += *rate;
-        }
-        tally.propensity_evals += n_transitions as u64;
-        if total <= 0.0 {
-            break 'run;
-        }
-
-        let mut tau = select_tau(
-            leap.epsilon,
-            &counts,
-            &rates,
-            sparse_jumps,
-            &orders,
-            &mut mu,
-            &mut sigma2,
-        )
-        .min(options.t_end - t);
-        let threshold = leap.ssa_threshold / total;
-
-        // Guarded leap: reject-and-halve on negative populations, exact
-        // burst once τ is no longer worth its bias (or permanently, once
-        // the halving ladder demoted the run to exact SSA).
-        loop {
-            if tracker.expired() {
-                outcome = Outcome::Truncated {
-                    reason: TruncationReason::WallClock,
-                    reached_t: t,
-                };
-                break 'run;
-            }
-            if demoted || tau < threshold.min(options.t_end - t) {
-                // ---- exact fallback burst -------------------------------
-                tally.tau_fallback_bursts += 1;
-                if tracer.is_enabled() {
-                    tracer.event(
-                        "tau_fallback_burst",
-                        &[
-                            ("t", Field::F64(t)),
-                            ("tau", Field::F64(tau)),
-                            ("threshold", Field::F64(threshold)),
-                            ("burst", Field::U64(leap.ssa_burst as u64)),
-                        ],
-                    );
-                }
-                for burst_step in 0..leap.ssa_burst {
-                    // Non-constant policies are re-queried per exact step
-                    // (matching the exact engine's event-level resolution);
-                    // the leap start already queried for step 0.
-                    if burst_step > 0 && !policy_constant {
-                        theta = query_theta(simulator, policy, options, t, &x, steps as u64, rng)?;
-                    }
-                    let mut burst_total = 0.0_f64;
-                    for (k, rate) in rates.iter_mut().enumerate() {
-                        *rate = simulator.eval_rate(k, &x, &theta, t, steps as u64)?;
-                        burst_total += *rate;
-                    }
-                    tally.propensity_evals += n_transitions as u64;
-                    if burst_total <= 0.0 {
-                        break 'run;
-                    }
-                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                    let dt = -u.ln() / burst_total;
-                    if t + dt >= options.t_end {
-                        break 'run;
-                    }
-                    t += dt;
-                    let Some(chosen) = linear_select(&rates, rng.gen::<f64>() * burst_total) else {
-                        break 'run;
-                    };
-                    if mfu_ctmc::transition::apply_firings(&mut counts, &sparse_jumps[chosen], 1) {
-                        for &(i, _) in &sparse_jumps[chosen] {
-                            x[i] = counts[i] as f64 / scale;
-                        }
-                    }
-                    steps += 1;
-                    tally.tau_fallback_steps += 1;
-                    // `t > last` guards against a stalled clock when a rate
-                    // explosion drives `dt` below the ulp of `t`.
-                    if recorder.should_record(steps, t) && t > trajectory.last_time() {
-                        trajectory.push(t, x.clone())?;
-                    }
-                    if steps >= max_events {
-                        outcome = Outcome::Truncated {
-                            reason: TruncationReason::MaxEvents,
-                            reached_t: t,
-                        };
-                        break 'run;
-                    }
-                    if tracker.expired() {
-                        outcome = Outcome::Truncated {
-                            reason: TruncationReason::WallClock,
-                            reached_t: t,
-                        };
-                        break 'run;
-                    }
-                }
-                break; // burst done: reselect τ from the new state
-            }
-
-            // ---- attempt one leap of length τ ---------------------------
-            for (k, firing) in firings.iter_mut().enumerate() {
-                *firing = if rates[k] > 0.0 {
-                    tally.poisson_draws += 1;
-                    poisson::sample(rng, rates[k] * tau) as i64
-                } else {
-                    0
-                };
-            }
-            delta.fill(0);
-            for (jump, &firing) in sparse_jumps.iter().zip(firings.iter()) {
-                if firing > 0 {
-                    accumulate_firings(&mut delta, jump, firing);
-                }
-            }
-            if counts.iter().zip(delta.iter()).any(|(&c, &d)| c + d < 0) {
-                // negative-population guard: reject wholesale, halve τ
-                tally.tau_halvings += 1;
-                if tracer.is_enabled() {
-                    tracer.event(
-                        "tau_halved",
-                        &[("t", Field::F64(t)), ("tau", Field::F64(tau / 2.0))],
-                    );
-                }
-                if let Some(cap) = options.budget.max_tau_halvings {
-                    if tally.tau_halvings >= cap {
-                        outcome = Outcome::Truncated {
-                            reason: TruncationReason::MaxTauHalvings,
-                            reached_t: t,
-                        };
-                        break 'run;
-                    }
-                }
-                if tally.tau_halvings >= leap.demote_after_halvings {
-                    // Escalation ladder: halvings this frequent mean the
-                    // leap approximation is thrashing — run exact SSA for
-                    // the rest of the run instead.
-                    demoted = true;
-                    tally.tau_demotions = 1;
-                    if tracer.is_enabled() {
-                        tracer.event(
-                            "tau_demoted",
-                            &[
-                                ("t", Field::F64(t)),
-                                ("halvings", Field::U64(tally.tau_halvings)),
-                            ],
-                        );
-                    }
-                    continue;
-                }
-                tau /= 2.0;
-                continue;
-            }
-            for (i, &d) in delta.iter().enumerate() {
-                if d != 0 {
-                    counts[i] += d;
-                    x[i] = counts[i] as f64 / scale;
-                }
-            }
-            t += tau;
-            steps += 1;
-            tally.tau_leap_steps += 1;
-            if recorder.should_record(steps, t) && t > trajectory.last_time() {
-                trajectory.push(t, x.clone())?;
-            }
-            if steps >= max_events {
-                outcome = Outcome::Truncated {
-                    reason: TruncationReason::MaxEvents,
-                    reached_t: t,
-                };
-                break 'run;
-            }
-            if let Some(cap) = options.budget.max_leap_steps {
-                if tally.tau_leap_steps >= cap {
-                    outcome = Outcome::Truncated {
-                        reason: TruncationReason::MaxLeapSteps,
-                        reached_t: t,
-                    };
-                    break 'run;
-                }
-            }
-            if t >= options.t_end {
-                break 'run;
-            }
-            break; // leap accepted: back to τ selection
-        }
-    }
-
-    // Completed runs pin the horizon point; truncated runs pin the state
-    // actually reached (see the exact engine).
-    let pin_time = match outcome {
-        Outcome::Completed => options.t_end,
-        Outcome::Truncated { reached_t, .. } => reached_t,
-    };
-    if pin_time > trajectory.last_time() {
-        trajectory.push(pin_time, x.clone())?;
-    }
-
-    tally.budget_checks = tracker.checks();
-    tally.events_fired = steps as u64;
-    tally.flush_to(&simulator.obs().metrics);
-    if tracer.is_enabled() {
-        tracer.event(
-            "sim_run",
-            &[
-                ("algorithm", Field::Str("tau-leap")),
-                ("epsilon", Field::F64(leap.epsilon)),
-                ("t_end", Field::F64(options.t_end)),
-                ("events", Field::U64(tally.events_fired)),
-                ("tau_leap_steps", Field::U64(tally.tau_leap_steps)),
-                ("tau_halvings", Field::U64(tally.tau_halvings)),
-                ("tau_fallback_bursts", Field::U64(tally.tau_fallback_bursts)),
-                ("tau_fallback_steps", Field::U64(tally.tau_fallback_steps)),
-                ("poisson_draws", Field::U64(tally.poisson_draws)),
-                ("tau_demotions", Field::U64(tally.tau_demotions)),
-                ("outcome", Field::Str(&outcome.to_string())),
-            ],
-        );
-    }
-
-    // τ-leap ignores the configured selection/propensity strategies: it
-    // rescans fully per leap and linear-selects inside fallback bursts.
-    Ok(SimulationRun::from_parts(
-        trajectory,
-        steps,
-        counts,
-        tally,
-        SelectionStrategy::LinearScan,
-        PropensityStrategy::FullRescan,
-        outcome,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gillespie::{SimulationAlgorithm, SimulationOptions, Simulator};
+    use crate::gillespie::{SimulationAlgorithm, SimulationOptions};
     use crate::policy::ConstantPolicy;
+    use crate::SimError;
     use mfu_ctmc::params::{Interval, ParamSpace};
     use mfu_ctmc::population::PopulationModel;
     use mfu_ctmc::transition::TransitionClass;
+    use mfu_num::StateVec;
 
     /// SIR with annotated supports so the reactant orders are sharp.
     fn sir_model() -> PopulationModel {

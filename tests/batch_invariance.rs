@@ -1,26 +1,40 @@
-//! Batched SoA evaluation must be invisible: forcing the batch paths on
-//! or off cannot change a single bit of any analysis result. These tests
-//! sweep the scenario registry and compare, bit for bit,
+//! Batched evaluation is the only path, and it must answer exactly what
+//! scalar evaluation would. These tests sweep the scenario registry and
+//! compare, bit for bit,
 //!
-//! * differential-hull bounds (`HullOptions::batch_drift`),
-//! * Pontryagin coordinate extremes (`PontryaginOptions::batch_drift`),
-//! * seeded τ-leap ensemble summaries
-//!   (`EnsembleOptions::batch_propensities`, lockstep replication
-//!   batching),
+//! * τ-leap runs: lane `k` of a 4-wide lockstep group (batched VM
+//!   rescans) against `simulate` with seed `base + k` — a group of one,
+//!   whose rescans call each rate's scalar `eval`;
+//! * seeded τ-leap ensemble summaries: `run_ensemble`'s lockstep groups
+//!   against the in-order fold of groups of one;
+//! * differential-hull bounds and Pontryagin coordinate extremes: the
+//!   compiled drift's batched VM `drift_batch_into` against the same drift
+//!   with that override hidden, so every lane is one scalar `drift_into`;
+//! * the costate sweep's batched Jacobian against the scalar
+//!   finite-difference reference of `mfu-num`.
 //!
-//! with batching on versus off. Together with the property suite in
-//! `crates/lang/tests/vm_equivalence.rs` (random expressions × widths ×
-//! lane-varying inputs) this is the end-to-end half of the batched-VM
-//! equivalence harness: the VM proves each instruction pass is lane-exact,
-//! these tests prove no call site reorders the arithmetic around it.
+//! Together with the property suite in `crates/lang/tests/vm_equivalence.rs`
+//! (random expressions × widths × lane-varying inputs) this is the
+//! end-to-end half of the batched-VM equivalence harness: the VM proves each
+//! instruction pass is lane-exact, these tests prove no call site reorders
+//! the arithmetic around it.
 
+use mean_field_uncertain::core::drift::ImpreciseDrift;
 use mean_field_uncertain::core::hull::{DifferentialHull, HullOptions};
-use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
+use mean_field_uncertain::core::pontryagin::{
+    batched_jacobian_into, BatchedJacobianScratch, PontryaginOptions, PontryaginSolver,
+};
+use mean_field_uncertain::ctmc::params::ParamSpace;
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
+use mean_field_uncertain::num::jacobian::{
+    finite_difference_jacobian_into, Jacobian, JacobianScratch,
+};
 use mean_field_uncertain::num::StateVec;
-use mean_field_uncertain::sim::ensemble::{run_ensemble, EnsembleOptions, EnsembleSummary};
-use mean_field_uncertain::sim::gillespie::{SimulationOptions, Simulator};
+use mean_field_uncertain::sim::ensemble::{run_ensemble, EnsembleOptions};
+use mean_field_uncertain::sim::gillespie::{SimulationOptions, SimulationRun, Simulator};
+use mean_field_uncertain::sim::lockstep::simulate_tau_leap_lockstep;
 use mean_field_uncertain::sim::policy::ConstantPolicy;
+use mean_field_uncertain::sim::stats::RunningStats;
 use mean_field_uncertain::sim::tauleap::TauLeapOptions;
 
 fn assert_states_bit_identical(a: &[StateVec], b: &[StateVec], what: &str, name: &str) {
@@ -39,9 +53,145 @@ fn assert_states_bit_identical(a: &[StateVec], b: &[StateVec], what: &str, name:
     }
 }
 
-/// The hull's rectangle-point enumeration is exponential in the dimension
-/// (batched or not), so the registry sweep keeps to the models the scalar
-/// hull can integrate in test time.
+fn assert_runs_bit_identical(a: &SimulationRun, b: &SimulationRun, what: &str) {
+    assert_eq!(a.events(), b.events(), "{what}: events");
+    assert_eq!(a.final_counts(), b.final_counts(), "{what}: final counts");
+    assert_eq!(a.counters(), b.counters(), "{what}: counters");
+    assert_eq!(a.outcome(), b.outcome(), "{what}: outcome");
+    let times = |run: &SimulationRun| -> Vec<u64> {
+        run.trajectory().iter().map(|(t, _)| t.to_bits()).collect()
+    };
+    assert_eq!(times(a), times(b), "{what}: trajectory times");
+    let states = |run: &SimulationRun| -> Vec<StateVec> {
+        run.trajectory().iter().map(|(_, x)| x.clone()).collect()
+    };
+    assert_states_bit_identical(&states(a), &states(b), "trajectory", what);
+}
+
+/// Population scale of the simulation sweeps: large enough to leap, small
+/// enough to keep fallback bursts in play on the boundary-heavy models.
+const SCALE: usize = 300;
+
+#[test]
+fn lockstep_lanes_equal_groups_of_one_across_the_registry() {
+    let registry = ScenarioRegistry::with_builtins();
+    for scenario in registry.iter() {
+        let model = scenario.compile().unwrap();
+        let simulator = Simulator::new(model.population_model().unwrap(), SCALE).unwrap();
+        let counts = model.initial_counts(SCALE);
+        let options =
+            SimulationOptions::new(scenario.horizon().min(1.0)).tau_leap(TauLeapOptions::default());
+        // lanes run at different parameter vectors, so the batched rescan
+        // sees per-lane ϑ as well as per-lane states
+        let mut thetas = vec![model.params().midpoint()];
+        thetas.extend(model.params().vertices());
+        let lane_theta = |k: usize| thetas[k % thetas.len()].clone();
+        let seeds: Vec<u64> = (0..4).map(|k| 40 + k).collect();
+        let policies = (0..seeds.len())
+            .map(|k| ConstantPolicy::new(lane_theta(k)))
+            .collect();
+        let lanes =
+            simulate_tau_leap_lockstep(&simulator, &counts, policies, &options, &seeds).unwrap();
+        for (k, (lane, &seed)) in lanes.iter().zip(&seeds).enumerate() {
+            let mut policy = ConstantPolicy::new(lane_theta(k));
+            let solo = simulator
+                .simulate(&counts, &mut policy, &options, seed)
+                .unwrap();
+            let what = format!("{}: lane {k}", model.name());
+            assert_runs_bit_identical(lane.as_ref().unwrap(), &solo, &what);
+        }
+    }
+}
+
+#[test]
+fn tau_leap_ensemble_summaries_are_bit_identical_with_batching_on_and_off() {
+    // On: `run_ensemble` advances its replications as one lockstep group.
+    // Off: groups of one, folded in replication order. One worker pins the
+    // Welford update order, so the grouping is the only difference.
+    let registry = ScenarioRegistry::with_builtins();
+    for scenario in registry.iter() {
+        let model = scenario.compile().unwrap();
+        let simulator = Simulator::new(model.population_model().unwrap(), SCALE).unwrap();
+        let counts = model.initial_counts(SCALE);
+        let horizon = scenario.horizon().min(1.0);
+        let sim_options = SimulationOptions::new(horizon).tau_leap(TauLeapOptions::default());
+        let (replications, base_seed, grid) = (4, 17, 8);
+        let summary = run_ensemble(
+            &simulator,
+            &counts,
+            || ConstantPolicy::new(model.params().midpoint()),
+            &sim_options,
+            &EnsembleOptions {
+                replications,
+                base_seed,
+                threads: 1,
+                grid_intervals: grid,
+            },
+        )
+        .unwrap();
+
+        let times: Vec<f64> = (0..=grid)
+            .map(|k| horizon * k as f64 / grid as f64)
+            .collect();
+        let mut stats = vec![vec![RunningStats::new(); model.dim()]; times.len()];
+        let mut finals = Vec::new();
+        for r in 0..replications {
+            let mut policy = ConstantPolicy::new(model.params().midpoint());
+            let run = simulator
+                .simulate(&counts, &mut policy, &sim_options, base_seed + r as u64)
+                .unwrap();
+            for (k, &t) in times.iter().enumerate() {
+                let state = run.trajectory().at(t).unwrap();
+                for (i, &v) in state.as_slice().iter().enumerate() {
+                    stats[k][i].push(v);
+                }
+            }
+            finals.push(run.trajectory().at(horizon).unwrap());
+        }
+
+        let name = model.name();
+        assert_eq!(summary.times(), &times[..], "{name}: summary grid");
+        let means: Vec<StateVec> = (0..times.len()).map(|k| summary.mean_at(k)).collect();
+        let folded_means: Vec<StateVec> = stats
+            .iter()
+            .map(|row| row.iter().map(RunningStats::mean).collect())
+            .collect();
+        assert_states_bit_identical(&means, &folded_means, "mean", name);
+        let deviations: Vec<StateVec> = (0..times.len()).map(|k| summary.std_dev_at(k)).collect();
+        let folded_deviations: Vec<StateVec> = stats
+            .iter()
+            .map(|row| row.iter().map(RunningStats::std_dev).collect())
+            .collect();
+        assert_states_bit_identical(&deviations, &folded_deviations, "std dev", name);
+        assert_states_bit_identical(summary.final_states(), &finals, "final states", name);
+    }
+}
+
+/// A drift with its batched override hidden: `drift_batch_into` falls back
+/// to the trait default, one scalar `drift_into` per lane.
+struct ScalarLanes<D>(D);
+
+impl<D: ImpreciseDrift> ImpreciseDrift for ScalarLanes<D> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn params(&self) -> &ParamSpace {
+        self.0.params()
+    }
+
+    fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
+        self.0.drift_into(x, theta, out);
+    }
+
+    fn theta_refinement(&self) -> usize {
+        self.0.theta_refinement()
+    }
+}
+
+/// The hull's rectangle-point enumeration is exponential in the dimension,
+/// so the registry sweep keeps to the models a scalar-lane hull can
+/// integrate in test time.
 const MAX_HULL_DIM: usize = 6;
 
 #[test]
@@ -55,21 +205,17 @@ fn hull_bounds_are_bit_identical_with_batching_on_and_off() {
         }
         let drift = model.drift();
         let horizon = scenario.horizon().min(1.0);
-        let bounds_with = |batch: bool| {
-            DifferentialHull::new(
-                &drift,
-                HullOptions {
-                    step: 1e-2,
-                    time_intervals: 10,
-                    batch_drift: batch,
-                    ..Default::default()
-                },
-            )
-            .bounds(&model.initial_state(), horizon)
-            .unwrap()
+        let options = HullOptions {
+            step: 1e-2,
+            time_intervals: 10,
+            ..Default::default()
         };
-        let on = bounds_with(true);
-        let off = bounds_with(false);
+        let on = DifferentialHull::new(&drift, options)
+            .bounds(&model.initial_state(), horizon)
+            .unwrap();
+        let off = DifferentialHull::new(ScalarLanes(&drift), options)
+            .bounds(&model.initial_state(), horizon)
+            .unwrap();
         assert_eq!(on.times(), off.times(), "{}: time grid", model.name());
         assert_states_bit_identical(on.lower(), off.lower(), "hull lower bound", model.name());
         assert_states_bit_identical(on.upper(), off.upper(), "hull upper bound", model.name());
@@ -82,6 +228,10 @@ fn hull_bounds_are_bit_identical_with_batching_on_and_off() {
 fn pontryagin_extremes_are_bit_identical_with_batching_on_and_off() {
     let registry = ScenarioRegistry::with_builtins();
     let mut checked = 0usize;
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 40,
+        ..Default::default()
+    });
     for scenario in registry.iter() {
         let model = scenario.compile().unwrap();
         if model.dim() > MAX_HULL_DIM {
@@ -89,18 +239,11 @@ fn pontryagin_extremes_are_bit_identical_with_batching_on_and_off() {
         }
         let drift = model.drift();
         let horizon = scenario.horizon().min(1.0);
-        let extremes_with = |batch: bool| {
-            let solver = PontryaginSolver::new(PontryaginOptions {
-                grid_intervals: 40,
-                batch_drift: batch,
-                ..Default::default()
-            });
-            solver
-                .coordinate_extremes(&drift, &model.initial_state(), horizon, 0)
-                .unwrap()
-        };
-        let (lo_on, hi_on) = extremes_with(true);
-        let (lo_off, hi_off) = extremes_with(false);
+        let x0 = model.initial_state();
+        let (lo_on, hi_on) = solver.coordinate_extremes(&drift, &x0, horizon, 0).unwrap();
+        let (lo_off, hi_off) = solver
+            .coordinate_extremes(&ScalarLanes(&drift), &x0, horizon, 0)
+            .unwrap();
         assert_eq!(
             lo_on.to_bits(),
             lo_off.to_bits(),
@@ -121,58 +264,51 @@ fn pontryagin_extremes_are_bit_identical_with_batching_on_and_off() {
     );
 }
 
-fn assert_summaries_bit_identical(a: &EnsembleSummary, b: &EnsembleSummary, name: &str) {
-    assert_eq!(a.times(), b.times(), "{name}: summary grid");
-    assert_eq!(a.replications(), b.replications(), "{name}: replications");
-    for k in 0..a.times().len() {
-        let (ma, mb) = (a.mean_at(k), b.mean_at(k));
-        let (sa, sb) = (a.std_dev_at(k), b.std_dev_at(k));
-        for i in 0..ma.dim() {
-            assert_eq!(
-                ma[i].to_bits(),
-                mb[i].to_bits(),
-                "{name}: mean at ({k}, {i})"
-            );
-            assert_eq!(
-                sa[i].to_bits(),
-                sb[i].to_bits(),
-                "{name}: std dev at ({k}, {i})"
-            );
-        }
-    }
-    let finals_a: Vec<StateVec> = a.final_states().to_vec();
-    let finals_b: Vec<StateVec> = b.final_states().to_vec();
-    assert_states_bit_identical(&finals_a, &finals_b, "final states", name);
-}
-
 #[test]
-fn tau_leap_ensemble_summaries_are_bit_identical_with_batching_on_and_off() {
+fn batched_jacobian_matches_the_finite_difference_reference_on_registry_drifts() {
     let registry = ScenarioRegistry::with_builtins();
+    let mut scratch = BatchedJacobianScratch::default();
     for scenario in registry.iter() {
         let model = scenario.compile().unwrap();
-        let population = model.population_model().unwrap();
-        let scale = 300;
-        let horizon = scenario.horizon().min(1.0);
-        let sim_options = SimulationOptions::new(horizon).tau_leap(TauLeapOptions::default());
-        let summary_with = |batch: bool| {
-            let simulator = Simulator::new(population.clone(), scale).unwrap();
-            run_ensemble(
-                &simulator,
-                &model.initial_counts(scale),
-                || ConstantPolicy::new(model.params().midpoint()),
-                &sim_options,
-                &EnsembleOptions {
-                    replications: 4,
-                    base_seed: 17,
-                    // one worker pins the Welford merge order; the batching
-                    // knob is then the only degree of freedom
-                    threads: 1,
-                    grid_intervals: 8,
-                    batch_propensities: batch,
-                },
-            )
-            .unwrap()
-        };
-        assert_summaries_bit_identical(&summary_with(true), &summary_with(false), model.name());
+        let drift = model.drift();
+        let dim = drift.dim();
+        let mut batched = Jacobian::zeros(dim, dim);
+        let mut reference = Jacobian::zeros(dim, dim);
+        let mut reference_scratch = JacobianScratch::new(dim, dim);
+        // the initial state plus an interior point, at the box's midpoint
+        // and first vertex
+        let x0 = model.initial_state();
+        let interior: StateVec = x0.iter().map(|&v| 0.75 * v + 0.05).collect();
+        let thetas = [
+            model.params().midpoint(),
+            model.params().vertices().swap_remove(0),
+        ];
+        for x in [&x0, &interior] {
+            for theta in &thetas {
+                let ok = batched_jacobian_into(&drift, theta, x, 1e-6, &mut batched, &mut scratch);
+                let reference_ok = finite_difference_jacobian_into(
+                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
+                    x,
+                    1e-6,
+                    &mut reference,
+                    &mut reference_scratch,
+                )
+                .is_ok();
+                assert_eq!(ok, reference_ok, "{}: verdict at {x}", model.name());
+                if !ok {
+                    continue;
+                }
+                for i in 0..dim {
+                    for j in 0..dim {
+                        assert_eq!(
+                            batched.entry(i, j).to_bits(),
+                            reference.entry(i, j).to_bits(),
+                            "{}: entry ({i}, {j}) at {x}",
+                            model.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -175,7 +175,6 @@ fn aggregating_engines_convert_faults_into_typed_errors() {
                     base_seed: 11,
                     threads: 2,
                     grid_intervals: 8,
-                    ..Default::default()
                 },
             );
             assert!(

@@ -79,7 +79,6 @@ fn sir_ensemble_mean_tracks_the_mean_field_ode() {
             base_seed: 5,
             threads: 4,
             grid_intervals: 12,
-            ..Default::default()
         },
     )
     .unwrap();

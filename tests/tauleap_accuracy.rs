@@ -177,7 +177,6 @@ fn ensemble_threads_the_tau_leap_algorithm() {
             base_seed: 29,
             threads: 4,
             grid_intervals: 20,
-            ..Default::default()
         },
     )
     .unwrap();
