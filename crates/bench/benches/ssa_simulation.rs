@@ -1,15 +1,12 @@
 //! Cost of exact stochastic simulation of the SIR population process as a
 //! function of the population size (the finite-`N` side of Figure 6), plus
-//! the propensity-maintenance strategies (full rescan vs dependency graph
-//! vs incremental total) on models with enough transitions for selective
-//! updates to pay off.
+//! exact SSA vs τ-leaping across population scales.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mfu_lang::scenarios::{ring_source, ScenarioRegistry};
+use mfu_lang::scenarios::ScenarioRegistry;
 use mfu_models::sir::SirModel;
-use mfu_sim::gillespie::{PropensityStrategy, SimulationOptions, Simulator};
+use mfu_sim::gillespie::{SimulationOptions, Simulator};
 use mfu_sim::policy::{ConstantPolicy, HysteresisPolicy};
-use mfu_sim::selection::SelectionStrategy;
 use mfu_sim::tauleap::TauLeapOptions;
 use std::hint::black_box;
 
@@ -56,107 +53,6 @@ fn bench_ssa(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-rescan vs dependency-graph vs incremental-total per-step cost on
-/// the 5-transition botnet scenario and a 12-transition migration ring.
-fn bench_propensity_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ssa_propensity");
-    group.sample_size(10);
-
-    let registry = ScenarioRegistry::with_builtins();
-    let strategies: [(&str, PropensityStrategy); 3] = [
-        ("full_rescan", PropensityStrategy::FullRescan),
-        ("dependency_graph", PropensityStrategy::DependencyGraph),
-        (
-            "incremental_total",
-            PropensityStrategy::IncrementalTotal { refresh_every: 256 },
-        ),
-    ];
-
-    let cases = [
-        (
-            "botnet5",
-            registry.get("botnet").unwrap().source().to_string(),
-            2000usize,
-            5.0,
-        ),
-        ("ring12", ring_source(12), 2400usize, 4.0),
-    ];
-    for (label, source, scale, t_end) in cases {
-        let model = mfu_lang::compile(&source).unwrap();
-        let population = model.population_model().unwrap();
-        let simulator = Simulator::new(population, scale).unwrap();
-        let counts = model.initial_counts(scale);
-        let theta = model.params().midpoint();
-        for (name, strategy) in strategies {
-            let options = SimulationOptions::new(t_end)
-                .record_stride(256)
-                .propensity_strategy(strategy);
-            group.bench_function(format!("{label}_{name}_N{scale}"), |b| {
-                b.iter(|| {
-                    let mut policy = ConstantPolicy::new(theta.clone());
-                    simulator
-                        .simulate(black_box(&counts), &mut policy, &options, 11)
-                        .unwrap()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Linear-scan vs sum-tree vs composition-rejection transition selection
-/// at K ∈ {5, 48, 200} transitions. Propensity maintenance is pinned to
-/// `IncrementalTotal` so the `O(K)` reference re-summation does not mask
-/// the selection cost being measured.
-fn bench_selection_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ssa_selection");
-    group.sample_size(10);
-
-    let registry = ScenarioRegistry::with_builtins();
-    let selections: [(&str, SelectionStrategy); 3] = [
-        ("linear", SelectionStrategy::LinearScan),
-        ("tree", SelectionStrategy::SumTree),
-        ("cr", SelectionStrategy::CompositionRejection),
-    ];
-    let cases = [
-        (
-            "botnet_K5",
-            registry.get("botnet").unwrap().source().to_string(),
-            2000usize,
-            5.0,
-        ),
-        (
-            "ring_K48",
-            registry.get("ring_48").unwrap().source().to_string(),
-            2400usize,
-            4.0,
-        ),
-        ("ring_K200", ring_source(200), 2400usize, 4.0),
-    ];
-    for (label, source, scale, t_end) in cases {
-        let model = mfu_lang::compile(&source).unwrap();
-        let population = model.population_model().unwrap();
-        let simulator = Simulator::new(population, scale).unwrap();
-        let counts = model.initial_counts(scale);
-        let theta = model.params().midpoint();
-        for (name, selection) in selections {
-            let options = SimulationOptions::new(t_end)
-                .record_stride(256)
-                .propensity_strategy(PropensityStrategy::IncrementalTotal { refresh_every: 256 })
-                .selection_strategy(selection);
-            group.bench_function(format!("{label}_{name}_N{scale}"), |b| {
-                b.iter(|| {
-                    let mut policy = ConstantPolicy::new(theta.clone());
-                    simulator
-                        .simulate(black_box(&counts), &mut policy, &options, 11)
-                        .unwrap()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Exact SSA vs adaptive τ-leaping on the registry SIR scenario across
 /// population scales. The exact engine's cost grows linearly with `N`
 /// while the leap engine's stays near constant, so the ratio is the
@@ -197,11 +93,5 @@ fn bench_tauleap(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_ssa,
-    bench_propensity_strategies,
-    bench_selection_strategies,
-    bench_tauleap
-);
+criterion_group!(benches, bench_ssa, bench_tauleap);
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Emits `BENCH_rate_engine.json`: the perf trajectory of the rate engine
 //! (interpreted tree vs bytecode VM, scalar vs batched SoA evaluation), of
-//! the Gillespie propensity and selection strategies, of the τ-leap
-//! engine vs the exact SSA at large population scales, and of the
-//! `mfu serve` artifact cache (cold vs hot query latency).
+//! the exact Gillespie engine's per-event cost, of the τ-leap engine vs the
+//! exact SSA at large population scales, and of the `mfu serve` artifact
+//! cache (cold vs hot query latency).
 //!
 //! Run from the repository root (ideally `--release`):
 //!
@@ -38,9 +38,8 @@ use mfu_num::ode::{Integrator, Rk4};
 use mfu_num::StateVec;
 use mfu_obs::Obs;
 use mfu_serve::{BoundRequest, QueryService, ServiceOptions};
-use mfu_sim::gillespie::{PropensityStrategy, SimulationOptions, Simulator};
+use mfu_sim::gillespie::{SimulationOptions, Simulator};
 use mfu_sim::policy::ConstantPolicy;
-use mfu_sim::selection::SelectionStrategy;
 use mfu_sim::tauleap::TauLeapOptions;
 use std::hint::black_box;
 
@@ -355,15 +354,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let batch_width1_overhead = batched_entries[0].1 / batch_scalar_ns;
 
-    // ---- SSA: per-event cost under the propensity strategies -------------
-    let strategies = [
-        ("full_rescan", PropensityStrategy::FullRescan),
-        ("dependency_graph", PropensityStrategy::DependencyGraph),
-        (
-            "incremental_total",
-            PropensityStrategy::IncrementalTotal { refresh_every: 256 },
-        ),
-    ];
+    // ---- SSA: per-event cost of the exact engine -------------------------
+    // Dependency-graph rate updates with the linear scan (both models have
+    // at most 64 rules).
     let cases = [
         (
             "botnet5",
@@ -384,87 +377,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let simulator = Simulator::new(population, scale)?;
         let counts = model.initial_counts(scale);
         let theta = model.params().midpoint();
-        let mut per_strategy = Vec::new();
-        for (name, strategy) in strategies {
-            let options = SimulationOptions::new(t_end)
-                .record_stride(4096)
-                .propensity_strategy(strategy);
-            let mut events = 0usize;
-            let wall_ns = median_ns(7, || {
-                let mut policy = ConstantPolicy::new(theta.clone());
-                let run = simulator
-                    .simulate(&counts, &mut policy, &options, 11)
-                    .expect("simulation failed");
-                events = run.events();
-                run.final_counts()[0] as f64
-            });
-            per_strategy.push((name, wall_ns / events.max(1) as f64, events));
-        }
-        ssa_entries.push((label, scale, per_strategy));
-    }
-
-    // ---- SSA: per-event cost of the transition-selection strategies ------
-    // Propensity maintenance is pinned to IncrementalTotal so the O(K)
-    // reference re-summation does not mask the selection cost; K spans the
-    // paper-sized botnet (5 rules) and the generated ring family (48 and
-    // 200 rules).
-    let selections = [
-        ("linear", SelectionStrategy::LinearScan),
-        ("tree", SelectionStrategy::SumTree),
-        (
-            "composition_rejection",
-            SelectionStrategy::CompositionRejection,
-        ),
-    ];
-    let selection_cases = [
-        (
-            "botnet_K5",
-            registry
-                .get("botnet")
-                .expect("registered")
-                .source()
-                .to_string(),
-            4000usize,
-            5.0,
-        ),
-        (
-            "ring_K48",
-            registry
-                .get("ring_48")
-                .expect("registered")
-                .source()
-                .to_string(),
-            4800usize,
-            4.0,
-        ),
-        ("ring_K200", ring_source(200), 4800usize, 4.0),
-    ];
-    let mut selection_entries = Vec::new();
-    for (label, source, scale, t_end) in selection_cases {
-        let model = mfu_lang::compile(&source)?;
-        let population = model.population_model()?;
-        let n_transitions = population.transitions().len();
-        let simulator = Simulator::new(population, scale)?;
-        let counts = model.initial_counts(scale);
-        let theta = model.params().midpoint();
-        let mut per_selection = Vec::new();
-        for (name, selection) in selections {
-            let options = SimulationOptions::new(t_end)
-                .record_stride(4096)
-                .propensity_strategy(PropensityStrategy::IncrementalTotal { refresh_every: 256 })
-                .selection_strategy(selection);
-            let mut events = 0usize;
-            let wall_ns = median_ns(7, || {
-                let mut policy = ConstantPolicy::new(theta.clone());
-                let run = simulator
-                    .simulate(&counts, &mut policy, &options, 11)
-                    .expect("simulation failed");
-                events = run.events();
-                run.final_counts()[0] as f64
-            });
-            per_selection.push((name, wall_ns / events.max(1) as f64, events));
-        }
-        selection_entries.push((label, n_transitions, scale, per_selection));
+        let options = SimulationOptions::new(t_end).record_stride(4096);
+        let mut events = 0usize;
+        let wall_ns = median_ns(7, || {
+            let mut policy = ConstantPolicy::new(theta.clone());
+            let run = simulator
+                .simulate(&counts, &mut policy, &options, 11)
+                .expect("simulation failed");
+            events = run.events();
+            run.final_counts()[0] as f64
+        });
+        ssa_entries.push((label, scale, wall_ns / events.max(1) as f64, events));
     }
 
     // ---- SSA: tau-leap vs exact cost per unit simulated time -------------
@@ -539,19 +462,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- engine counters: run accounting + metrics overhead --------------
     // The observability counters are maintained in plain run-locals, so for
     // a fixed seed they are exactly reproducible — unlike wall-clock they
-    // can be regression-gated tightly. Three gauges matter: how many
+    // can be regression-gated tightly. Two gauges matter: how many
     // propensity re-evaluations the dependency graph pays per event on the
-    // sparse ring, how often the composition–rejection sampler rejects, and
-    // whether the τ-leap step selection ever trips the halving guard on the
+    // sparse 200-rule ring (which the sum tree selects on), and whether the
+    // τ-leap step selection ever trips the halving guard on the
     // well-conditioned SIR (it must not).
     let ring200 = mfu_lang::compile(&ring_source(200))?;
     let ring_population = ring200.population_model()?;
     let ring_counts = ring200.initial_counts(4800);
     let ring_theta = ring200.params().midpoint();
-    let ring_options = SimulationOptions::new(4.0)
-        .record_stride(4096)
-        .propensity_strategy(PropensityStrategy::DependencyGraph)
-        .selection_strategy(SelectionStrategy::CompositionRejection);
+    let ring_options = SimulationOptions::new(4.0).record_stride(4096);
     let counted = Simulator::new(ring_population.clone(), 4800)?.with_obs(Obs::with_metrics());
     let mut policy = ConstantPolicy::new(ring_theta.clone());
     let ring_run = counted.simulate(&ring_counts, &mut policy, &ring_options, 11)?;
@@ -559,7 +479,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ring_events = rc.events_fired.max(1) as f64;
     let propensity_evals_per_event = rc.propensity_evals as f64 / ring_events;
     let propensity_skips_per_event = rc.propensity_skips as f64 / ring_events;
-    let cr_rejection_rate = rc.selection_rejections as f64 / ring_events;
 
     let tau_counted =
         Simulator::new(sir_population.clone(), 100_000)?.with_obs(Obs::with_metrics());
@@ -690,51 +609,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let ssa_blocks: Vec<String> = ssa_entries
         .iter()
-        .map(|(label, scale, per_strategy)| {
-            let full = per_strategy
-                .iter()
-                .find(|(name, _, _)| *name == "full_rescan")
-                .expect("full_rescan timed")
-                .1;
-            let lines: Vec<String> = std::iter::once(format!("      \"scale\": {scale}"))
-                .chain(per_strategy.iter().map(|(name, step_ns, events)| {
-                    format!(
-                        "      \"{name}\": {{\"step_ns\": {step_ns:.2}, \"events\": {events}, \"speedup_vs_full\": {:.2}}}",
-                        full / step_ns
-                    )
-                }))
-                .collect();
-            format!("    \"{label}\": {{\n{}\n    }}", lines.join(",\n"))
+        .map(|(label, scale, step_ns, events)| {
+            format!(
+                "    \"{label}\": {{\n      \"scale\": {scale},\n      \
+                 \"dependency_graph\": {{\"step_ns\": {step_ns:.2}, \"events\": {events}}}\n    }}"
+            )
         })
         .collect();
     json.push_str(&format!(
         "  \"ssa\": {{\n{}\n  }},\n",
         ssa_blocks.join(",\n")
-    ));
-    let selection_blocks: Vec<String> = selection_entries
-        .iter()
-        .map(|(label, n_transitions, scale, per_selection)| {
-            let linear = per_selection
-                .iter()
-                .find(|(name, _, _)| *name == "linear")
-                .expect("linear timed")
-                .1;
-            let lines: Vec<String> = std::iter::once(format!(
-                "      \"transitions\": {n_transitions},\n      \"scale\": {scale}"
-            ))
-            .chain(per_selection.iter().map(|(name, step_ns, events)| {
-                format!(
-                    "      \"{name}\": {{\"step_ns\": {step_ns:.2}, \"events\": {events}, \"speedup_vs_linear\": {:.2}}}",
-                    linear / step_ns
-                )
-            }))
-            .collect();
-            format!("    \"{label}\": {{\n{}\n    }}", lines.join(",\n"))
-        })
-        .collect();
-    json.push_str(&format!(
-        "  \"ssa_selection\": {{\n{}\n  }},\n",
-        selection_blocks.join(",\n")
     ));
     let tauleap_blocks: Vec<String> = tauleap_entries
         .iter()
@@ -756,10 +640,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     json.push_str(&format!(
         "  \"counters\": {{\n    \
-         \"ring_K200_cr\": {{\"scale\": 4800, \"seed\": 11, \"events\": {}, \
+         \"ring_K200\": {{\"scale\": 4800, \"seed\": 11, \"events\": {}, \
          \"propensity_evals_per_event\": {propensity_evals_per_event:.3}, \
-         \"propensity_skips_per_event\": {propensity_skips_per_event:.3}, \
-         \"cr_rejection_rate\": {cr_rejection_rate:.4}}},\n    \
+         \"propensity_skips_per_event\": {propensity_skips_per_event:.3}}},\n    \
          \"sir_tauleap_N1e5\": {{\"seed\": 11, \"leap_steps\": {}, \
          \"fallback_steps\": {}, \"poisson_draws\": {}, \
          \"tau_halvings\": {}, \"tau_halvings_rate\": {tau_halvings_rate:.4}}},\n    \

@@ -66,9 +66,8 @@ pub mod regression {
     /// fails when it exceeds `baseline · (1 + tolerance)`. Gated leaves are
     /// the timing keys (ending `_ns` — per-event and per-eval costs) and
     /// the derived engine-counter keys (ending `_per_event`, `_rate` or
-    /// `_ratio` — e.g. propensity re-evaluations per event, the
-    /// composition–rejection rejection rate, the metrics-on/off overhead
-    /// ratio). Metrics present in only one report are listed as unmatched
+    /// `_ratio` — e.g. propensity re-evaluations per event, the τ-halving
+    /// rate, the metrics-on/off overhead ratio). Metrics present in only one report are listed as unmatched
     /// so a report gaining a section cannot fail the guard retroactively.
     ///
     /// # Errors
@@ -181,16 +180,16 @@ mod tests {
         use super::regression::compare;
         let baseline = r#"{"counters": {"ring": {
             "propensity_evals_per_event": 3.0,
-            "cr_rejection_rate": 0.10,
+            "fallback_rate": 0.10,
             "overhead_ratio": 1.00,
             "tau_halvings_rate": 0.0,
             "events": 1000}}}"#;
-        // evals/event +10% passes at 25%, rejection rate +100% fails, a
+        // evals/event +10% passes at 25%, fallback rate +100% fails, a
         // zero baseline fails on ANY increase (the τ-halvings invariant),
         // and plain counts (`events`) are never gated
         let current = r#"{"counters": {"ring": {
             "propensity_evals_per_event": 3.3,
-            "cr_rejection_rate": 0.20,
+            "fallback_rate": 0.20,
             "overhead_ratio": 1.02,
             "tau_halvings_rate": 0.001,
             "events": 999999}}}"#;
@@ -198,7 +197,7 @@ mod tests {
         assert_eq!(report.passed, 2);
         let failed: Vec<&str> = report.regressions.iter().map(|r| r.path.as_str()).collect();
         assert!(
-            failed.contains(&"counters.ring.cr_rejection_rate"),
+            failed.contains(&"counters.ring.fallback_rate"),
             "{failed:?}"
         );
         assert!(

@@ -21,15 +21,15 @@ use std::fmt::Write as _;
 use std::io::BufWriter;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mfu_guard::RunBudget;
 use mfu_lang::vm::RateProgram;
 use mfu_lang::{CompiledModel, ScenarioRegistry};
 use mfu_obs::{Metrics, Obs, Timer, Tracer};
-use mfu_sim::gillespie::{PropensityStrategy, SimulationAlgorithm, SimulationOptions, Simulator};
+use mfu_sim::gillespie::{SimulationAlgorithm, SimulationOptions, Simulator};
 use mfu_sim::policy::ConstantPolicy;
-use mfu_sim::selection::SelectionStrategy;
 use mfu_sim::tauleap::TauLeapOptions;
 
 const USAGE: &str = "\
@@ -76,12 +76,6 @@ RUN OPTIONS:
                              (0, 1), default 0.03; the default when a
                              scenario's declared scale triggers the run)
     --seed <n>               RNG seed for the simulation (default 42)
-    --propensity <strategy>  propensity maintenance for --simulate:
-                             full-rescan | dependency-graph |
-                             incremental[:refresh] (default dependency-graph)
-    --selection <strategy>   transition selection for --simulate:
-                             auto | linear | tree | cr (default auto, which
-                             picks by the model's transition count)
     --metrics[=<format>]     collect engine counters and stage timings and
                              report them after the run: `pretty` (the
                              default; human-readable, to stderr) or `json`
@@ -168,16 +162,12 @@ struct RunOptions {
     algorithm: Option<SimulationAlgorithm>,
     /// `--seed n`.
     seed: u64,
-    /// `--propensity strategy`.
-    propensity: PropensityStrategy,
-    /// `--selection strategy`.
-    selection: SelectionStrategy,
     /// `--metrics[=pretty|json]`.
     metrics: MetricsMode,
     /// `--trace file.jsonl`.
     trace: Option<String>,
     /// `--timeout secs`: wall-clock budget for the analysis and simulation.
-    timeout: Option<f64>,
+    timeout: Option<Duration>,
     /// `--max-events n`: event budget for the simulation.
     max_events: Option<u64>,
 }
@@ -191,8 +181,6 @@ impl Default for RunOptions {
             simulate: None,
             algorithm: None,
             seed: 42,
-            propensity: PropensityStrategy::DependencyGraph,
-            selection: SelectionStrategy::Auto,
             metrics: MetricsMode::Off,
             trace: None,
             timeout: None,
@@ -207,33 +195,6 @@ fn parse_metrics_mode(spec: &str) -> Result<MetricsMode, String> {
         "pretty" => Ok(MetricsMode::Pretty),
         "json" => Ok(MetricsMode::Json),
         other => Err(format!("`--metrics={other}`: expected pretty or json")),
-    }
-}
-
-/// Parses a `--propensity` value: `full-rescan`, `dependency-graph` or
-/// `incremental[:refresh_every]` (default refresh 256).
-fn parse_propensity(spec: &str) -> Result<PropensityStrategy, String> {
-    match spec {
-        "full-rescan" | "full" => Ok(PropensityStrategy::FullRescan),
-        "dependency-graph" | "graph" => Ok(PropensityStrategy::DependencyGraph),
-        "incremental" => Ok(PropensityStrategy::IncrementalTotal { refresh_every: 256 }),
-        other => {
-            if let Some(refresh) = other.strip_prefix("incremental:") {
-                let refresh_every: usize = refresh.parse().map_err(|_| {
-                    format!("`--propensity {other}`: bad refresh interval `{refresh}`")
-                })?;
-                if refresh_every == 0 {
-                    return Err(format!(
-                        "`--propensity {other}`: refresh interval must be at least 1"
-                    ));
-                }
-                return Ok(PropensityStrategy::IncrementalTotal { refresh_every });
-            }
-            Err(format!(
-                "`--propensity {other}`: expected full-rescan, dependency-graph \
-                 or incremental[:refresh]"
-            ))
-        }
     }
 }
 
@@ -260,20 +221,6 @@ fn parse_algorithm(spec: &str) -> Result<SimulationAlgorithm, String> {
                 "`--algorithm {other}`: expected exact or tau-leap[:<epsilon>]"
             ))
         }
-    }
-}
-
-/// Parses a `--selection` value: `auto`, `linear`, `tree` or
-/// `cr`/`composition-rejection`.
-fn parse_selection(spec: &str) -> Result<SelectionStrategy, String> {
-    match spec {
-        "auto" => Ok(SelectionStrategy::Auto),
-        "linear" => Ok(SelectionStrategy::LinearScan),
-        "tree" => Ok(SelectionStrategy::SumTree),
-        "cr" | "composition-rejection" => Ok(SelectionStrategy::CompositionRejection),
-        other => Err(format!(
-            "`--selection {other}`: expected auto, linear, tree or cr"
-        )),
     }
 }
 
@@ -341,14 +288,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         }
                         options.simulate = Some(scale);
                     }
-                    "--propensity" => {
-                        options.propensity = parse_propensity(&value("a strategy")?)?;
-                    }
                     "--algorithm" => {
                         options.algorithm = Some(parse_algorithm(&value("an algorithm")?)?);
-                    }
-                    "--selection" => {
-                        options.selection = parse_selection(&value("a strategy")?)?;
                     }
                     "--seed" => {
                         options.seed = value("a seed")?
@@ -365,7 +306,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                                 "`--timeout {spec}`: duration must be positive and finite"
                             ));
                         }
-                        options.timeout = Some(secs);
+                        let limit = Duration::try_from_secs_f64(secs)
+                            .map_err(|_| format!("`--timeout {spec}`: duration is too large"))?;
+                        options.timeout = Some(limit);
                     }
                     "--max-events" => {
                         let spec = value("an event count")?;
@@ -754,8 +697,8 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
     // `--timeout`/`--max-events` map onto one RunBudget; the Pontryagin
     // sweep only honours the wall clock (it fires no events).
     let mut budget = RunBudget::unlimited();
-    if let Some(secs) = options.timeout {
-        budget = budget.wall_clock(std::time::Duration::from_secs_f64(secs));
+    if let Some(limit) = options.timeout {
+        budget = budget.wall_clock(limit);
     }
     if let Some(cap) = options.max_events {
         budget = budget.max_events(cap);
@@ -800,8 +743,6 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
             .with_obs(obs.clone());
         let mut policy = ConstantPolicy::new(model.params().midpoint());
         let sim_options = SimulationOptions::new(horizon)
-            .propensity_strategy(options.propensity)
-            .selection_strategy(options.selection)
             .algorithm(algorithm)
             .budget(budget);
         let run = obs
@@ -828,24 +769,19 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
             SimulationAlgorithm::Exact => "Gillespie",
             SimulationAlgorithm::TauLeap(_) => "tau-leap",
         };
-        // The run reports what `Auto` actually resolved to, so the echo
-        // names the concrete engine configuration, not the request.
-        let resolved_selection = run.resolved_selection();
-        let resolved_propensity = run.resolved_propensity();
+        // The transition count fixes the selector; the run reports which
+        // one it used.
+        let selector = run.selector();
         obs.metrics.set_label("algorithm", engine);
-        obs.metrics
-            .set_label("selection", resolved_selection.to_string());
-        obs.metrics
-            .set_label("propensity", resolved_propensity.to_string());
+        obs.metrics.set_label("selection", selector.to_string());
         let _ = writeln!(
             out,
             "one N = {scale} {engine} run at midpoint parameters \
-             (seed {}, algorithm {}, propensity {}, selection {}): {} events, \
+             (seed {}, algorithm {}, selection {}): {} events, \
              {species}({horizon}) = {:.6}",
             options.seed,
             algorithm,
-            resolved_propensity,
-            resolved_selection,
+            selector,
             run.events(),
             end[coordinate],
         );
@@ -996,8 +932,7 @@ mod tests {
             }
         );
         let Command::Run { target, options } = parse_args(&args(
-            "run gps --bound Q1@2.5 --grid 40 --simulate 500 --seed 7 --single-start \
-             --propensity incremental:64 --selection tree",
+            "run gps --bound Q1@2.5 --grid 40 --simulate 500 --seed 7 --single-start",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -1008,11 +943,6 @@ mod tests {
         assert_eq!(options.simulate, Some(500));
         assert_eq!(options.seed, 7);
         assert!(!options.multi_start);
-        assert_eq!(
-            options.propensity,
-            PropensityStrategy::IncrementalTotal { refresh_every: 64 }
-        );
-        assert_eq!(options.selection, SelectionStrategy::SumTree);
     }
 
     #[test]
@@ -1083,36 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_strategy_flags() {
-        assert_eq!(
-            parse_propensity("full-rescan").unwrap(),
-            PropensityStrategy::FullRescan
-        );
-        assert_eq!(
-            parse_propensity("dependency-graph").unwrap(),
-            PropensityStrategy::DependencyGraph
-        );
-        assert_eq!(
-            parse_propensity("incremental").unwrap(),
-            PropensityStrategy::IncrementalTotal { refresh_every: 256 }
-        );
-        assert!(parse_propensity("incremental:0").is_err());
-        assert!(parse_propensity("incremental:x").is_err());
-        assert!(parse_propensity("sideways").is_err());
-        assert_eq!(parse_selection("auto").unwrap(), SelectionStrategy::Auto);
-        assert_eq!(
-            parse_selection("linear").unwrap(),
-            SelectionStrategy::LinearScan
-        );
-        assert_eq!(parse_selection("tree").unwrap(), SelectionStrategy::SumTree);
-        assert_eq!(
-            parse_selection("cr").unwrap(),
-            SelectionStrategy::CompositionRejection
-        );
-        assert!(parse_selection("roulette").is_err());
-    }
-
-    #[test]
     fn parses_algorithm_flags() {
         assert_eq!(
             parse_algorithm("exact").unwrap(),
@@ -1166,14 +1066,16 @@ mod tests {
         else {
             panic!("expected run");
         };
-        assert_eq!(options.timeout, Some(1.5));
+        assert_eq!(options.timeout, Some(Duration::from_millis(1500)));
         assert_eq!(options.max_events, Some(5000));
 
+        // 1e300 s is finite but beyond `Duration`'s range
         for bad in [
             "--timeout 0",
             "--timeout -1",
             "--timeout nan",
             "--timeout x",
+            "--timeout 1e300",
         ] {
             let err = parse_args(&args(&format!("run sir {bad}"))).unwrap_err();
             assert!(err.contains("--timeout"), "`{bad}`: {err}");
@@ -1201,8 +1103,6 @@ mod tests {
         assert!(parse_args(&args("run sir --bound I@-1")).is_err());
         assert!(parse_args(&args("run sir --grid 0")).is_err());
         assert!(parse_args(&args("run sir --what")).is_err());
-        assert!(parse_args(&args("run sir --propensity sideways")).is_err());
-        assert!(parse_args(&args("run sir --selection roulette")).is_err());
         assert!(parse_args(&args("run sir --algorithm warp")).is_err());
         assert!(parse_args(&args("check")).is_err());
         assert!(parse_args(&args("check a b")).is_err());

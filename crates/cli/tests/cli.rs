@@ -144,12 +144,9 @@ fn usage_errors_exit_with_2() {
         mfu(&["run", "sir", "--bound", "nope"]).status.code(),
         Some(2)
     );
-    assert_eq!(
-        mfu(&["run", "sir", "--selection", "roulette"])
-            .status
-            .code(),
-        Some(2)
-    );
+    let out = mfu(&["run", "sir", "--sideways", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown option"), "{}", stderr(&out));
     let out = mfu(&["run", "no_such_model"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("neither a file nor a known scenario"));
@@ -216,9 +213,8 @@ fn scenario_declared_scale_defaults_to_tau_leaping() {
 }
 
 #[test]
-fn auto_strategies_echo_what_they_resolved_to() {
-    // `--selection auto` on the 3-transition SIR resolves to the linear
-    // scan; the echo line must name the resolved engine, not `auto`
+fn run_line_names_the_selector_the_model_size_picks() {
+    // the 3-transition SIR runs the linear scan, and the run line says so
     let out = mfu(&[
         "run",
         "sir",
@@ -232,7 +228,7 @@ fn auto_strategies_echo_what_they_resolved_to() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("selection linear"), "{text}");
-    assert!(!text.contains("selection auto"), "{text}");
+    assert!(!text.contains("propensity"), "{text}");
 }
 
 #[test]
@@ -331,6 +327,7 @@ fn budget_flag_usage_errors_exit_2_naming_the_flag() {
         ["--timeout", "0"],
         ["--timeout", "-2"],
         ["--timeout", "soon"],
+        ["--timeout", "1e300"],
         ["--max-events", "0"],
         ["--max-events", "many"],
     ] {
@@ -399,9 +396,9 @@ fn generous_budgets_leave_the_run_untouched() {
 }
 
 #[test]
-fn run_simulates_with_explicit_strategies() {
-    // exercise the --propensity/--selection plumbing end to end on a small
-    // scenario (cheap Pontryagin grid keeps the test fast)
+fn huge_timeouts_never_panic() {
+    // 1e19 s is a valid `Duration` whose deadline lies past the clock's
+    // range: the budget can never trip, and the run completes normally
     let out = mfu(&[
         "run",
         "sir",
@@ -410,14 +407,29 @@ fn run_simulates_with_explicit_strategies() {
         "--grid",
         "30",
         "--simulate",
-        "300",
-        "--propensity",
-        "incremental:128",
-        "--selection",
-        "tree",
+        "200",
+        "--timeout",
+        "1e19",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("truncated"), "{}", stderr(&out));
+}
+
+#[test]
+fn large_models_simulate_with_the_sum_tree() {
+    // 120 rules: above the linear scan's 64, so the run uses the tree
+    let out = mfu(&[
+        "run",
+        "grid_6x6",
+        "--bound",
+        "0@0.1",
+        "--grid",
+        "4",
+        "--single-start",
+        "--simulate",
+        "200",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("propensity incremental:128"), "{text}");
     assert!(text.contains("selection tree"), "{text}");
 }

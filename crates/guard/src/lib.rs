@@ -228,12 +228,16 @@ impl BudgetTracker {
     }
 
     /// Starts tracking `budget` from now, reading the clock every `stride`
-    /// calls to [`BudgetTracker::expired`].
+    /// calls to [`BudgetTracker::expired`]. A deadline past the clock's
+    /// range (e.g. [`Duration::MAX`]) can never be reached, so the tracker
+    /// treats it as no deadline at all.
     #[must_use]
     pub fn with_stride(budget: &RunBudget, stride: u32) -> Self {
         let stride = stride.max(1);
         BudgetTracker {
-            deadline: budget.wall_clock.map(|limit| Instant::now() + limit),
+            deadline: budget
+                .wall_clock
+                .and_then(|limit| Instant::now().checked_add(limit)),
             stride,
             until_check: 1,
             checks: 0,
@@ -501,6 +505,16 @@ mod tests {
         }
         assert_eq!(tracker.checks(), 0);
         assert!(!tracker.is_armed());
+    }
+
+    #[test]
+    fn deadline_past_the_clock_range_never_expires() {
+        let budget = RunBudget::unlimited().wall_clock(Duration::MAX);
+        let mut tracker = BudgetTracker::start(&budget);
+        for _ in 0..10_000 {
+            assert!(!tracker.expired());
+        }
+        assert!(!tracker.expired_now());
     }
 
     #[test]

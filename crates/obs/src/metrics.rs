@@ -26,11 +26,9 @@ pub enum Counter {
     SimEventsFired,
     /// Individual rate evaluations performed by the exact SSA engine.
     SimPropensityEvals,
-    /// Rate evaluations *avoided* by the dependency-graph maintenance
-    /// strategy (transitions left untouched after a firing).
+    /// Rate evaluations *avoided* by the exact engine's dependency graph
+    /// (transitions left untouched after a firing).
     SimPropensitySkips,
-    /// Rejected candidate draws inside composition–rejection selection.
-    SimSelectionRejections,
     /// Accepted τ-leap steps.
     SimTauLeapSteps,
     /// τ-halvings forced by the negative-population guard.
@@ -76,11 +74,10 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot rendering order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::SimEventsFired,
         Counter::SimPropensityEvals,
         Counter::SimPropensitySkips,
-        Counter::SimSelectionRejections,
         Counter::SimTauLeapSteps,
         Counter::SimTauHalvings,
         Counter::SimTauFallbackBursts,
@@ -110,7 +107,6 @@ impl Counter {
             Counter::SimEventsFired => "sim_events_fired",
             Counter::SimPropensityEvals => "sim_propensity_evals",
             Counter::SimPropensitySkips => "sim_propensity_skips",
-            Counter::SimSelectionRejections => "sim_selection_rejections",
             Counter::SimTauLeapSteps => "sim_tau_leap_steps",
             Counter::SimTauHalvings => "sim_tau_halvings",
             Counter::SimTauFallbackBursts => "sim_tau_fallback_bursts",

@@ -16,23 +16,22 @@
 //! compiled by `mfu-lang`, or declared via
 //! [`TransitionClass::with_species_support`](mfu_ctmc::transition::TransitionClass::with_species_support)):
 //! after transition `k` fires, only the transitions whose rate reads a
-//! species changed by `k` are re-evaluated. [`PropensityStrategy`] selects
-//! between this hot path, an incremental-total variant, and the full-rescan
-//! reference implementation; the default [`PropensityStrategy::DependencyGraph`]
-//! is *bit-identical* to the reference for every model (checked across the
-//! scenario registry by `tests/ssa_dependency.rs`).
+//! species changed by `k` are re-evaluated, and the propensity total is
+//! re-summed over the rate array in index order. The total therefore
+//! depends only on the current rates, so a run is *bit-identical* to the
+//! naive loop: a transition of unknown support depends on everything, and a
+//! model whose supports are all unknown re-evaluates every rate after every
+//! event (`tests/ssa_dependency.rs` compares every registry scenario with
+//! such a dense twin).
 //!
 //! # Event selection
 //!
-//! Orthogonally to propensity *maintenance*, the per-event transition
-//! *selection* is controlled by a
-//! [`SelectionStrategy`]: the `O(K)`
-//! roulette scan (the bit-exact reference), an `O(log K)` partial-sum
-//! tree, or `O(1)`-expected composition-rejection — see the
+//! The transition count fixes the per-event selector
+//! ([`SelectorKind::for_transitions`]): the `O(K)` roulette scan up to 64
+//! transitions, an `O(log K)` partial-sum tree above — see the
 //! [`selection`](crate::selection) module for the data structures and the
-//! ulp policy. The default picks by transition count. Constant parameter
-//! policies additionally declare themselves via
-//! [`ParameterPolicy::is_constant`], letting the simulator query ϑ once
+//! ulp policy. Constant parameter policies additionally declare themselves
+//! via [`ParameterPolicy::is_constant`], letting the simulator query ϑ once
 //! per run instead of once per event.
 //!
 //! # τ-leaping
@@ -55,7 +54,7 @@ use rand::SeedableRng;
 
 use crate::lockstep::simulate_tau_leap_lockstep;
 use crate::policy::ParameterPolicy;
-use crate::selection::{SelectionStrategy, Selector};
+use crate::selection::{Selector, SelectorKind};
 use crate::tauleap::TauLeapOptions;
 use crate::{Result, SimError};
 
@@ -87,44 +86,6 @@ impl std::fmt::Display for SimulationAlgorithm {
     }
 }
 
-/// How the simulator maintains the propensity vector between events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PropensityStrategy {
-    /// Re-evaluate every transition rate after every event — the reference
-    /// implementation, kept for cross-checking the optimised paths.
-    FullRescan,
-    /// Re-evaluate only the transitions whose rate depends on a species
-    /// changed by the fired jump (all of them when the parameter signal
-    /// moved), then re-sum the propensity total over the full rate array.
-    /// The re-summation reproduces the reference's addition order, so this
-    /// strategy is bit-identical to [`PropensityStrategy::FullRescan`] while
-    /// skipping the expensive rate evaluations.
-    DependencyGraph,
-    /// Like [`PropensityStrategy::DependencyGraph`], but the propensity
-    /// total is maintained incrementally (`total += new − old`) instead of
-    /// re-summed, with a full re-summation every `refresh_every` events to
-    /// bound floating-point drift. Saves the `O(K)` additions per event on
-    /// models with many transitions, at the price of totals that can differ
-    /// from the reference by an ulp between refreshes.
-    IncrementalTotal {
-        /// Events between two full re-summations of the propensity total
-        /// (values below 1 are treated as 1).
-        refresh_every: usize,
-    },
-}
-
-impl std::fmt::Display for PropensityStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PropensityStrategy::FullRescan => f.write_str("full-rescan"),
-            PropensityStrategy::DependencyGraph => f.write_str("dependency-graph"),
-            PropensityStrategy::IncrementalTotal { refresh_every } => {
-                write!(f, "incremental:{refresh_every}")
-            }
-        }
-    }
-}
-
 /// Options controlling a single stochastic simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationOptions {
@@ -142,13 +103,6 @@ pub struct SimulationOptions {
     /// When `true`, a policy value outside the model's parameter space is an
     /// error; when `false` it is clamped into the space.
     pub strict_policy: bool,
-    /// How propensities are maintained between events (defaults to the
-    /// bit-identical [`PropensityStrategy::DependencyGraph`] hot path).
-    pub propensity: PropensityStrategy,
-    /// How the firing transition is selected among the candidates
-    /// (defaults to [`SelectionStrategy::Auto`], which picks by transition
-    /// count).
-    pub selection: SelectionStrategy,
     /// Which simulation algorithm the run uses (defaults to the exact
     /// event-by-event SSA; see [`SimulationAlgorithm::TauLeap`] for the
     /// approximate large-`N` engine).
@@ -178,8 +132,6 @@ impl SimulationOptions {
             record_stride: 1,
             record_interval: None,
             strict_policy: true,
-            propensity: PropensityStrategy::DependencyGraph,
-            selection: SelectionStrategy::Auto,
             algorithm: SimulationAlgorithm::Exact,
             budget: RunBudget::unlimited(),
         }
@@ -196,20 +148,6 @@ impl SimulationOptions {
     #[must_use]
     pub fn tau_leap(self, options: TauLeapOptions) -> Self {
         self.algorithm(SimulationAlgorithm::TauLeap(options))
-    }
-
-    /// Selects the propensity-maintenance strategy.
-    #[must_use]
-    pub fn propensity_strategy(mut self, strategy: PropensityStrategy) -> Self {
-        self.propensity = strategy;
-        self
-    }
-
-    /// Selects the transition-selection strategy.
-    #[must_use]
-    pub fn selection_strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.selection = strategy;
-        self
     }
 
     /// Sets the event budget.
@@ -327,8 +265,6 @@ pub struct SimCounters {
     /// Rate evaluations avoided by the dependency graph (transitions left
     /// untouched after a firing).
     pub propensity_skips: u64,
-    /// Rejected candidate draws inside composition–rejection selection.
-    pub selection_rejections: u64,
     /// Accepted τ-leap steps.
     pub tau_leap_steps: u64,
     /// τ-halvings forced by the negative-population guard.
@@ -357,7 +293,6 @@ impl SimCounters {
         metrics.add(Counter::SimEventsFired, self.events_fired);
         metrics.add(Counter::SimPropensityEvals, self.propensity_evals);
         metrics.add(Counter::SimPropensitySkips, self.propensity_skips);
-        metrics.add(Counter::SimSelectionRejections, self.selection_rejections);
         metrics.add(Counter::SimTauLeapSteps, self.tau_leap_steps);
         metrics.add(Counter::SimTauHalvings, self.tau_halvings);
         metrics.add(Counter::SimTauFallbackBursts, self.tau_fallback_bursts);
@@ -376,8 +311,7 @@ pub struct SimulationRun {
     events: usize,
     final_counts: Vec<i64>,
     counters: SimCounters,
-    resolved_selection: SelectionStrategy,
-    resolved_propensity: PropensityStrategy,
+    selector: SelectorKind,
     outcome: Outcome,
 }
 
@@ -389,8 +323,7 @@ impl SimulationRun {
         events: usize,
         final_counts: Vec<i64>,
         counters: SimCounters,
-        resolved_selection: SelectionStrategy,
-        resolved_propensity: PropensityStrategy,
+        selector: SelectorKind,
         outcome: Outcome,
     ) -> Self {
         SimulationRun {
@@ -398,8 +331,7 @@ impl SimulationRun {
             events,
             final_counts,
             counters,
-            resolved_selection,
-            resolved_propensity,
+            selector,
             outcome,
         }
     }
@@ -425,17 +357,11 @@ impl SimulationRun {
         &self.counters
     }
 
-    /// The selection strategy the run actually used: `Auto` resolved
-    /// against the transition count for the exact engine, always
-    /// [`SelectionStrategy::LinearScan`] for τ-leap fallback bursts.
-    pub fn resolved_selection(&self) -> SelectionStrategy {
-        self.resolved_selection
-    }
-
-    /// The propensity-maintenance strategy the run actually used (the
-    /// τ-leap engine always rescans fully — a leap is `O(K)` anyway).
-    pub fn resolved_propensity(&self) -> PropensityStrategy {
-        self.resolved_propensity
+    /// The transition selector the run used: fixed by the transition count
+    /// for the exact engine ([`SelectorKind::for_transitions`]), always
+    /// [`SelectorKind::Linear`] for τ-leap fallback bursts.
+    pub fn selector(&self) -> SelectorKind {
+        self.selector
     }
 
     /// How the run ended: [`Outcome::Completed`], or
@@ -571,8 +497,8 @@ impl Simulator {
 
     /// `true` when the dependency graph actually prunes work, i.e. at least
     /// one transition affects a strict subset of the others. Models whose
-    /// rates all have unknown support degrade to full rescans regardless of
-    /// the selected [`PropensityStrategy`].
+    /// rates all have unknown support re-evaluate every rate after every
+    /// event.
     pub fn has_sparse_dependencies(&self) -> bool {
         let n = self.model.transitions().len();
         self.dependencies.iter().any(|d| d.len() < n)
@@ -633,24 +559,16 @@ impl Simulator {
         trajectory.push(0.0, x.clone())?;
         let mut recorder = Recorder::new(options);
 
-        // Propensity bookkeeping for the dependency-graph strategies:
-        // `pending` is the set of transitions whose rate may be stale
-        // (`None` = all, e.g. on the first event or after a parameter move),
-        // `last_theta` detects parameter moves (NaN never compares equal, so
-        // the first iteration always rescans), `since_refresh` schedules the
-        // incremental-total re-summations.
-        let refresh_every = match options.propensity {
-            PropensityStrategy::IncrementalTotal { refresh_every } => refresh_every.max(1),
-            _ => usize::MAX,
-        };
+        // Propensity bookkeeping: `pending` is the fired transition whose
+        // dependents may hold stale rates, `last_theta` detects parameter
+        // moves, which rescan every rate (NaN never compares equal, so the
+        // first iteration always rescans).
         let mut pending: Option<usize> = None;
         let mut last_theta: Vec<f64> = vec![f64::NAN; self.model.params().dim()];
-        let mut since_refresh = 0usize;
-        let mut total = 0.0_f64;
 
-        // Transition selection: resolve the strategy against the model
-        // size and keep the selector's structures in lockstep with `rates`.
-        let mut selector = Selector::new(options.selection.resolve(n_transitions), n_transitions);
+        // Transition selection: the transition count fixes the selector,
+        // whose structures are kept in lockstep with `rates`.
+        let mut selector = Selector::new(n_transitions);
 
         // Constant policies are queried once (first iteration); everything
         // else is queried at every event, as before. A fault plan with
@@ -684,54 +602,28 @@ impl Simulator {
                 theta != last_theta
             };
 
-            // Maintain the propensities. The reference path rescans all
-            // rates; the dependency-graph paths only re-evaluate stale ones.
-            let rescan_all =
-                matches!(options.propensity, PropensityStrategy::FullRescan) || theta_changed;
-            if rescan_all {
-                total = 0.0;
+            // Maintain the propensities: a parameter move rescans every
+            // rate, an event re-evaluates the fired transition's dependents.
+            if theta_changed {
                 for (k, rate) in rates.iter_mut().enumerate() {
                     *rate = self.eval_rate(k, &x, &theta, t, events as u64)?;
-                    total += *rate;
                 }
                 tally.propensity_evals += n_transitions as u64;
                 selector.rebuild(&rates);
-                since_refresh = 0;
-            } else {
-                let mut delta = 0.0_f64;
-                if let Some(fired) = pending {
-                    let touched = &self.dependencies[fired];
-                    for &m in touched {
-                        let updated = self.eval_rate(m, &x, &theta, t, events as u64)?;
-                        delta += updated - rates[m];
-                        rates[m] = updated;
-                        selector.update(m, updated);
-                    }
-                    tally.propensity_evals += touched.len() as u64;
-                    tally.propensity_skips += (n_transitions - touched.len()) as u64;
+                last_theta.clone_from(&theta);
+            } else if let Some(fired) = pending {
+                let touched = &self.dependencies[fired];
+                for &m in touched {
+                    rates[m] = self.eval_rate(m, &x, &theta, t, events as u64)?;
+                    selector.update(m, rates[m]);
                 }
-                match options.propensity {
-                    PropensityStrategy::DependencyGraph => {
-                        // Re-sum in index order: the exact addition sequence
-                        // of the reference rescan, hence bit-identical.
-                        total = rates.iter().sum();
-                    }
-                    PropensityStrategy::IncrementalTotal { .. } => {
-                        total += delta;
-                        since_refresh += 1;
-                        if since_refresh >= refresh_every {
-                            total = rates.iter().sum();
-                            since_refresh = 0;
-                        }
-                    }
-                    PropensityStrategy::FullRescan => unreachable!("handled by rescan_all"),
-                }
-            }
-            if theta_changed {
-                last_theta.clear();
-                last_theta.extend_from_slice(&theta);
+                tally.propensity_evals += touched.len() as u64;
+                tally.propensity_skips += (n_transitions - touched.len()) as u64;
             }
             pending = None;
+            // Re-summed in index order, the total depends only on the
+            // current rates, however they were maintained.
+            let total: f64 = rates.iter().sum();
 
             if total <= 0.0 {
                 // Absorbing state: nothing will ever fire again.
@@ -746,15 +638,10 @@ impl Simulator {
             }
             t += dt;
 
-            // Choose which transition fires. `None` means no transition has
-            // a positive rate even though the bookkept `total` is positive —
-            // only possible when an incrementally maintained total drifted
-            // above the true (zero) rate sum — so the state is absorbing.
-            // The historical code fell through to `n_transitions - 1` here,
-            // which could fire a rate-0.0 (impossible) transition.
-            let Some(chosen) =
-                selector.choose_counting(&rates, total, rng, &mut tally.selection_rejections)
-            else {
+            // Choose which transition fires. A positive total has a
+            // positive rate to select, so `None` only guards the absorbing
+            // case; the selectors never fire a rate-0.0 transition.
+            let Some(chosen) = selector.choose(&rates, total, rng) else {
                 break;
             };
 
@@ -808,7 +695,6 @@ impl Simulator {
 
         tally.budget_checks = tracker.checks();
         tally.events_fired = events as u64;
-        let resolved_selection = options.selection.resolve(n_transitions);
         tally.flush_to(&self.obs.metrics);
         if self.obs.tracer.is_enabled() {
             self.obs.tracer.event(
@@ -819,12 +705,7 @@ impl Simulator {
                     ("events", Field::U64(tally.events_fired)),
                     ("propensity_evals", Field::U64(tally.propensity_evals)),
                     ("propensity_skips", Field::U64(tally.propensity_skips)),
-                    (
-                        "selection_rejections",
-                        Field::U64(tally.selection_rejections),
-                    ),
-                    ("selection", Field::Str(&resolved_selection.to_string())),
-                    ("propensity", Field::Str(&options.propensity.to_string())),
+                    ("selection", Field::Str(&selector.kind().to_string())),
                     ("outcome", Field::Str(&outcome.to_string())),
                 ],
             );
@@ -835,8 +716,7 @@ impl Simulator {
             events,
             counts,
             tally,
-            resolved_selection,
-            options.propensity,
+            selector.kind(),
             outcome,
         ))
     }
@@ -1173,27 +1053,57 @@ mod tests {
     /// A cyclic 3-species migration model with annotated species supports,
     /// so the dependency graph is genuinely sparse.
     fn cycle_model() -> PopulationModel {
+        cycle_model_annotated(true)
+    }
+
+    /// The cycle model, built with or without its species supports. Without
+    /// them every rate depends on every species, so each event re-evaluates
+    /// all three rates: the naive SSA loop the sparse graph must reproduce.
+    fn cycle_model_annotated(annotated: bool) -> PopulationModel {
         let params = ParamSpace::new(vec![("rate", Interval::new(0.5, 2.0).unwrap())]).unwrap();
+        let support = |class: TransitionClass, species: usize| {
+            if annotated {
+                class.with_species_support(vec![species])
+            } else {
+                class
+            }
+        };
         PopulationModel::builder(3, params)
             .variable_names(vec!["A", "B", "C"])
-            .transition(
+            .transition(support(
                 TransitionClass::new("ab", [-1.0, 1.0, 0.0], |x: &StateVec, th: &[f64]| {
                     th[0] * x[0]
-                })
-                .with_species_support(vec![0]),
-            )
-            .transition(
-                TransitionClass::new("bc", [0.0, -1.0, 1.0], |x: &StateVec, _: &[f64]| 1.5 * x[1])
-                    .with_species_support(vec![1]),
-            )
-            .transition(
+                }),
+                0,
+            ))
+            .transition(support(
+                TransitionClass::new("bc", [0.0, -1.0, 1.0], |x: &StateVec, _: &[f64]| 1.5 * x[1]),
+                1,
+            ))
+            .transition(support(
                 TransitionClass::new("ca", [1.0, 0.0, -1.0], |x: &StateVec, _: &[f64]| {
                     0.75 * x[2]
-                })
-                .with_species_support(vec![2]),
-            )
+                }),
+                2,
+            ))
             .build()
             .unwrap()
+    }
+
+    /// Asserts two runs are the same computation: events, final counts and
+    /// every trajectory point, bit for bit.
+    fn assert_same_run(a: &SimulationRun, b: &SimulationRun, what: &str) {
+        assert_eq!(a.events(), b.events(), "{what}: event counts diverged");
+        assert_eq!(
+            a.final_counts(),
+            b.final_counts(),
+            "{what}: counts diverged"
+        );
+        assert_eq!(a.trajectory().len(), b.trajectory().len(), "{what}");
+        for ((ta, sa), (tb, sb)) in a.trajectory().iter().zip(b.trajectory().iter()) {
+            assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: time diverged");
+            assert_eq!(sa.as_slice(), sb.as_slice(), "{what}: state diverged");
+        }
     }
 
     #[test]
@@ -1213,70 +1123,57 @@ mod tests {
     }
 
     #[test]
-    fn propensity_strategies_agree_bit_for_bit() {
-        let sim = Simulator::new(cycle_model(), 300).unwrap();
-        let base = SimulationOptions::new(25.0);
-        let run = |strategy: PropensityStrategy, seed: u64| {
-            let mut policy = ConstantPolicy::new(vec![1.25]);
-            sim.simulate(
-                &[150, 100, 50],
-                &mut policy,
-                &base.propensity_strategy(strategy),
-                seed,
-            )
-            .unwrap()
-        };
+    fn sparse_dependencies_match_the_dense_reference_bit_for_bit() {
+        let sparse = Simulator::new(cycle_model(), 300).unwrap();
+        let dense = Simulator::new(cycle_model_annotated(false), 300).unwrap();
+        assert!(!dense.has_sparse_dependencies());
+        let options = SimulationOptions::new(25.0);
         for seed in [1, 7, 42] {
-            let reference = run(PropensityStrategy::FullRescan, seed);
-            let graph = run(PropensityStrategy::DependencyGraph, seed);
-            let incremental = run(
-                PropensityStrategy::IncrementalTotal { refresh_every: 64 },
-                seed,
+            let run = |sim: &Simulator| {
+                let mut policy = ConstantPolicy::new(vec![1.25]);
+                sim.simulate(&[150, 100, 50], &mut policy, &options, seed)
+                    .unwrap()
+            };
+            let (s, d) = (run(&sparse), run(&dense));
+            assert_same_run(&s, &d, &format!("seed {seed}"));
+
+            // The dense reference evaluates all three rates in every round
+            // (the events plus the final horizon check); the cycle model's
+            // rates vanish exactly on the boundary, so no jump is dropped
+            // and the sparse graph splits the same rounds into evaluations
+            // and skips.
+            let (sc, dc) = (s.counters(), d.counters());
+            assert_eq!(dc.events_fired, d.events() as u64);
+            assert_eq!(dc.propensity_evals, (d.events() as u64 + 1) * 3);
+            assert_eq!(dc.propensity_skips, 0);
+            assert_eq!(dc.tau_leap_steps, 0, "exact run took tau-leap steps");
+            assert!(sc.propensity_skips > 0, "graph never skipped");
+            assert_eq!(
+                sc.propensity_evals + sc.propensity_skips,
+                dc.propensity_evals
             );
-            assert_eq!(reference.events(), graph.events(), "seed {seed}");
-            assert_eq!(reference.final_counts(), graph.final_counts());
-            for ((ta, sa), (tb, sb)) in reference.trajectory().iter().zip(graph.trajectory().iter())
-            {
-                assert_eq!(ta.to_bits(), tb.to_bits(), "seed {seed}: time diverged");
-                assert_eq!(sa.as_slice(), sb.as_slice(), "seed {seed}: state diverged");
-            }
-            assert_eq!(reference.events(), incremental.events(), "seed {seed}");
-            assert_eq!(reference.final_counts(), incremental.final_counts());
         }
     }
 
     #[test]
-    fn selection_strategies_agree_on_the_cycle_model() {
-        let sim = Simulator::new(cycle_model(), 300).unwrap();
-        let base = SimulationOptions::new(25.0);
-        let run = |selection: SelectionStrategy, seed: u64| {
-            let mut policy = ConstantPolicy::new(vec![1.25]);
+    fn sparse_and_dense_agree_under_state_feedback_policies() {
+        // A hysteresis policy moves ϑ mid-run, exercising the full rescan
+        // that follows a parameter move on the sparse graph.
+        let run = |annotated: bool| {
+            let sim = Simulator::new(cycle_model_annotated(annotated), 300).unwrap();
+            let mut policy = HysteresisPolicy::new(vec![2.0], 0, 0.5, 2.0, 0, 0.3, 0.45, true);
             sim.simulate(
                 &[150, 100, 50],
                 &mut policy,
-                &base.selection_strategy(selection),
-                seed,
+                &SimulationOptions::new(25.0),
+                23,
             )
             .unwrap()
         };
-        for seed in [1, 7, 42] {
-            // the tree consumes the same single uniform draw per event as
-            // the scan; disagreement is confined to ulp-wide windows none
-            // of these seeds hit, so the runs match exactly
-            let linear = run(SelectionStrategy::LinearScan, seed);
-            let tree = run(SelectionStrategy::SumTree, seed);
-            assert_eq!(linear.events(), tree.events(), "seed {seed}");
-            assert_eq!(linear.final_counts(), tree.final_counts(), "seed {seed}");
-            // composition-rejection draws differently, so only determinism
-            // and model invariants are checked per seed
-            let cr1 = run(SelectionStrategy::CompositionRejection, seed);
-            let cr2 = run(SelectionStrategy::CompositionRejection, seed);
-            assert_eq!(cr1.events(), cr2.events(), "seed {seed}");
-            assert_eq!(cr1.final_counts(), cr2.final_counts(), "seed {seed}");
-            assert!(cr1.events() > 0);
-            assert_eq!(cr1.final_counts().iter().sum::<i64>(), 300, "conservation");
-            assert!(cr1.final_counts().iter().all(|&c| c >= 0));
-        }
+        let (sparse, dense) = (run(true), run(false));
+        assert_same_run(&sparse, &dense, "hysteresis");
+        // the policy switched, so the sparse run rescanned more than once
+        assert!(sparse.counters().propensity_evals > 3 + sparse.events() as u64);
     }
 
     #[test]
@@ -1305,140 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_under_state_feedback_policies() {
-        // A hysteresis policy moves ϑ mid-run, exercising the
-        // theta-changed full-rescan branch of the dependency path.
-        let sim = Simulator::new(bike_model(), 150).unwrap();
-        let options = SimulationOptions::new(20.0);
-        let run = |strategy: PropensityStrategy| {
-            let mut policy = HysteresisPolicy::new(vec![0.5, 1.0], 0, 0.5, 2.0, 0, 0.3, 0.7, true);
-            sim.simulate(
-                &[75],
-                &mut policy,
-                &options.propensity_strategy(strategy),
-                23,
-            )
-            .unwrap()
-        };
-        let reference = run(PropensityStrategy::FullRescan);
-        let graph = run(PropensityStrategy::DependencyGraph);
-        assert_eq!(reference.events(), graph.events());
-        assert_eq!(reference.final_counts(), graph.final_counts());
-    }
-
-    /// A model built to wreck the `IncrementalTotal` running total: a rate
-    /// that spikes between ~4e15 and 0 makes `total += delta` cancel
-    /// catastrophically. While the total is huge its representable grid is
-    /// 0.5 wide, so the arm rate 0.6 is recorded as 0.5 on the way up and
-    /// the small remainder 0.4 as 0.5 on the way back — after each spike
-    /// the running total sits ~0.1 *above* the true rate sum, putting ~10%
-    /// of roulette targets beyond every positive rate. The last transition
-    /// ("impossible") always has rate exactly 0.0 and bumps a witness
-    /// species nothing else touches.
-    fn drifting_total_model() -> PopulationModel {
-        let params = ParamSpace::single("unused", 1.0, 1.0).unwrap();
-        PopulationModel::builder(3, params)
-            .variable_names(vec!["X", "Y", "Z"])
-            .transition(TransitionClass::new(
-                "arm",
-                [1.0, 0.0, 0.0],
-                |x: &StateVec, _: &[f64]| if x[0] < 0.5 { 0.6 } else { 0.0 },
-            ))
-            .transition(TransitionClass::new(
-                "spike",
-                [-1.0, 0.0, 0.0],
-                |x: &StateVec, _: &[f64]| if x[0] > 0.5 { 3.7e15 } else { 0.0 },
-            ))
-            .transition(TransitionClass::new(
-                "cycle_up",
-                [0.0, 1.0, 0.0],
-                |x: &StateVec, _: &[f64]| if x[1] < 0.5 { 0.3 } else { 0.0 },
-            ))
-            .transition(TransitionClass::new(
-                "cycle_down",
-                [0.0, -1.0, 0.0],
-                |x: &StateVec, _: &[f64]| if x[1] > 0.5 { 0.7 } else { 0.0 },
-            ))
-            .transition(TransitionClass::new(
-                "impossible",
-                [0.0, 0.0, 1.0],
-                |_: &StateVec, _: &[f64]| 0.0,
-            ))
-            .build()
-            .unwrap()
-    }
-
-    /// Regression for the zero-rate selection fallthrough: when the drifted
-    /// incremental total exceeds the true rate sum, the roulette target can
-    /// overshoot every positive rate; the selection must then fall back to
-    /// the last *positive-rate* transition instead of firing the final
-    /// array entry (here a rate-0.0 "impossible" transition that would bump
-    /// the witness species Z).
-    #[test]
-    fn drifted_incremental_total_never_fires_a_zero_rate_transition() {
-        let sim = Simulator::new(drifting_total_model(), 1).unwrap();
-        // record_stride: spike-phase waiting times (total ~ 4e15) round
-        // below one ulp of t, so per-event recording would collide with the
-        // trajectory's strictly-increasing time guard
-        let options = SimulationOptions::new(400.0)
-            .record_stride(1 << 30)
-            .propensity_strategy(PropensityStrategy::IncrementalTotal {
-                refresh_every: usize::MAX,
-            });
-        for seed in 0..20 {
-            let mut policy = ConstantPolicy::new(vec![1.0]);
-            let run = sim
-                .simulate(&[0, 0, 0], &mut policy, &options, seed)
-                .unwrap();
-            assert_eq!(
-                run.final_counts()[2],
-                0,
-                "seed {seed}: impossible (rate 0.0) transition fired {} times",
-                run.final_counts()[2]
-            );
-        }
-    }
-
-    #[test]
-    fn run_counters_track_engine_internals() {
-        let sim = Simulator::new(cycle_model(), 300).unwrap();
-        let base = SimulationOptions::new(25.0);
-        let run = |strategy: PropensityStrategy| {
-            let mut policy = ConstantPolicy::new(vec![1.25]);
-            sim.simulate(
-                &[150, 100, 50],
-                &mut policy,
-                &base.propensity_strategy(strategy),
-                7,
-            )
-            .unwrap()
-        };
-        let full = run(PropensityStrategy::FullRescan);
-        let f = full.counters();
-        assert_eq!(f.events_fired, full.events() as u64);
-        // every loop iteration (events + the final break check) rescans
-        // all three rates
-        assert_eq!(f.propensity_evals, (full.events() as u64 + 1) * 3);
-        assert_eq!(f.propensity_skips, 0);
-        assert_eq!(f.selection_rejections, 0, "linear scan never rejects");
-        assert_eq!(f.tau_leap_steps, 0, "exact run took tau-leap steps");
-
-        let graph = run(PropensityStrategy::DependencyGraph);
-        let g = graph.counters();
-        assert_eq!(g.events_fired, f.events_fired);
-        assert!(
-            g.propensity_evals < f.propensity_evals,
-            "graph never skipped"
-        );
-        assert!(g.propensity_skips > 0);
-        // the cycle model's rates vanish exactly on the boundary, so no
-        // jump is ever dropped and the two strategies see the same number
-        // of maintenance rounds
-        assert_eq!(g.propensity_evals + g.propensity_skips, f.propensity_evals);
-    }
-
-    #[test]
-    fn runs_report_their_resolved_strategies() {
+    fn runs_report_their_selector() {
         let sim = Simulator::new(cycle_model(), 300).unwrap();
         let mut policy = ConstantPolicy::new(vec![1.25]);
         let run = sim
@@ -1449,12 +1213,8 @@ mod tests {
                 1,
             )
             .unwrap();
-        // 3 transitions: Auto resolves to the linear scan
-        assert_eq!(run.resolved_selection(), SelectionStrategy::LinearScan);
-        assert_eq!(
-            run.resolved_propensity(),
-            PropensityStrategy::DependencyGraph
-        );
+        // 3 transitions: the linear scan
+        assert_eq!(run.selector(), SelectorKind::Linear);
     }
 
     #[test]

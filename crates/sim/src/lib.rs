@@ -14,14 +14,10 @@
 //!   rates always do, including guarded/piecewise ones; native closures
 //!   via `with_species_support`), the simulator precomputes a transition
 //!   dependency graph and only re-evaluates the propensities an event can
-//!   have changed — select the behaviour with
-//!   [`PropensityStrategy`](gillespie::PropensityStrategy) (the default
-//!   `DependencyGraph` is bit-identical to the `FullRescan` reference);
-//! * [`selection`] — sub-linear transition selection for models with many
-//!   transitions: a binary partial-sum tree (`O(log K)`) and a
-//!   composition-rejection sampler (`O(1)` expected), selectable via
-//!   [`SelectionStrategy`](selection::SelectionStrategy) next to the
-//!   `O(K)` roulette-scan reference;
+//!   have changed, bit-identical to re-evaluating every rate;
+//! * [`selection`] — transition selection fixed by the transition count
+//!   `K`: the `O(K)` roulette scan up to 64 transitions, a binary
+//!   partial-sum tree (`O(log K)`) above;
 //! * [`tauleap`] — approximate explicit τ-leaping for the large-`N`
 //!   regime: its options and adaptive Cao–Gillespie step selection
 //!   (Poisson firing counts, a negative-population guard and an exact-SSA
@@ -42,13 +38,12 @@
 //! Both engines carry an optional observability bundle
 //! ([`Simulator::with_obs`](gillespie::Simulator::with_obs)): per-run
 //! [`SimCounters`](gillespie::SimCounters) — propensity re-evaluations vs.
-//! dependency-graph skips, composition–rejection rejections, τ-halvings,
-//! fallback bursts, Poisson draws — flush into `mfu-obs` metrics, and run
-//! summaries go to its JSONL tracer. The counters are maintained in plain
-//! run-locals, so trajectories are bit-identical with observability on or
-//! off, and every [`SimulationRun`](gillespie::SimulationRun) exposes them
-//! (plus the `Auto`-resolved strategies) even when observability is
-//! disabled.
+//! dependency-graph skips, τ-halvings, fallback bursts, Poisson draws —
+//! flush into `mfu-obs` metrics, and run summaries go to its JSONL tracer.
+//! The counters are maintained in plain run-locals, so trajectories are
+//! bit-identical with observability on or off, and every
+//! [`SimulationRun`](gillespie::SimulationRun) exposes them (plus the
+//! selector the run used) even when observability is disabled.
 //!
 //! # Example
 //!

@@ -51,11 +51,10 @@ use rand::{Rng, SeedableRng};
 use mfu_obs::Field;
 
 use crate::gillespie::{
-    PropensityStrategy, Recorder, SimCounters, SimulationAlgorithm, SimulationOptions,
-    SimulationRun, Simulator,
+    Recorder, SimCounters, SimulationAlgorithm, SimulationOptions, SimulationRun, Simulator,
 };
 use crate::policy::ParameterPolicy;
-use crate::selection::{linear_select, SelectionStrategy};
+use crate::selection::{linear_select, SelectorKind};
 use crate::tauleap::{reactant_orders, select_tau, TauLeapOptions};
 use crate::{Result, SimError};
 
@@ -476,8 +475,7 @@ impl<P: ParameterPolicy> Lane<P> {
             self.steps,
             std::mem::take(&mut self.counts),
             self.tally,
-            SelectionStrategy::LinearScan,
-            PropensityStrategy::FullRescan,
+            SelectorKind::Linear,
             self.outcome,
         )));
         Ok(())

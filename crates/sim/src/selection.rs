@@ -1,4 +1,4 @@
-//! Propensity selection: which transition fires, given the roulette target.
+//! Transition selection: which transition fires, given the roulette target.
 //!
 //! After the waiting time of an SSA event is drawn, the simulator must pick
 //! the firing transition with probability proportional to its propensity.
@@ -6,104 +6,70 @@
 //! uniform target — `O(K)` per event, which dominates the per-event cost of
 //! generated models with hundreds of rules once propensity *maintenance* is
 //! already `O(affected)` (see the dependency graph in
-//! [`gillespie`](crate::gillespie)). This module provides the scan as the
-//! reference implementation plus two sub-linear selectors:
+//! [`gillespie`](crate::gillespie)). The transition count `K` fixes which
+//! of two selectors a run uses ([`SelectorKind::for_transitions`]):
 //!
-//! * [`SumTree`] — a binary partial-sum tree over the rate array:
-//!   `O(log K)` per update and per sample (Gibson & Bruck's indexed
-//!   next-reaction bookkeeping, specialised to the direct method);
-//! * [`CompositionRejection`] — power-of-two magnitude groups with
-//!   rejection sampling inside the chosen group, `O(1)` expected per
-//!   sample and per update (Slepoy, Thompson & Plimpton, *A constant-time
-//!   kinetic Monte Carlo algorithm*, J. Chem. Phys. 128, 2008).
-//!
-//! [`SelectionStrategy`] is the user-facing knob on
-//! [`SimulationOptions`](crate::gillespie::SimulationOptions); the default
-//! [`SelectionStrategy::Auto`] picks by transition count.
+//! * [`linear_select`] — the index-order scan, for `K ≤ 64`, where its
+//!   cache-friendly pass beats tree pointer chasing;
+//! * [`SumTree`] — a binary partial-sum tree over the rate array, for
+//!   larger `K`: `O(log K)` per update and per sample (Gibson & Bruck's
+//!   indexed next-reaction bookkeeping, specialised to the direct method).
 //!
 //! # Exactness and ulp policy
 //!
-//! All three selectors draw from the same discrete distribution
-//! `P(k) ∝ rate_k` up to floating-point rounding of partial sums; they
-//! differ only in *which* rounding they commit to:
+//! Both selectors draw from the same discrete distribution `P(k) ∝ rate_k`
+//! up to floating-point rounding of partial sums, and both consume exactly
+//! one uniform draw per event; they differ only in *which* rounding they
+//! commit to:
 //!
-//! * [`linear_select`] subtracts rates in index order — the bit-exact
-//!   reference. Combined with the `FullRescan`/`DependencyGraph` propensity
-//!   strategies it defines the repository's reproducibility contract.
+//! * [`linear_select`] subtracts rates in index order.
 //! * [`SumTree`] compares the target against subtree sums instead of index-
 //!   order prefixes. Whenever every involved partial sum is exactly
 //!   representable (e.g. integer or dyadic rates) the selected index equals
 //!   the linear scan's; otherwise the two may disagree on targets falling
-//!   inside an ulp-wide window around a prefix-sum boundary. It consumes
-//!   the *same single* uniform draw as the scan, so runs stay comparable
-//!   event by event.
-//! * [`CompositionRejection`] consumes a variable number of uniform draws
-//!   (group pick + rejection loop), so its event sequence diverges from the
-//!   scan's immediately. It is statistically exact: the rejection step
-//!   accepts with the exact stored rate, and only the group pick sees
-//!   (ulp-level, periodically refreshed) drift of the incremental group
-//!   sums.
+//!   inside an ulp-wide window around a prefix-sum boundary.
 //!
-//! Both sub-linear selectors share the scan's boundary guarantee: a
-//! transition with rate exactly `0.0` is never selected (the tree never
-//! descends into an all-zero subtree; the groups only hold positive rates).
+//! Both share one boundary guarantee: a transition with rate exactly `0.0`
+//! is never selected (the scan falls back to the last positive rate, the
+//! tree never descends into an all-zero subtree).
 
 use rand::Rng;
 use rand::RngCore;
 
-/// How the simulator picks the firing transition among `K` candidates.
+/// Largest transition count for which a run keeps the linear scan. Exact
+/// runs on one core of a 2-vCPU x86-64 host: the scan leads at `K = 48`
+/// (161 vs 179 ns/event) and still at `K = 120` (389 vs 433); the tree
+/// leads from `K = 200` (326 vs 434).
+const LINEAR_MAX: usize = 64;
+
+/// Which selector a run uses: fixed by the transition count for the exact
+/// engine, always [`SelectorKind::Linear`] for τ-leap fallback bursts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionStrategy {
-    /// Pick by transition count: [`SelectionStrategy::LinearScan`] for small
-    /// `K`, [`SelectionStrategy::SumTree`] for mid-sized models and
-    /// [`SelectionStrategy::CompositionRejection`] for very large ones (see
-    /// [`SelectionStrategy::resolve`] for the thresholds).
-    Auto,
-    /// The `O(K)` index-order roulette scan — the bit-exact reference.
-    LinearScan,
-    /// Binary partial-sum tree: `O(log K)` update and sample.
-    SumTree,
-    /// Composition-rejection grouping: `O(1)` expected update and sample.
-    CompositionRejection,
+pub enum SelectorKind {
+    /// The `O(K)` index-order roulette scan ([`linear_select`]).
+    Linear,
+    /// The `O(log K)` partial-sum tree ([`SumTree`]).
+    Tree,
 }
 
-impl SelectionStrategy {
-    /// Largest transition count for which [`SelectionStrategy::Auto`] keeps
-    /// the linear scan: the scan's cache-friendly pass beats tree pointer
-    /// chasing on small models (measured break-even on this container is
-    /// around `K ≈ 48`; see `BENCH_rate_engine.json`'s `ssa_selection`
-    /// group).
-    pub const AUTO_LINEAR_MAX: usize = 64;
-    /// Largest transition count for which [`SelectionStrategy::Auto`] picks
-    /// the sum tree; larger models use composition-rejection.
-    pub const AUTO_TREE_MAX: usize = 1024;
-
-    /// Resolves `Auto` against a transition count; concrete strategies
-    /// return themselves.
+impl SelectorKind {
+    /// The selector of a model with `n_transitions` transitions: the scan
+    /// up to 64 transitions, the tree above.
     #[must_use]
-    pub fn resolve(self, n_transitions: usize) -> SelectionStrategy {
-        match self {
-            SelectionStrategy::Auto => {
-                if n_transitions <= Self::AUTO_LINEAR_MAX {
-                    SelectionStrategy::LinearScan
-                } else if n_transitions <= Self::AUTO_TREE_MAX {
-                    SelectionStrategy::SumTree
-                } else {
-                    SelectionStrategy::CompositionRejection
-                }
-            }
-            concrete => concrete,
+    pub fn for_transitions(n_transitions: usize) -> SelectorKind {
+        if n_transitions <= LINEAR_MAX {
+            SelectorKind::Linear
+        } else {
+            SelectorKind::Tree
         }
     }
 }
 
-impl std::fmt::Display for SelectionStrategy {
+impl std::fmt::Display for SelectorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            SelectionStrategy::Auto => "auto",
-            SelectionStrategy::LinearScan => "linear",
-            SelectionStrategy::SumTree => "tree",
-            SelectionStrategy::CompositionRejection => "composition-rejection",
+            SelectorKind::Linear => "linear",
+            SelectorKind::Tree => "tree",
         })
     }
 }
@@ -111,12 +77,12 @@ impl std::fmt::Display for SelectionStrategy {
 /// Index-order roulette selection: returns the first `k` with
 /// `target < Σ_{i≤k} rate_i` under sequential subtraction.
 ///
-/// When `target` overshoots the reachable prefix sums (possible when the
-/// caller's propensity total drifted above the true rate sum, e.g. under
-/// `IncrementalTotal` bookkeeping), the scan falls back to the **last
-/// positive-rate** transition instead of blindly firing the final array
-/// entry — firing a rate-`0.0` (impossible) transition was the historical
-/// fallthrough bug. Returns `None` only when every rate is zero.
+/// When `target` overshoots the reachable prefix sums (the rounding of the
+/// sequential subtraction can leave it at or above the last rates), the
+/// scan falls back to the **last positive-rate** transition instead of
+/// blindly firing the final array entry — firing a rate-`0.0` (impossible)
+/// transition was the historical fallthrough bug. Returns `None` only when
+/// every rate is zero.
 pub fn linear_select(rates: &[f64], mut target: f64) -> Option<usize> {
     let mut fallback = None;
     for (k, &r) in rates.iter().enumerate() {
@@ -234,315 +200,51 @@ impl SumTree {
     }
 }
 
-/// Number of group-sum mutations after which a group's incremental sum is
-/// recomputed exactly (bounds floating-point drift the same way the
-/// simulator's `IncrementalTotal` refresh does).
-const GROUP_REFRESH_INTERVAL: u32 = 64;
-
-/// Upper bound on rejection attempts before the sampler falls back to an
-/// exact in-group linear scan (acceptance is ≥ 1/2 per attempt, so 64
-/// failures signal a drifted group sum rather than bad luck).
-const MAX_REJECTIONS: u32 = 64;
-
-/// One magnitude group of the composition-rejection sampler: the
-/// transitions whose rate lies in `[2^(e-1), 2^e)` for the group's
-/// exponent bucket.
-#[derive(Debug, Clone, Default)]
-struct Group {
-    /// Incrementally maintained sum of the member rates.
-    sum: f64,
-    /// Member transition indices, unordered (swap-remove on departure).
-    members: Vec<u32>,
-    /// Mutations since `sum` was last recomputed exactly.
-    dirty: u32,
-}
-
-/// Composition-rejection transition selector.
-///
-/// Positive rates are bucketed by binary exponent, so all members of a
-/// group lie within a factor of two of each other. Sampling composes the
-/// group choice (roulette over the few occupied group sums) with rejection
-/// inside the group (uniform member, accepted with probability
-/// `rate / 2^e ≥ 1/2`), giving `O(1)` expected work independent of `K`.
-/// Rate updates move a transition between buckets in `O(1)` amortised.
+/// The selector state a simulation run threads between events: the scan
+/// is stateless, the tree is kept in lockstep with the rate array.
 #[derive(Debug, Clone)]
-pub struct CompositionRejection {
-    /// Current rate of every transition (the sampler's own copy).
-    rates: Vec<f64>,
-    /// Occupied exponent buckets, keyed by the biased IEEE-754 exponent.
-    groups: std::collections::BTreeMap<u16, Group>,
-    /// Per-transition membership: `(exponent bucket, position in members)`,
-    /// `None` while the rate is zero.
-    slot: Vec<Option<(u16, u32)>>,
-}
-
-/// The biased IEEE-754 exponent of a positive rate: all subnormals share
-/// bucket `0`, normals `1..=2046`.
-fn exponent_bucket(rate: f64) -> u16 {
-    ((rate.to_bits() >> 52) & 0x7ff) as u16
-}
-
-/// Exclusive upper bound `2^e` of the rates in `bucket` (every member is
-/// `< bound` and `≥ bound / 2` for normal buckets), saturated to
-/// `f64::MAX` for the top bucket so the acceptance ratio stays finite.
-fn bucket_bound(bucket: u16) -> f64 {
-    if bucket >= 2046 {
-        f64::MAX
-    } else {
-        f64::from_bits(u64::from(bucket + 1) << 52)
-    }
-}
-
-impl CompositionRejection {
-    /// Creates a selector over `len` all-zero rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn new(len: usize) -> Self {
-        assert!(len > 0, "composition-rejection needs at least one rate");
-        CompositionRejection {
-            rates: vec![0.0; len],
-            groups: std::collections::BTreeMap::new(),
-            slot: vec![None; len],
-        }
-    }
-
-    /// Number of rates the selector indexes.
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// `true` when the selector has no rates (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
-    }
-
-    /// Sum of the (incrementally maintained) group sums.
-    pub fn total(&self) -> f64 {
-        self.groups.values().map(|g| g.sum).sum()
-    }
-
-    /// Reloads every rate, rebuilding the groups from scratch in `O(K)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len()` differs from the selector length.
-    pub fn rebuild(&mut self, rates: &[f64]) {
-        assert_eq!(rates.len(), self.rates.len(), "rate array length changed");
-        self.groups.clear();
-        self.slot.fill(None);
-        for (k, &r) in rates.iter().enumerate() {
-            self.rates[k] = r;
-            if r > 0.0 {
-                let bucket = exponent_bucket(r);
-                let group = self.groups.entry(bucket).or_default();
-                self.slot[k] = Some((bucket, group.members.len() as u32));
-                group.members.push(k as u32);
-                group.sum += r;
-            }
-        }
-        for group in self.groups.values_mut() {
-            group.dirty = 0;
-        }
-    }
-
-    /// Updates the rate of transition `k`, migrating it between groups if
-    /// its magnitude bucket changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn update(&mut self, k: usize, rate: f64) {
-        let old = self.rates[k];
-        if old == rate {
-            return;
-        }
-        self.rates[k] = rate;
-        let new_bucket = (rate > 0.0).then(|| exponent_bucket(rate));
-        match self.slot[k] {
-            Some((bucket, _)) if new_bucket == Some(bucket) => {
-                let group = self.groups.get_mut(&bucket).expect("group exists");
-                group.sum += rate - old;
-                group.dirty += 1;
-                self.refresh_if_stale(bucket);
-            }
-            Some((bucket, pos)) => {
-                self.remove_member(bucket, pos, old);
-                self.insert_member(k, new_bucket, rate);
-            }
-            None => self.insert_member(k, new_bucket, rate),
-        }
-    }
-
-    /// Swap-removes a member (whose pre-update rate was `old_rate`),
-    /// repairing the slot of the swapped-in member and dropping the group
-    /// when it empties.
-    fn remove_member(&mut self, bucket: u16, pos: u32, old_rate: f64) {
-        let now_empty = {
-            let group = self.groups.get_mut(&bucket).expect("group exists");
-            group.members.swap_remove(pos as usize);
-            group.sum -= old_rate;
-            group.dirty += 1;
-            if let Some(&moved) = group.members.get(pos as usize) {
-                self.slot[moved as usize] = Some((bucket, pos));
-            }
-            group.members.is_empty()
-        };
-        if now_empty {
-            self.groups.remove(&bucket);
-        } else {
-            self.refresh_if_stale(bucket);
-        }
-    }
-
-    /// Appends `k` to its new bucket (or clears its slot for rate zero).
-    fn insert_member(&mut self, k: usize, bucket: Option<u16>, rate: f64) {
-        match bucket {
-            Some(b) => {
-                let group = self.groups.entry(b).or_default();
-                self.slot[k] = Some((b, group.members.len() as u32));
-                group.members.push(k as u32);
-                group.sum += rate;
-                group.dirty += 1;
-                self.refresh_if_stale(b);
-            }
-            None => self.slot[k] = None,
-        }
-    }
-
-    fn refresh_if_stale(&mut self, bucket: u16) {
-        if self
-            .groups
-            .get(&bucket)
-            .is_some_and(|g| g.dirty >= GROUP_REFRESH_INTERVAL)
-        {
-            self.refresh(bucket);
-        }
-    }
-
-    /// Recomputes a group sum exactly from its members (membership is
-    /// untouched — every member holds a positive rate by construction).
-    fn refresh(&mut self, bucket: u16) {
-        let rates = &self.rates;
-        let group = self.groups.get_mut(&bucket).expect("group exists");
-        group.sum = group.members.iter().map(|&m| rates[m as usize]).sum();
-        group.dirty = 0;
-    }
-
-    /// Samples a transition with probability proportional to its rate,
-    /// consuming as many uniform draws as the rejection loop needs.
-    /// Returns `None` when every rate is zero.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        let mut rejections = 0u64;
-        self.sample_counting(rng, &mut rejections)
-    }
-
-    /// Like [`CompositionRejection::sample`], additionally adding the
-    /// number of rejected candidate draws to `rejections` (the per-run
-    /// rejection-rate counter of the observability layer). The RNG stream
-    /// consumption is identical to `sample`'s.
-    pub fn sample_counting<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        rejections: &mut u64,
-    ) -> Option<usize> {
-        let total = self.total();
-        if total <= 0.0 {
-            return None;
-        }
-        // compose: roulette over the occupied groups (descending magnitude,
-        // so the scan usually stops in the first group)
-        let mut target = rng.gen::<f64>() * total;
-        let mut chosen = None;
-        for (&bucket, group) in self.groups.iter().rev() {
-            if group.sum <= 0.0 {
-                continue;
-            }
-            chosen = Some((bucket, group));
-            if target < group.sum {
-                break;
-            }
-            target -= group.sum;
-        }
-        let (bucket, group) = chosen?;
-        // reject: uniform member, accepted proportionally to its rate
-        let bound = bucket_bound(bucket);
-        let len = group.members.len();
-        for _ in 0..MAX_REJECTIONS {
-            let pick = ((rng.gen::<f64>() * len as f64) as usize).min(len - 1);
-            let candidate = group.members[pick] as usize;
-            if rng.gen::<f64>() * bound < self.rates[candidate] {
-                return Some(candidate);
-            }
-            *rejections += 1;
-        }
-        // pathological drift: exact in-group roulette as a deterministic
-        // fallback (members are all positive-rate, so this cannot miss)
-        let in_group: f64 = group.members.iter().map(|&m| self.rates[m as usize]).sum();
-        let scan_target = rng.gen::<f64>() * in_group;
-        let mut acc = 0.0;
-        for &m in &group.members {
-            acc += self.rates[m as usize];
-            if scan_target < acc {
-                return Some(m as usize);
-            }
-        }
-        group.members.last().map(|&m| m as usize)
-    }
-}
-
-/// The selector state a simulation run threads between events: the
-/// resolved [`SelectionStrategy`] plus whatever acceleration structure it
-/// needs.
-#[derive(Debug, Clone)]
-pub enum Selector {
+pub(crate) enum Selector {
     /// Stateless index-order scan.
     Linear,
     /// Partial-sum tree kept in lockstep with the rate array.
     Tree(SumTree),
-    /// Composition-rejection groups kept in lockstep with the rate array.
-    Cr(CompositionRejection),
 }
 
 impl Selector {
-    /// Builds the selector for a resolved strategy over `len` transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strategy` is still [`SelectionStrategy::Auto`] (call
-    /// [`SelectionStrategy::resolve`] first) or `len == 0`.
-    pub fn new(strategy: SelectionStrategy, len: usize) -> Self {
-        match strategy {
-            SelectionStrategy::Auto => unreachable!("resolve() the strategy first"),
-            SelectionStrategy::LinearScan => Selector::Linear,
-            SelectionStrategy::SumTree => Selector::Tree(SumTree::new(len)),
-            SelectionStrategy::CompositionRejection => Selector::Cr(CompositionRejection::new(len)),
+    /// Builds the selector of a model with `len` transitions
+    /// ([`SelectorKind::for_transitions`]).
+    pub fn new(len: usize) -> Self {
+        match SelectorKind::for_transitions(len) {
+            SelectorKind::Linear => Selector::Linear,
+            SelectorKind::Tree => Selector::Tree(SumTree::new(len)),
+        }
+    }
+
+    /// Which selector this is.
+    pub fn kind(&self) -> SelectorKind {
+        match self {
+            Selector::Linear => SelectorKind::Linear,
+            Selector::Tree(_) => SelectorKind::Tree,
         }
     }
 
     /// Reloads the full rate array (after a propensity rescan).
     pub fn rebuild(&mut self, rates: &[f64]) {
-        match self {
-            Selector::Linear => {}
-            Selector::Tree(tree) => tree.rebuild(rates),
-            Selector::Cr(cr) => cr.rebuild(rates),
+        if let Selector::Tree(tree) = self {
+            tree.rebuild(rates);
         }
     }
 
     /// Records a single-rate change (after a dependency-graph update).
     #[inline]
     pub fn update(&mut self, k: usize, rate: f64) {
-        match self {
-            Selector::Linear => {}
-            Selector::Tree(tree) => tree.update(k, rate),
-            Selector::Cr(cr) => cr.update(k, rate),
+        if let Selector::Tree(tree) = self {
+            tree.update(k, rate);
         }
     }
 
-    /// Chooses the firing transition. `total` is the caller's propensity
-    /// total (used by the linear and tree paths; composition-rejection
-    /// uses its own group sums). Returns `None` when no positive-rate
+    /// Chooses the firing transition with one uniform draw scaled by the
+    /// caller's propensity `total`. Returns `None` when no positive-rate
     /// transition exists — the caller treats that as an absorbing state.
     #[inline]
     pub fn choose<R: RngCore + ?Sized>(
@@ -551,25 +253,10 @@ impl Selector {
         total: f64,
         rng: &mut R,
     ) -> Option<usize> {
-        let mut rejections = 0u64;
-        self.choose_counting(rates, total, rng, &mut rejections)
-    }
-
-    /// Like [`Selector::choose`], additionally adding the number of
-    /// rejected composition-rejection draws to `rejections` (the linear
-    /// and tree paths never reject). Identical RNG stream consumption.
-    #[inline]
-    pub fn choose_counting<R: RngCore + ?Sized>(
-        &self,
-        rates: &[f64],
-        total: f64,
-        rng: &mut R,
-        rejections: &mut u64,
-    ) -> Option<usize> {
+        let target = rng.gen::<f64>() * total;
         match self {
-            Selector::Linear => linear_select(rates, rng.gen::<f64>() * total),
-            Selector::Tree(tree) => tree.sample(rng.gen::<f64>() * total),
-            Selector::Cr(cr) => cr.sample_counting(rng, rejections),
+            Selector::Linear => linear_select(rates, target),
+            Selector::Tree(tree) => tree.sample(target),
         }
     }
 }
@@ -581,15 +268,15 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn auto_resolves_by_transition_count() {
-        use SelectionStrategy::*;
-        assert_eq!(Auto.resolve(5), LinearScan);
-        assert_eq!(Auto.resolve(64), LinearScan);
-        assert_eq!(Auto.resolve(65), SumTree);
-        assert_eq!(Auto.resolve(1024), SumTree);
-        assert_eq!(Auto.resolve(4096), CompositionRejection);
-        assert_eq!(LinearScan.resolve(4096), LinearScan);
-        assert_eq!(CompositionRejection.resolve(2), CompositionRejection);
+    fn selector_kind_follows_the_transition_count() {
+        assert_eq!(SelectorKind::for_transitions(1), SelectorKind::Linear);
+        assert_eq!(SelectorKind::for_transitions(64), SelectorKind::Linear);
+        assert_eq!(SelectorKind::for_transitions(65), SelectorKind::Tree);
+        assert_eq!(SelectorKind::for_transitions(4096), SelectorKind::Tree);
+        assert_eq!(Selector::new(64).kind(), SelectorKind::Linear);
+        assert_eq!(Selector::new(65).kind(), SelectorKind::Tree);
+        assert_eq!(SelectorKind::Linear.to_string(), "linear");
+        assert_eq!(SelectorKind::Tree.to_string(), "tree");
     }
 
     /// Regression for the zero-rate fallthrough: a target beyond the rate
@@ -675,136 +362,25 @@ mod tests {
     }
 
     #[test]
-    fn composition_rejection_matches_rate_proportions() {
-        // rates spanning five binary orders of magnitude: empirical
-        // frequencies must track rate proportions
-        let rates = [8.0, 0.5, 0.0, 2.0, 0.25, 4.0];
-        let mut cr = CompositionRejection::new(rates.len());
-        cr.rebuild(&rates);
-        let total: f64 = rates.iter().sum();
-        assert!((cr.total() - total).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(11);
-        let samples = 200_000;
-        let mut counts = [0usize; 6];
-        for _ in 0..samples {
-            counts[cr.sample(&mut rng).unwrap()] += 1;
-        }
-        assert_eq!(counts[2], 0, "zero-rate transition selected");
-        for (k, &c) in counts.iter().enumerate() {
-            let expected = rates[k] / total;
-            let observed = c as f64 / samples as f64;
-            assert!(
-                (observed - expected).abs() < 0.01,
-                "index {k}: observed {observed}, expected {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn composition_rejection_updates_move_rates_between_groups() {
-        let mut cr = CompositionRejection::new(4);
-        cr.rebuild(&[1.0, 1.0, 1.0, 1.0]);
-        // push one rate across several magnitude buckets and back to zero
-        for value in [1.0e3, 1.0e-3, 0.75, 0.0, 2.5] {
-            cr.update(2, value);
-            let expected = 3.0 + value;
-            assert!(
-                (cr.total() - expected).abs() < 1e-9 * expected.max(1.0),
-                "total {} after update to {value}",
-                cr.total()
-            );
-        }
-        // sampling still only returns positive-rate indices after churn
-        cr.update(0, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..2000 {
-            let k = cr.sample(&mut rng).unwrap();
-            assert!(k != 0, "zero-rate index sampled after update churn");
-        }
-        // all-zero rates: no selection
-        cr.rebuild(&[0.0; 4]);
-        assert_eq!(cr.sample(&mut rng), None);
-        assert_eq!(cr.total(), 0.0);
-    }
-
-    #[test]
-    fn composition_rejection_update_parity_with_rebuild() {
-        // randomised churn: incremental updates must stay consistent with a
-        // from-scratch rebuild (same totals up to refresh-bounded drift,
-        // same support)
-        let mut rng = StdRng::seed_from_u64(21);
-        let len = 50;
-        let mut rates = vec![0.0f64; len];
-        let mut cr = CompositionRejection::new(len);
-        cr.rebuild(&rates);
-        for _ in 0..2000 {
-            let k = (rng.gen::<u32>() as usize) % len;
-            let magnitude = [0.0, 1e-6, 0.01, 1.0, 64.0][(rng.gen::<u32>() as usize) % 5];
-            rates[k] = magnitude * (0.5 + rng.gen::<f64>());
-            cr.update(k, rates[k]);
-        }
-        let mut reference = CompositionRejection::new(len);
-        reference.rebuild(&rates);
-        let exact: f64 = rates.iter().sum();
-        assert!(
-            (cr.total() - exact).abs() <= 1e-9 * exact.max(1.0),
-            "incremental total {} vs exact {exact}",
-            cr.total()
-        );
-        assert!((reference.total() - exact).abs() <= 1e-12 * exact.max(1.0));
-    }
-
-    #[test]
-    fn rejection_counting_matches_the_plain_sample_stream() {
-        // `sample_counting` must consume the RNG identically to `sample`
-        // (the observability layer may not perturb runs) and must report
-        // rejections on rate spreads wide enough to miss sometimes.
-        let rates = [8.0, 0.5, 0.0, 2.0, 0.25, 4.0];
-        let mut cr = CompositionRejection::new(rates.len());
-        cr.rebuild(&rates);
-        let mut plain_rng = StdRng::seed_from_u64(17);
-        let mut counting_rng = StdRng::seed_from_u64(17);
-        let mut rejections = 0u64;
-        for _ in 0..5_000 {
-            assert_eq!(
-                cr.sample(&mut plain_rng),
-                cr.sample_counting(&mut counting_rng, &mut rejections)
-            );
-        }
-        assert!(rejections > 0, "wide rate spread never rejected");
-    }
-
-    #[test]
-    fn exponent_buckets_bound_their_members() {
-        for rate in [1e-300, 1e-9, 0.49, 0.5, 1.0, 1.5, 2.0, 1e9, 1e300] {
-            let bucket = exponent_bucket(rate);
-            let bound = bucket_bound(bucket);
-            assert!(
-                rate < bound || bound == f64::MAX,
-                "rate {rate} bound {bound}"
-            );
-            if bucket > 0 && bucket < 2046 {
-                assert!(rate >= bound / 2.0, "rate {rate} below half-bound");
-            }
-        }
-    }
-
-    #[test]
-    fn selector_facade_dispatches_all_strategies() {
-        let rates = [0.5, 0.0, 1.5, 1.0];
+    fn selector_facade_dispatches_both_kinds() {
         let mut rng = StdRng::seed_from_u64(5);
-        for strategy in [
-            SelectionStrategy::LinearScan,
-            SelectionStrategy::SumTree,
-            SelectionStrategy::CompositionRejection,
-        ] {
-            let mut selector = Selector::new(strategy, rates.len());
-            selector.rebuild(&[0.5, 0.0, 0.5, 1.0]);
+        for len in [4usize, 100] {
+            let mut rates = vec![0.0; len];
+            rates[0] = 0.5;
+            rates[2] = 0.5;
+            rates[len - 1] = 1.0;
+            let mut selector = Selector::new(len);
+            selector.rebuild(&rates);
+            rates[2] = 1.5;
             selector.update(2, 1.5);
             let total: f64 = rates.iter().sum();
             for _ in 0..200 {
                 let k = selector.choose(&rates, total, &mut rng).unwrap();
-                assert!(k != 1, "{strategy}: zero-rate transition selected");
+                assert!(
+                    rates[k] > 0.0,
+                    "{}: zero-rate transition selected",
+                    selector.kind()
+                );
             }
         }
     }

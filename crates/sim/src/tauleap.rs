@@ -381,9 +381,6 @@ mod tests {
 
     #[test]
     fn run_counters_track_leap_internals() {
-        use crate::gillespie::PropensityStrategy;
-        use crate::selection::SelectionStrategy;
-
         // Well-conditioned SIR at large scale: every step is a clean leap.
         let simulator = Simulator::new(sir_model(), 100_000).unwrap();
         let mut policy = ConstantPolicy::new(vec![5.0]);
@@ -404,8 +401,7 @@ mod tests {
         );
         assert_eq!(c.tau_halvings, 0, "well-conditioned SIR halved tau");
         assert_eq!(c.propensity_skips, 0);
-        assert_eq!(run.resolved_selection(), SelectionStrategy::LinearScan);
-        assert_eq!(run.resolved_propensity(), PropensityStrategy::FullRescan);
+        assert_eq!(run.selector(), crate::selection::SelectorKind::Linear);
 
         // Boundary-parked pure death: the exact fallback must engage.
         let death = Simulator::new(death_model(), 50).unwrap();

@@ -1,8 +1,10 @@
 //! Observability must be free: attaching the metrics/trace bundle to a
 //! simulation cannot change a single bit of its output. These tests sweep
-//! the scenario registry across both engines and every selection strategy,
-//! comparing runs with observability off and on, and then sanity-check the
-//! counters the bundle reports against ground truth from the runs.
+//! the scenario registry across both engines (the exact sweep runs both
+//! selectors: `grid_6x6`'s 120 rules take the sum tree, every other
+//! scenario the linear scan), comparing runs with observability off and on,
+//! and then sanity-check the counters the bundle reports against ground
+//! truth from the runs.
 
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
 use mean_field_uncertain::lang::CompiledModel;
@@ -11,7 +13,7 @@ use mean_field_uncertain::sim::gillespie::{
     SimulationAlgorithm, SimulationOptions, SimulationRun, Simulator,
 };
 use mean_field_uncertain::sim::policy::ConstantPolicy;
-use mean_field_uncertain::sim::selection::SelectionStrategy;
+use mean_field_uncertain::sim::selection::SelectorKind;
 use mean_field_uncertain::sim::tauleap::TauLeapOptions;
 
 /// Runs one simulation of `model`, optionally with a full observability
@@ -45,8 +47,12 @@ fn enabled_obs() -> Obs {
 
 /// The observed run must equal the unobserved run exactly: same trajectory
 /// (times and states compared bit-for-bit through `PartialEq` on `f64`),
-/// same event count, same engine counters.
-fn assert_bit_identical(model: &CompiledModel, scale: usize, options: &SimulationOptions) {
+/// same event count, same engine counters. Returns the selector both ran.
+fn assert_bit_identical(
+    model: &CompiledModel,
+    scale: usize,
+    options: &SimulationOptions,
+) -> SelectorKind {
     let baseline = run(model, scale, options, 42, None);
     let observed = run(model, scale, options, 42, Some(&enabled_obs()));
     assert_eq!(
@@ -57,7 +63,8 @@ fn assert_bit_identical(model: &CompiledModel, scale: usize, options: &Simulatio
     );
     assert_eq!(baseline.events(), observed.events());
     assert_eq!(baseline.counters(), observed.counters());
-    assert_eq!(baseline.resolved_selection(), observed.resolved_selection());
+    assert_eq!(baseline.selector(), observed.selector());
+    baseline.selector()
 }
 
 #[test]
@@ -67,7 +74,17 @@ fn every_scenario_is_bit_identical_with_observability_on_exact() {
         let model = scenario.compile().unwrap();
         let horizon = scenario.horizon().min(1.0);
         let options = SimulationOptions::new(horizon);
-        assert_bit_identical(&model, 200, &options);
+        let expected = if scenario.name() == "grid_6x6" {
+            SelectorKind::Tree
+        } else {
+            SelectorKind::Linear
+        };
+        assert_eq!(
+            assert_bit_identical(&model, 200, &options),
+            expected,
+            "`{}`",
+            scenario.name()
+        );
     }
 }
 
@@ -80,21 +97,6 @@ fn every_scenario_is_bit_identical_with_observability_on_tau_leap() {
         let options = SimulationOptions::new(horizon)
             .algorithm(SimulationAlgorithm::TauLeap(TauLeapOptions::default()));
         assert_bit_identical(&model, 1000, &options);
-    }
-}
-
-#[test]
-fn every_selection_strategy_is_bit_identical_with_observability_on() {
-    let registry = ScenarioRegistry::with_builtins();
-    let model = registry.compile("sir").unwrap();
-    for selection in [
-        SelectionStrategy::Auto,
-        SelectionStrategy::LinearScan,
-        SelectionStrategy::SumTree,
-        SelectionStrategy::CompositionRejection,
-    ] {
-        let options = SimulationOptions::new(2.0).selection_strategy(selection);
-        assert_bit_identical(&model, 300, &options);
     }
 }
 

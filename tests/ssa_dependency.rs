@@ -1,87 +1,70 @@
 //! Acceptance: the dependency-graph Gillespie hot path is bit-identical to
-//! the full-rescan reference for every registered DSL scenario.
+//! re-evaluating every rate after every event, for every registered DSL
+//! scenario.
 //!
 //! Each scenario compiles to a population model whose rates are flat
 //! bytecode programs with known species supports, so the simulator's
-//! dependency graph is genuinely sparse. For the same RNG seed, the
-//! `DependencyGraph` strategy must reproduce the `FullRescan` trajectory —
-//! every event time and every recorded state, bit for bit — because it
-//! evaluates identical programs on identical states and re-sums the
-//! propensity total in the reference's addition order. The
-//! `IncrementalTotal` strategy maintains a running propensity total that is
-//! allowed to drift from the reference by ulps between refreshes, so it is
-//! held to a slightly weaker standard: the *event sequence* (every state,
-//! every final count) must match exactly, while event times may differ by a
-//! relative `1e-12`. The comparison is fully deterministic, so this cannot
-//! flake.
-//!
-//! The selection subsystem is held to the same contract per strategy:
-//! within a fixed `SelectionStrategy`, `FullRescan` and `DependencyGraph`
-//! propensity maintenance see identical rates and totals, so their runs
-//! must agree bit for bit for *every* selection strategy (tree descent and
-//! composition-rejection groups are pure functions of the rate array and
-//! the RNG stream). Across selection strategies, `FullRescan + LinearScan`
-//! is the bit-exact reference; the tree consumes the same single uniform
-//! per event and only disagrees on ulp-wide target windows (none of the
-//! tested seeds hit one), while composition-rejection consumes a different
-//! draw sequence and is checked for determinism and model invariants.
+//! dependency graph is genuinely sparse. Its *dense twin* wraps the same
+//! compiled rates in native closures that declare no support: every rate
+//! then depends on every species, and each event re-evaluates all of them.
+//! For the same RNG seed the two must produce the same run — every event
+//! time and every recorded state, bit for bit — because they evaluate
+//! identical programs on identical states and re-sum the propensity total
+//! in index order. The twins share their selector (the transition count
+//! fixes it), so the comparison covers the linear scan and the sum tree
+//! (`grid_6x6` and the generated 200- and 1100-rule rings) alike. The
+//! comparison is fully deterministic, so this cannot flake.
 
+use mean_field_uncertain::ctmc::population::PopulationModel;
+use mean_field_uncertain::ctmc::transition::TransitionClass;
 use mean_field_uncertain::lang::scenarios::ring_source;
 use mean_field_uncertain::lang::ScenarioRegistry;
-use mean_field_uncertain::sim::gillespie::{
-    PropensityStrategy, SimulationOptions, SimulationRun, Simulator,
-};
+use mean_field_uncertain::num::StateVec;
+use mean_field_uncertain::sim::gillespie::{SimulationOptions, SimulationRun, Simulator};
 use mean_field_uncertain::sim::policy::ConstantPolicy;
-use mean_field_uncertain::sim::selection::SelectionStrategy;
+use mean_field_uncertain::sim::selection::SelectorKind;
 
 const SCALE: usize = 300;
 const SEEDS: [u64; 3] = [1, 17, 2026];
+
+/// `model` with every rate wrapped in a native closure that declares no
+/// species support, so its dependency graph is dense.
+fn dense_twin(model: &PopulationModel) -> PopulationModel {
+    let mut builder = PopulationModel::builder(model.dim(), model.params().clone());
+    for class in model.transitions() {
+        let compiled = class.clone();
+        builder = builder.transition(TransitionClass::new(
+            class.name(),
+            class.change().clone(),
+            move |x: &StateVec, theta: &[f64]| compiled.rate(x, theta),
+        ));
+    }
+    builder.build().expect("dense twin builds")
+}
+
+/// Simulators for `population` and for its dense twin, at `scale`.
+fn twins(population: PopulationModel, scale: usize) -> (Simulator, Simulator) {
+    let dense = Simulator::new(dense_twin(&population), scale).expect("simulator");
+    assert!(!dense.has_sparse_dependencies());
+    (Simulator::new(population, scale).expect("simulator"), dense)
+}
 
 fn run(
     simulator: &Simulator,
     counts: &[i64],
     theta: &[f64],
-    strategy: PropensityStrategy,
-    seed: u64,
-) -> SimulationRun {
-    run_with_selection(
-        simulator,
-        counts,
-        theta,
-        strategy,
-        SelectionStrategy::LinearScan,
-        seed,
-    )
-}
-
-fn run_with_selection(
-    simulator: &Simulator,
-    counts: &[i64],
-    theta: &[f64],
-    strategy: PropensityStrategy,
-    selection: SelectionStrategy,
+    t_end: f64,
     seed: u64,
 ) -> SimulationRun {
     let mut policy = ConstantPolicy::new(theta.to_vec());
-    let options = SimulationOptions::new(4.0)
-        .max_events(400_000)
-        .propensity_strategy(strategy)
-        .selection_strategy(selection);
+    let options = SimulationOptions::new(t_end).max_events(400_000);
     simulator
         .simulate(counts, &mut policy, &options, seed)
         .expect("simulation failed")
 }
 
-/// `time_tolerance` is the admissible relative deviation of event times
-/// (`0.0` demands bit-identity); states and final counts must always match
-/// exactly.
-fn assert_same_run(
-    name: &str,
-    seed: u64,
-    reference: &SimulationRun,
-    other: &SimulationRun,
-    time_tolerance: f64,
-) {
+/// States, final counts and event times must all match bit for bit.
+fn assert_same_run(name: &str, seed: u64, reference: &SimulationRun, other: &SimulationRun) {
     assert_eq!(
         reference.events(),
         other.events(),
@@ -103,18 +86,11 @@ fn assert_same_run(
         .zip(other.trajectory().iter())
         .enumerate()
     {
-        if time_tolerance == 0.0 {
-            assert_eq!(
-                ta.to_bits(),
-                tb.to_bits(),
-                "`{name}` seed {seed}: time diverged at point {index}"
-            );
-        } else {
-            assert!(
-                (ta - tb).abs() <= time_tolerance * ta.abs().max(1.0),
-                "`{name}` seed {seed}: time diverged at point {index}: {ta} vs {tb}"
-            );
-        }
+        assert_eq!(
+            ta.to_bits(),
+            tb.to_bits(),
+            "`{name}` seed {seed}: time diverged at point {index}"
+        );
         for (i, (va, vb)) in sa.iter().zip(sb.iter()).enumerate() {
             assert_eq!(
                 va.to_bits(),
@@ -123,6 +99,7 @@ fn assert_same_run(
             );
         }
     }
+    assert_eq!(reference.selector(), other.selector(), "`{name}`");
 }
 
 #[test]
@@ -162,7 +139,7 @@ fn dependency_graph_ssa_is_bit_identical_across_the_registry() {
             "`{}`: expected compiled rates",
             scenario.name()
         );
-        let simulator = Simulator::new(population, SCALE).expect("simulator");
+        let (simulator, dense) = twins(population, SCALE);
         // …and the dependency graph actually prunes work wherever the
         // stoichiometry allows it (the 2-species SIS is legitimately dense:
         // both rules read and write both species). The guarded GPS rates
@@ -191,34 +168,33 @@ fn dependency_graph_ssa_is_bit_identical_across_the_registry() {
         let counts = model.initial_counts(SCALE);
         let theta = model.params().midpoint();
         for seed in SEEDS {
-            let reference = run(
-                &simulator,
-                &counts,
-                &theta,
-                PropensityStrategy::FullRescan,
-                seed,
-            );
+            let reference = run(&dense, &counts, &theta, 4.0, seed);
             assert!(
                 reference.events() > 0,
                 "`{}` seed {seed}: no events simulated",
                 scenario.name()
             );
-            let graph = run(
-                &simulator,
-                &counts,
-                &theta,
-                PropensityStrategy::DependencyGraph,
-                seed,
-            );
-            assert_same_run(scenario.name(), seed, &reference, &graph, 0.0);
-            let incremental = run(
-                &simulator,
-                &counts,
-                &theta,
-                PropensityStrategy::IncrementalTotal { refresh_every: 256 },
-                seed,
-            );
-            assert_same_run(scenario.name(), seed, &reference, &incremental, 1e-12);
+            let graph = run(&simulator, &counts, &theta, 4.0, seed);
+            assert_same_run(scenario.name(), seed, &reference, &graph);
+        }
+    }
+}
+
+#[test]
+fn dependency_graph_matches_under_vertex_parameters() {
+    // The extreme parameter choices drive some scenarios toward rate
+    // boundaries (dropped jumps, near-absorbing states) — the paths the
+    // dependency bookkeeping must also handle identically.
+    let registry = ScenarioRegistry::with_builtins();
+    for scenario in registry.iter() {
+        let model = scenario.compile().expect("scenario compiles");
+        let population = model.population_model().expect("population backend");
+        let (simulator, dense) = twins(population, SCALE);
+        let counts = model.initial_counts(SCALE);
+        for vertex in model.params().vertices() {
+            let reference = run(&dense, &counts, &vertex, 4.0, 5);
+            let graph = run(&simulator, &counts, &vertex, 4.0, 5);
+            assert_same_run(scenario.name(), 5, &reference, &graph);
         }
     }
 }
@@ -235,234 +211,86 @@ rule degrade: Y -> 0 @ when X > 0 { 0.5 * Y } else { 0 };
 init X = 0.4, Y = 0.6;
 ";
 
-const SELECTIONS: [SelectionStrategy; 3] = [
-    SelectionStrategy::LinearScan,
-    SelectionStrategy::SumTree,
-    SelectionStrategy::CompositionRejection,
-];
-
 #[test]
-fn selection_and_propensity_combinations_agree_on_generated_scenarios() {
-    let registry = ScenarioRegistry::with_builtins();
-    for name in ["ring_48", "grid_6x6"] {
-        let model = registry.compile(name).expect("scenario compiles");
-        let population = model.population_model().expect("population backend");
-        let simulator = Simulator::new(population, SCALE).expect("simulator");
-        let counts = model.initial_counts(SCALE);
-        let theta = model.params().midpoint();
-        for seed in SEEDS {
-            let reference = run_with_selection(
-                &simulator,
-                &counts,
-                &theta,
-                PropensityStrategy::FullRescan,
-                SelectionStrategy::LinearScan,
-                seed,
-            );
-            assert!(reference.events() > 0, "`{name}` seed {seed}: no events");
-            for selection in SELECTIONS {
-                let full = run_with_selection(
-                    &simulator,
-                    &counts,
-                    &theta,
-                    PropensityStrategy::FullRescan,
-                    selection,
-                    seed,
-                );
-                let graph = run_with_selection(
-                    &simulator,
-                    &counts,
-                    &theta,
-                    PropensityStrategy::DependencyGraph,
-                    selection,
-                    seed,
-                );
-                let incremental = run_with_selection(
-                    &simulator,
-                    &counts,
-                    &theta,
-                    PropensityStrategy::IncrementalTotal { refresh_every: 256 },
-                    selection,
-                    seed,
-                );
-                if selection == SelectionStrategy::CompositionRejection {
-                    // CR group membership order is update-history dependent
-                    // (fresh rebuild vs swap-remove churn), so propensity
-                    // strategies legitimately diverge; the contract is
-                    // determinism per configuration plus model invariants
-                    let again = run_with_selection(
-                        &simulator,
-                        &counts,
-                        &theta,
-                        PropensityStrategy::DependencyGraph,
-                        selection,
-                        seed,
-                    );
-                    assert_same_run(name, seed, &graph, &again, 0.0);
-                    assert!(incremental.events() > 0);
-                } else {
-                    // within linear/tree selection, every propensity
-                    // strategy sees the same rates: FullRescan vs
-                    // DependencyGraph must be bit-identical,
-                    // IncrementalTotal ulp-close in time
-                    assert_same_run(name, seed, &full, &graph, 0.0);
-                    assert_same_run(name, seed, &full, &incremental, 1e-12);
-                }
-                // model invariants hold regardless of the draw sequence
-                for run in [&full, &graph, &incremental] {
-                    assert_eq!(
-                        run.final_counts().iter().sum::<i64>(),
-                        SCALE as i64,
-                        "`{name}` {selection}: migration network lost mass"
-                    );
-                    assert!(run.final_counts().iter().all(|&c| c >= 0));
-                }
-                // cross-selection: the tree consumes the same uniform draw
-                // per event as the scan, so these seeds match it exactly
-                if selection == SelectionStrategy::SumTree {
-                    assert_eq!(reference.events(), full.events(), "`{name}` seed {seed}");
-                    assert_eq!(reference.final_counts(), full.final_counts());
-                }
-            }
-        }
+fn guarded_model_at_an_absorbing_boundary_stops_under_every_combination() {
+    // Every combination of dependency graph (the compiled model's sparse
+    // one, its dense twin's) and start (away from, and on, the boundary).
+    let model = mean_field_uncertain::lang::compile(GUARDED_ABSORBING_SOURCE).unwrap();
+    let (sparse, dense) = twins(model.population_model().unwrap(), 100);
+    let theta = model.params().midpoint();
+    // a horizon long enough for the decay chain to exhaust X almost surely
+    let absorb = |simulator: &Simulator, counts: &[i64]| run(simulator, counts, &theta, 200.0, 7);
+    for (graph, simulator) in [("sparse", &sparse), ("dense", &dense)] {
+        // started away from the boundary: the run must absorb with X
+        // exhausted and never fire a guarded-off rule afterwards
+        let run = absorb(simulator, &[40, 60]);
+        assert_eq!(run.final_counts()[0], 0, "{graph}: did not absorb");
+        assert!(run.final_counts()[1] >= 0);
+        assert!(run.events() >= 40, "{graph}: too few events");
+        // started exactly on the boundary: all rates are exactly 0.0,
+        // so nothing may ever fire
+        let parked = absorb(simulator, &[0, 60]);
+        assert_eq!(parked.events(), 0, "{graph}: fired at boundary");
+        assert_eq!(parked.final_counts(), &[0, 60]);
     }
 }
 
-#[test]
-fn guarded_model_at_an_absorbing_boundary_stops_under_every_combination() {
-    let model = mean_field_uncertain::lang::compile(GUARDED_ABSORBING_SOURCE).unwrap();
+/// The generated `k`-site migration ring at 10 molecules per site (enough
+/// for the uniform init to round exactly) over `[0, t_end]`: the sum tree
+/// runs it, bit-identical to the dense twin, and conserves mass.
+fn assert_ring_matches_its_dense_twin(k: usize, t_end: f64) {
+    let scale = 10 * k;
+    let model = mean_field_uncertain::lang::compile(&ring_source(k)).unwrap();
     let population = model.population_model().unwrap();
-    let simulator = Simulator::new(population, 100).unwrap();
+    assert_eq!(population.transitions().len(), k);
+    let (simulator, dense) = twins(population, scale);
+    assert!(simulator.has_sparse_dependencies());
+    let counts = model.initial_counts(scale);
+    assert_eq!(counts.iter().sum::<i64>(), scale as i64);
     let theta = model.params().midpoint();
-    let propensities = [
-        PropensityStrategy::FullRescan,
-        PropensityStrategy::DependencyGraph,
-        PropensityStrategy::IncrementalTotal { refresh_every: 16 },
-    ];
-    // a horizon long enough for the decay chain to exhaust X almost surely
-    let absorb = |counts: &[i64], propensity, selection| {
-        let mut policy = ConstantPolicy::new(theta.clone());
-        let options = SimulationOptions::new(200.0)
-            .propensity_strategy(propensity)
-            .selection_strategy(selection);
-        simulator
-            .simulate(counts, &mut policy, &options, 7)
-            .expect("simulation failed")
-    };
-    for propensity in propensities {
-        for selection in SELECTIONS {
-            // started away from the boundary: the run must absorb with X
-            // exhausted and never fire a guarded-off rule afterwards
-            let run = absorb(&[40, 60], propensity, selection);
-            assert_eq!(
-                run.final_counts()[0],
-                0,
-                "{propensity}/{selection}: did not absorb"
-            );
-            assert!(run.final_counts()[1] >= 0);
-            assert!(
-                run.events() >= 40,
-                "{propensity}/{selection}: too few events"
-            );
-            // started exactly on the boundary: all rates are exactly 0.0,
-            // so nothing may ever fire
-            let parked = absorb(&[0, 60], propensity, selection);
-            assert_eq!(
-                parked.events(),
-                0,
-                "{propensity}/{selection}: fired at boundary"
-            );
-            assert_eq!(parked.final_counts(), &[0, 60]);
-        }
+    let name = format!("ring_{k}");
+    for seed in [1, 2] {
+        let reference = run(&dense, &counts, &theta, t_end, seed);
+        let graph = run(&simulator, &counts, &theta, t_end, seed);
+        assert!(graph.events() > 0);
+        assert_eq!(graph.selector(), SelectorKind::Tree);
+        assert_same_run(&name, seed, &reference, &graph);
+        assert_eq!(
+            graph.final_counts().iter().sum::<i64>(),
+            scale as i64,
+            "`{name}` seed {seed}: migration ring lost mass"
+        );
+        assert!(graph.final_counts().iter().all(|&c| c >= 0));
     }
 }
 
 #[test]
 fn large_k_ring_parity_holds_at_200_rules() {
-    // the acceptance-scale generated scenario: 200 mass-action rules, the
-    // size where sub-linear selection pays off; parity must not degrade
-    // 10 molecules per site: small enough to stay fast, large enough for
-    // the uniform init to round exactly (SCALE = 300 would leave the last
-    // site negative after rounding 199 sites of 1.5 up to 2)
-    let scale = 2000usize;
-    let model = mean_field_uncertain::lang::compile(&ring_source(200)).unwrap();
-    let population = model.population_model().unwrap();
-    assert_eq!(population.transitions().len(), 200);
-    let simulator = Simulator::new(population, scale).unwrap();
-    assert!(simulator.has_sparse_dependencies());
-    let counts = model.initial_counts(scale);
-    assert_eq!(counts.iter().sum::<i64>(), scale as i64);
-    let theta = model.params().midpoint();
-    let seed = 1;
-    let reference = run_with_selection(
-        &simulator,
-        &counts,
-        &theta,
-        PropensityStrategy::FullRescan,
-        SelectionStrategy::LinearScan,
-        seed,
-    );
-    assert!(reference.events() > 0);
-    for selection in SELECTIONS {
-        let full = run_with_selection(
-            &simulator,
-            &counts,
-            &theta,
-            PropensityStrategy::FullRescan,
-            selection,
-            seed,
-        );
-        let graph = run_with_selection(
-            &simulator,
-            &counts,
-            &theta,
-            PropensityStrategy::DependencyGraph,
-            selection,
-            seed,
-        );
-        if selection != SelectionStrategy::CompositionRejection {
-            // CR group-member ordering differs between a per-event rebuild
-            // and incremental churn, so cross-propensity bit-parity only
-            // binds the linear and tree selectors
-            assert_same_run("ring_200", seed, &full, &graph, 0.0);
-        }
-        assert!(full.events() > 0 && graph.events() > 0);
-        assert_eq!(full.final_counts().iter().sum::<i64>(), scale as i64);
-        assert_eq!(graph.final_counts().iter().sum::<i64>(), scale as i64);
-        if selection == SelectionStrategy::SumTree {
-            assert_eq!(reference.events(), full.events());
-            assert_eq!(reference.final_counts(), full.final_counts());
-        }
-    }
+    assert_ring_matches_its_dense_twin(200, 4.0);
 }
 
 #[test]
-fn dependency_graph_matches_under_vertex_parameters() {
-    // The extreme parameter choices drive some scenarios toward rate
-    // boundaries (dropped jumps, near-absorbing states) — the paths the
-    // dependency bookkeeping must also handle identically.
-    let registry = ScenarioRegistry::with_builtins();
-    for scenario in registry.iter() {
-        let model = scenario.compile().expect("scenario compiles");
-        let population = model.population_model().expect("population backend");
-        let simulator = Simulator::new(population, SCALE).expect("simulator");
-        let counts = model.initial_counts(SCALE);
-        for vertex in model.params().vertices() {
-            let reference = run(
-                &simulator,
-                &counts,
-                &vertex,
-                PropensityStrategy::FullRescan,
-                5,
-            );
-            let graph = run(
-                &simulator,
-                &counts,
-                &vertex,
-                PropensityStrategy::DependencyGraph,
-                5,
-            );
-            assert_same_run(scenario.name(), 5, &reference, &graph, 0.0);
-        }
+fn large_k_ring_parity_holds_at_1100_rules() {
+    // a short horizon: the dense twin re-evaluates 1100 rates per event
+    assert_ring_matches_its_dense_twin(1100, 0.5);
+}
+
+#[test]
+fn the_selector_follows_the_transition_count() {
+    // up to 64 rules the linear scan, above it the sum tree — at any size
+    for (k, expected) in [
+        (64, SelectorKind::Linear),
+        (65, SelectorKind::Tree),
+        (1100, SelectorKind::Tree),
+    ] {
+        let scale = 10 * k;
+        let model = mean_field_uncertain::lang::compile(&ring_source(k)).unwrap();
+        let population = model.population_model().unwrap();
+        assert_eq!(population.transitions().len(), k);
+        let simulator = Simulator::new(population, scale).unwrap();
+        let theta = model.params().midpoint();
+        let run = run(&simulator, &model.initial_counts(scale), &theta, 0.01, 1);
+        assert!(run.events() > 0);
+        assert_eq!(run.selector(), expected, "{k} rules");
     }
 }
