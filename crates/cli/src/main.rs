@@ -85,11 +85,13 @@ RUN OPTIONS:
                              simulation summaries, tau-leap adaptations,
                              Pontryagin solves) as JSON Lines to <file>
     --timeout <secs>         wall-clock budget (positive seconds, fractions
-                             allowed) for the Pontryagin sweep and the
-                             simulation; a run that trips it reports the
-                             prefix computed so far, notes the truncation on
-                             stderr and still exits 0
-    --max-events <n>         event budget (at least 1) for --simulate; a
+                             allowed) for each Pontryagin sweep and the
+                             simulation; a sweep or run that trips it
+                             reports the best bound or the prefix computed
+                             so far, notes the truncation on stderr and
+                             still exits 0
+    --max-events <n>         event budget (at least 1; default 50000000,
+                             which a larger value raises) for --simulate; a
                              truncated run reports its prefix, notes the
                              truncation on stderr and still exits 0
 
@@ -696,30 +698,34 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
 
     // `--timeout`/`--max-events` map onto one RunBudget; the Pontryagin
     // sweep only honours the wall clock (it fires no events).
-    let mut budget = RunBudget::unlimited();
-    if let Some(limit) = options.timeout {
-        budget = budget.wall_clock(limit);
-    }
-    if let Some(cap) = options.max_events {
-        budget = budget.max_events(cap);
-    }
+    let budget = RunBudget {
+        wall_clock: options.timeout,
+        max_events: options.max_events,
+    };
 
     let solver = PontryaginSolver::new(PontryaginOptions {
         grid_intervals: options.grid,
         multi_start: options.multi_start,
-        budget: RunBudget {
-            wall_clock: budget.wall_clock,
-            ..RunBudget::unlimited()
-        },
-        ..Default::default()
+        budget,
     })
     .with_obs(obs.clone());
     let (lo, hi) = obs
         .metrics
         .time(Timer::CoreBound, || {
-            solver.coordinate_extremes(&drift, &x0, horizon, coordinate)
+            let lo = solver.minimize_coordinate(&drift, &x0, horizon, coordinate)?;
+            let hi = solver.maximize_coordinate(&drift, &x0, horizon, coordinate)?;
+            Ok::<_, mfu_core::CoreError>((lo, hi))
         })
         .map_err(|e| format!("Pontryagin bound failed: {e}"))?;
+    // Like a truncated simulation, a sweep the deadline cut short is not an
+    // error: its value is still a feasible bound, noted on stderr.
+    if lo.truncated() || hi.truncated() {
+        eprintln!(
+            "warning: Pontryagin sweep truncated ({}); reporting the best bound found so far",
+            mfu_guard::TruncationReason::WallClock
+        );
+    }
+    let (lo, hi) = (lo.objective_value(), hi.objective_value());
     let _ = writeln!(
         out,
         "imprecise bounds: {species}({horizon}) in [{lo:.6}, {hi:.6}]"

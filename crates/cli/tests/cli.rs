@@ -360,6 +360,33 @@ fn truncated_run_exits_0_and_echoes_the_reason_on_stderr() {
 }
 
 #[test]
+fn expired_timeout_notes_the_sweep_truncation_and_exits_0() {
+    // the deadline expires before the first sweep: the bound is the best
+    // feasible value found without sweeping, and stderr says so
+    let out = mfu(&[
+        "run",
+        "sir",
+        "--bound",
+        "I@1",
+        "--grid",
+        "30",
+        "--timeout",
+        "1e-9",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("imprecise bounds: I(1) in ["),
+        "{}",
+        stdout(&out)
+    );
+    let err = stderr(&out);
+    assert!(
+        err.contains("Pontryagin sweep truncated (wall-clock budget exhausted)"),
+        "{err}"
+    );
+}
+
+#[test]
 fn generous_budgets_leave_the_run_untouched() {
     let base = mfu(&[
         "run",

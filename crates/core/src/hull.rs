@@ -12,8 +12,8 @@
 //!  ẋ̄_i = max { f_i(x, ϑ) : x ∈ [x̲, x̄], x_i = x̄_i, ϑ ∈ Θ }
 //! ```
 //!
-//! The optimisation over the rectangle is performed by corner enumeration
-//! (optionally refined with edge midpoints); the optimisation over `Θ` scans
+//! The optimisation over the rectangle is performed by enumerating its
+//! corners and edge midpoints; the optimisation over `Θ` scans
 //! [`theta_candidates`] like [`extremal_theta`](crate::drift::extremal_theta).
 //! Every rectangle point × Θ-candidate drift of one bound evaluation goes
 //! through a single [`ImpreciseDrift::drift_batch_into`] call. The paper (Figures 4 and 5) shows
@@ -116,9 +116,6 @@ pub struct HullOptions {
     pub step: f64,
     /// Number of time intervals of the reported bound grid.
     pub time_intervals: usize,
-    /// When `true`, edge midpoints of the rectangle are added to the corner
-    /// enumeration (helps for drifts that are not monotone in the state).
-    pub refine_midpoints: bool,
     /// Optional clamp applied to both bounds after every report interval
     /// (e.g. `[0, 1]` for densities); `None` leaves the bounds unclamped.
     pub clamp: Option<(f64, f64)>,
@@ -134,7 +131,6 @@ impl Default for HullOptions {
         HullOptions {
             step: 1e-3,
             time_intervals: 100,
-            refine_midpoints: true,
             clamp: None,
             budget: RunBudget::unlimited(),
         }
@@ -193,7 +189,6 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
         let system = HullOde {
             drift: &self.drift,
             dim,
-            refine_midpoints: self.options.refine_midpoints,
             theta_candidates: theta_candidates(&self.drift),
             vertex_evals: Cell::new(0),
             scratch: RefCell::new(HullScratch::default()),
@@ -282,7 +277,6 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
 struct HullOde<'a, D> {
     drift: &'a D,
     dim: usize,
-    refine_midpoints: bool,
     /// The Θ scan list, precomputed once (it does not depend on the state).
     theta_candidates: Vec<Vec<f64>>,
     // `OdeSystem::rhs` takes `&self`, so the eval tally lives in a `Cell`;
@@ -302,9 +296,10 @@ struct HullScratch {
 }
 
 impl<D: ImpreciseDrift> HullOde<'_, D> {
-    /// Visits the corner (and optionally midpoint) points of the rectangle
+    /// Visits the corner and edge-midpoint points of the rectangle
     /// `[lower, upper]` with coordinate `pin` fixed to `pin_value`, in a
-    /// fixed deterministic order.
+    /// fixed deterministic order. The midpoints help for drifts that are
+    /// not monotone in the state.
     fn for_each_rect_point<F: FnMut(&StateVec)>(
         &self,
         lower: &StateVec,
@@ -319,7 +314,7 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
             .iter()
             .map(|&i| {
                 let mut v = vec![lower[i], upper[i]];
-                if self.refine_midpoints && upper[i] > lower[i] {
+                if upper[i] > lower[i] {
                     v.push(0.5 * (lower[i] + upper[i]));
                 }
                 v.dedup();
@@ -600,7 +595,6 @@ mod tests {
         let ode = HullOde {
             drift: &drift,
             dim: 2,
-            refine_midpoints: true,
             theta_candidates: theta_candidates(&drift),
             vertex_evals: Cell::new(0),
             scratch: RefCell::new(HullScratch::default()),

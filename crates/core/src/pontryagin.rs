@@ -17,6 +17,12 @@
 //!
 //! Arbitrary linear functionals `α·x(T)` are supported, which is what the
 //! paper calls *template* refinement of the reachable set.
+//!
+//! The sweep's numerical settings are fixed constants, not options: at most
+//! 200 sweeps per start, convergence once state and control move less than
+//! `1e-7` between sweeps, an undamped control update and a `1e-6`
+//! finite-difference Jacobian step. A single-start solve always runs the
+//! Θ-vertex escalation ladder (see [`PontryaginSolver::solve`]).
 
 use mfu_guard::{BudgetTracker, RunBudget, DIVERGENCE_CAP};
 use mfu_num::batch::{BatchTheta, SoaBatch};
@@ -38,12 +44,26 @@ use crate::{CoreError, Result};
 /// either the interval is genuinely too stiff for the grid, or (the common
 /// case for guarded rates) the finite-difference stencil straddled a drift
 /// discontinuity and the quotient is a jump artefact of order
-/// `Δf / (2·jacobian_step)`, not a derivative. Such matrices are zeroed like
+/// `Δf / (2·JACOBIAN_STEP)`, not a derivative. Such matrices are zeroed like
 /// a failed evaluation (no costate motion on that interval) instead of being
 /// integrated into an overflow. Smooth population drifts sit orders of
 /// magnitude below this cap, so the gate is exercised only by discontinuous
 /// models.
 const MAX_COSTATE_STEP_GROWTH: f64 = 2.5;
+
+/// Maximum number of sweep iterations per start.
+const MAX_ITERATIONS: usize = 200;
+
+/// Convergence threshold on the sup-norm change of the terminal state and
+/// of the control between two sweeps.
+const TOLERANCE: f64 = 1e-7;
+
+/// Weight of the control update `c + RELAXATION·(θ* − c)`: 1 replaces the
+/// control outright.
+const RELAXATION: f64 = 1.0;
+
+/// Finite-difference step of the costate Jacobian.
+const JACOBIAN_STEP: f64 = 1e-6;
 
 /// A linear terminal objective `weights · x(T)`, maximised or minimised.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,35 +129,19 @@ impl LinearObjective {
 pub struct PontryaginOptions {
     /// Number of intervals of the shared time grid.
     pub grid_intervals: usize,
-    /// Maximum number of sweep iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on the sup-norm change of the state and control
-    /// between iterations.
-    pub tolerance: f64,
-    /// Relaxation weight of the control update in `(0, 1]` (1 replaces the
-    /// control outright; smaller values damp oscillations between sweeps).
-    pub relaxation: f64,
-    /// Finite-difference step for the drift Jacobian.
-    pub jacobian_step: f64,
     /// When `true`, the sweep is restarted from every vertex of `Θ` in
     /// addition to the midpoint, and the best result is kept. Pontryagin's
     /// principle is only a necessary condition; multi-start protects against
     /// local extremals on higher-dimensional models (e.g. the 4-D GPS MAP
-    /// drift) at a cost proportional to the number of vertices.
+    /// drift) at a cost proportional to the number of vertices. When
+    /// `false`, the escalation ladder of [`PontryaginSolver::solve`] reruns
+    /// the vertex starts only when a constant-control probe beats the sweep.
     pub multi_start: bool,
-    /// When `true` (the default) and `multi_start` is off, the solver probes
-    /// every vertex of `Θ` with a cheap constant-control forward integration
-    /// after the single-start sweep. If any constant control beats the sweep's
-    /// extremal — a sure sign the sweep settled on a local extremal — the
-    /// solver escalates automatically: it reruns the sweep from every vertex
-    /// and keeps the best result, exactly as `multi_start` would have.
-    pub auto_escalate: bool,
-    /// Run budget for the sweep. `max_sweeps` caps the iterations of each
-    /// restart (on top of `max_iterations`); `wall_clock` is checked once per
-    /// sweep iteration, per restart. A tripped budget ends the sweep early
-    /// with `converged() == false` instead of erroring — every iterate is a
-    /// feasible selection of the inclusion, so the bound so far is valid,
-    /// merely not extremal.
+    /// Run budget for the sweep. Only `wall_clock` applies: it is checked
+    /// once per sweep iteration, per restart. A tripped deadline ends the
+    /// sweep early with `converged() == false` and `truncated() == true`
+    /// instead of erroring — every iterate is a feasible selection of the
+    /// inclusion, so the bound so far is valid, merely not extremal.
     pub budget: RunBudget,
 }
 
@@ -145,12 +149,7 @@ impl Default for PontryaginOptions {
     fn default() -> Self {
         PontryaginOptions {
             grid_intervals: 400,
-            max_iterations: 200,
-            tolerance: 1e-7,
-            relaxation: 1.0,
-            jacobian_step: 1e-6,
             multi_start: false,
-            auto_escalate: true,
             budget: RunBudget::unlimited(),
         }
     }
@@ -167,6 +166,7 @@ pub struct ExtremalSolution {
     control: GridSignal,
     converged: bool,
     iterations: usize,
+    truncated: bool,
 }
 
 impl ExtremalSolution {
@@ -203,6 +203,14 @@ impl ExtremalSolution {
     /// Number of sweep iterations performed.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Whether the wall-clock budget stopped any sweep of the solve —
+    /// the reported start, another restart or an escalated vertex start.
+    /// The value is then a feasible bound, but possibly not the extremal
+    /// one the untimed solve would find.
+    pub fn truncated(&self) -> bool {
+        self.truncated
     }
 
     /// The extremal control as a parameter signal, ready to be replayed
@@ -343,6 +351,13 @@ impl PontryaginSolver {
     /// exactly as the sequential loop did, so the outcome is deterministic
     /// regardless of thread scheduling.
     ///
+    /// A single-start solve runs the escalation ladder afterwards: it probes
+    /// every vertex of `Θ` with a cheap constant-control forward
+    /// integration, and if any probe beats the sweep's extremal by more than
+    /// ten times the convergence tolerance — a sure sign the sweep settled
+    /// on a local extremal — it reruns the sweep from every vertex and keeps
+    /// the best result, exactly as `multi_start` would have.
+    ///
     /// # Errors
     ///
     /// Returns an error on inconsistent inputs or when an integration step
@@ -370,11 +385,13 @@ impl PontryaginSolver {
             -1.0
         };
         let mut restarts = 0u64;
+        let mut truncated = false;
         let mut best: Option<ExtremalSolution> = None;
         let mut best_index = 0usize;
         for (index, outcome) in outcomes {
             restarts += 1;
             let candidate = outcome?;
+            truncated |= candidate.truncated;
             let better = match &best {
                 None => true,
                 Some(current) => {
@@ -395,9 +412,9 @@ impl PontryaginSolver {
         // extremal proves the sweep is not globally extremal, so escalate to
         // the full multi-start procedure and keep the best result.
         let mut escalated = false;
-        if !self.options.multi_start && self.options.auto_escalate {
+        if !self.options.multi_start {
             let ascent = objective.ascent_weights();
-            let margin = 10.0 * self.options.tolerance;
+            let margin = 10.0 * TOLERANCE;
             let threshold = sign * best.objective_value() + margin;
             // One lockstep integration evaluates every vertex probe. The
             // RK4-step tally counts the probes up to the first one that
@@ -418,6 +435,7 @@ impl PontryaginSolver {
                 for (index, outcome) in vertex_outcomes {
                     restarts += 1;
                     let candidate = outcome?;
+                    truncated |= candidate.truncated;
                     if sign * candidate.objective_value() > sign * best.objective_value() {
                         best = candidate;
                         best_index = offset + index;
@@ -427,6 +445,7 @@ impl PontryaginSolver {
                 self.obs.metrics.add(Counter::CorePontryaginEscalations, 1);
             }
         }
+        best.truncated = truncated;
 
         self.obs
             .metrics
@@ -648,9 +667,6 @@ impl PontryaginSolver {
                 "horizon must be positive and finite",
             ));
         }
-        if !(self.options.relaxation > 0.0 && self.options.relaxation <= 1.0) {
-            return Err(CoreError::invalid_input("relaxation must lie in (0, 1]"));
-        }
 
         let grid = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1))?;
         let n = grid.intervals();
@@ -677,6 +693,7 @@ impl PontryaginSolver {
         let mut midpoint = StateVec::zeros(dim);
 
         let mut converged = false;
+        let mut truncated = false;
         let mut iterations = 0;
         // Observability tallies, accumulated in plain locals and flushed
         // once per solve (multi-start sweeps run on scoped threads; the
@@ -690,19 +707,14 @@ impl PontryaginSolver {
         let mut best_value = f64::NEG_INFINITY;
         let mut best_control: Option<Vec<Vec<f64>>> = None;
 
-        let max_iterations = match self.options.budget.max_sweeps {
-            Some(cap) => self
-                .options
-                .max_iterations
-                .min(usize::try_from(cap).unwrap_or(usize::MAX)),
-            None => self.options.max_iterations,
-        };
         let mut tracker = BudgetTracker::start(&self.options.budget);
-        for iteration in 0..max_iterations {
+        for iteration in 0..MAX_ITERATIONS {
             // A tripped deadline ends the sweep gracefully: every iterate is a
             // feasible selection, so the best control so far is still a valid
-            // (if not extremal) bound, reported with `converged() == false`.
+            // (if not extremal) bound, reported with `converged() == false`
+            // and `truncated() == true`.
             if tracker.expired_now() {
+                truncated = true;
                 break;
             }
             iterations = iteration + 1;
@@ -749,7 +761,7 @@ impl PontryaginSolver {
                     drift,
                     theta,
                     &midpoint,
-                    self.options.jacobian_step,
+                    JACOBIAN_STEP,
                     &mut jac,
                     &mut jac_batch,
                 );
@@ -782,8 +794,7 @@ impl PontryaginSolver {
                 let (theta_star, _) = extremal_theta(drift, &state[k], &midpoint);
                 let mut updated = Vec::with_capacity(theta_dim);
                 for j in 0..theta_dim {
-                    let relaxed =
-                        control[k][j] + self.options.relaxation * (theta_star[j] - control[k][j]);
+                    let relaxed = control[k][j] + RELAXATION * (theta_star[j] - control[k][j]);
                     updated.push(drift.params().intervals()[j].clamp(relaxed));
                 }
                 let change = updated
@@ -796,10 +807,7 @@ impl PontryaginSolver {
             control[n] = control[n - 1].clone();
 
             let state_change = state[n].distance_inf(&previous_state_end);
-            if control_change < self.options.tolerance
-                && state_change < self.options.tolerance
-                && iteration > 0
-            {
+            if control_change < TOLERANCE && state_change < TOLERANCE && iteration > 0 {
                 converged = true;
                 break;
             }
@@ -850,6 +858,7 @@ impl PontryaginSolver {
             control: GridSignal::new(grid, control_values)?,
             converged,
             iterations,
+            truncated,
         })
     }
 }
@@ -1157,13 +1166,6 @@ mod tests {
                 LinearObjective::maximize(StateVec::from([1.0, 0.0]))
             )
             .is_err());
-        let bad = PontryaginSolver::new(PontryaginOptions {
-            relaxation: 0.0,
-            ..Default::default()
-        });
-        assert!(bad
-            .solve(&drift, &x0, 1.0, LinearObjective::maximize_coordinate(1, 0))
-            .is_err());
         assert_eq!(s.options().grid_intervals, 200);
     }
 
@@ -1307,10 +1309,10 @@ mod tests {
 
     #[test]
     fn single_start_escalates_to_multi_start_on_suspicious_convergence() {
-        // A deliberately stunted sweep (one iteration, heavy damping) stays
-        // near the midpoint control ϑ ≈ 0 and reports x(1) ≈ 0; the vertex
-        // probe ϑ ≡ 1 reaches 1.0, exposing the local extremal and forcing
-        // the ladder to escalate to the multi-start procedure.
+        // A deliberately stunted sweep (an expired deadline, so no sweep
+        // runs) keeps the midpoint control ϑ ≡ 0 and reports x(1) = 0; the
+        // vertex probe ϑ ≡ 1 reaches 1.0, exposing the local extremal and
+        // forcing the ladder to escalate to the multi-start procedure.
         let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
         let drift = FnDrift::new(1, theta, |_x: &StateVec, th: &[f64], dx: &mut StateVec| {
             dx[0] = th[0]
@@ -1319,8 +1321,7 @@ mod tests {
         let obs = Obs::with_metrics();
         let stunted = PontryaginOptions {
             grid_intervals: 50,
-            max_iterations: 1,
-            relaxation: 0.01,
+            budget: RunBudget::unlimited().wall_clock(std::time::Duration::ZERO),
             ..Default::default()
         };
         let solution = PontryaginSolver::new(stunted)
@@ -1332,14 +1333,6 @@ mod tests {
         assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 1);
         // midpoint start plus the two escalated vertex restarts
         assert_eq!(snapshot.counter(Counter::CorePontryaginRestarts), 3);
-
-        // with the ladder disabled the stunted sweep keeps its local value
-        let disabled = PontryaginSolver::new(PontryaginOptions {
-            auto_escalate: false,
-            ..stunted
-        });
-        let stuck = disabled.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
-        assert!(stuck.objective_value() < 0.5);
     }
 
     #[test]
@@ -1357,38 +1350,32 @@ mod tests {
     }
 
     #[test]
-    fn sweep_budget_caps_iterations_gracefully() {
-        let drift = decay_drift();
-        let s = PontryaginSolver::new(PontryaginOptions {
-            grid_intervals: 50,
-            budget: RunBudget::unlimited().max_sweeps(1),
-            auto_escalate: false,
-            ..Default::default()
-        });
-        let solution = s
-            .maximize_coordinate(&drift, &StateVec::from([1.0]), 1.0, 0)
-            .unwrap();
-        assert_eq!(solution.iterations(), 1);
-        assert!(!solution.converged());
-        assert!(solution.objective_value().is_finite());
-    }
-
-    #[test]
     fn expired_deadline_still_returns_a_feasible_bound() {
         let drift = decay_drift();
+        let x0 = StateVec::from([1.0]);
         let s = PontryaginSolver::new(PontryaginOptions {
             grid_intervals: 50,
             budget: RunBudget::unlimited().wall_clock(std::time::Duration::ZERO),
-            auto_escalate: false,
             ..Default::default()
         });
-        let solution = s
-            .maximize_coordinate(&drift, &StateVec::from([1.0]), 1.0, 0)
-            .unwrap();
-        // no sweep ran, so the replayed midpoint control ϑ ≡ 1.5 is reported
+        let solution = s.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
+        // No sweep ran. The midpoint replay ϑ ≡ 1.5 loses to the vertex
+        // probe ϑ ≡ 1, so the ladder escalates and the replayed vertex
+        // control wins.
         assert_eq!(solution.iterations(), 0);
         assert!(!solution.converged());
-        assert!((solution.objective_value() - (-1.5f64).exp()).abs() < 1e-4);
+        assert!(solution.truncated());
+        assert!((solution.objective_value() - (-1.0f64).exp()).abs() < 1e-4);
+
+        // a deadline that never trips leaves the solve untruncated
+        let s = PontryaginSolver::new(PontryaginOptions {
+            grid_intervals: 50,
+            budget: RunBudget::unlimited().wall_clock(std::time::Duration::from_secs(3600)),
+            ..Default::default()
+        });
+        let solution = s.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
+        assert!(solution.converged());
+        assert!(!solution.truncated());
     }
 
     #[test]
@@ -1399,7 +1386,6 @@ mod tests {
         });
         let s = PontryaginSolver::new(PontryaginOptions {
             grid_intervals: 50,
-            auto_escalate: false,
             ..Default::default()
         });
         let err = s

@@ -6,7 +6,7 @@
 //! scenario it may vary in time arbitrarily inside `Θ`. Both analyses need
 //! the same primitive operations on `Θ`: membership, vertex enumeration
 //! (optimisation of drifts that are affine in `ϑ` is attained at a vertex),
-//! grid sampling (for parameter sweeps) and projection/clamping.
+//! and grid sampling (for parameter sweeps).
 
 use serde::{Deserialize, Serialize};
 
@@ -203,26 +203,6 @@ impl ParamSpace {
                 .all(|(i, v)| i.contains(*v))
     }
 
-    /// Clamps a parameter vector into the box.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `theta` has the wrong dimension.
-    pub fn clamp(&self, theta: &[f64]) -> Result<Vec<f64>> {
-        if theta.len() != self.dim() {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.dim(),
-                found: theta.len(),
-            });
-        }
-        Ok(self
-            .intervals
-            .iter()
-            .zip(theta.iter())
-            .map(|(i, v)| i.clamp(*v))
-            .collect())
-    }
-
     /// Enumerates the vertices of the box.
     ///
     /// Degenerate (point) intervals do not multiply the vertex count, so a
@@ -370,13 +350,6 @@ mod tests {
             ("a", Interval::point(2.0).unwrap())
         ])
         .is_err());
-    }
-
-    #[test]
-    fn clamp_projects_into_box() {
-        let theta = sir_theta();
-        assert_eq!(theta.clamp(&[20.0, 0.0]).unwrap(), vec![10.0, 5.0]);
-        assert!(theta.clamp(&[1.0]).is_err());
     }
 
     #[test]

@@ -60,12 +60,11 @@ proptest! {
         }
     }
 
-    /// Every vertex and every clamped point of a parameter box lies inside it.
+    /// Every vertex and the midpoint of a parameter box lie inside it.
     #[test]
-    fn param_space_vertices_and_clamps_stay_inside(
+    fn param_space_vertices_and_midpoint_stay_inside(
         lo1 in -5.0..5.0f64, w1 in 0.0..5.0f64,
         lo2 in -5.0..5.0f64, w2 in 0.0..5.0f64,
-        probe1 in -20.0..20.0f64, probe2 in -20.0..20.0f64,
     ) {
         let space = ParamSpace::new(vec![
             ("a", Interval::new(lo1, lo1 + w1).unwrap()),
@@ -75,8 +74,6 @@ proptest! {
         for vertex in space.vertices() {
             prop_assert!(space.contains(&vertex));
         }
-        let clamped = space.clamp(&[probe1, probe2]).unwrap();
-        prop_assert!(space.contains(&clamped));
         prop_assert!(space.contains(&space.midpoint()));
     }
 

@@ -3,9 +3,10 @@
 //! The crate is dependency-free (like `mfu-obs`) and provides four small,
 //! orthogonal building blocks:
 //!
-//! - [`RunBudget`]: declarative caps on wall-clock time, event counts,
-//!   τ-leap steps, τ halvings, and Pontryagin sweeps. All caps default to
-//!   "unlimited" so an unconfigured budget costs a single branch per check.
+//! - [`RunBudget`]: the two caps a user can set, wall-clock time and
+//!   simulated events. Both default to unset: no deadline, and the
+//!   simulators' engine default for events. Every other limit is a named
+//!   constant of the engine it bounds.
 //! - [`BudgetTracker`]: an amortised deadline checker. Wall-clock reads are
 //!   expensive relative to a propensity update, so the tracker only consults
 //!   the clock every `stride` calls; every other call is a counter decrement.
@@ -42,33 +43,26 @@ pub const DEFAULT_CHECK_STRIDE: u32 = 1024;
 
 /// Declarative resource caps for a single engine run.
 ///
-/// Every field defaults to `None` (unlimited). Budgets are `Copy` so they can
-/// ride along inside engine option structs without lifetime plumbing.
+/// Both fields default to `None`. Budgets are `Copy` so they can ride along
+/// inside engine option structs without lifetime plumbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunBudget {
     /// Wall-clock deadline for the run, checked amortised via [`BudgetTracker`].
     pub wall_clock: Option<Duration>,
-    /// Maximum number of simulated events (exact SSA steps, including τ-leap
-    /// fallback-burst steps).
+    /// Maximum number of simulated events: exact SSA steps, accepted τ-leap
+    /// steps and τ-leap fallback-burst steps alike. Unset means the
+    /// simulators' default cap (`mfu_sim::gillespie::DEFAULT_MAX_EVENTS`);
+    /// a set value replaces it, larger or smaller.
     pub max_events: Option<u64>,
-    /// Maximum number of accepted τ-leap steps.
-    pub max_leap_steps: Option<u64>,
-    /// Maximum cumulative number of τ halvings before the run is truncated.
-    pub max_tau_halvings: Option<u64>,
-    /// Maximum number of forward/backward sweeps in iterative solvers.
-    pub max_sweeps: Option<u64>,
 }
 
 impl RunBudget {
-    /// A budget with every cap disabled.
+    /// A budget with no deadline and the engines' default event cap.
     #[must_use]
     pub const fn unlimited() -> Self {
         RunBudget {
             wall_clock: None,
             max_events: None,
-            max_leap_steps: None,
-            max_tau_halvings: None,
-            max_sweeps: None,
         }
     }
 
@@ -85,37 +79,6 @@ impl RunBudget {
         self.max_events = Some(limit);
         self
     }
-
-    /// Caps the number of accepted τ-leap steps.
-    #[must_use]
-    pub const fn max_leap_steps(mut self, limit: u64) -> Self {
-        self.max_leap_steps = Some(limit);
-        self
-    }
-
-    /// Caps the cumulative number of τ halvings.
-    #[must_use]
-    pub const fn max_tau_halvings(mut self, limit: u64) -> Self {
-        self.max_tau_halvings = Some(limit);
-        self
-    }
-
-    /// Caps the number of solver sweeps.
-    #[must_use]
-    pub const fn max_sweeps(mut self, limit: u64) -> Self {
-        self.max_sweeps = Some(limit);
-        self
-    }
-
-    /// True when no cap is set; engines may skip tracker setup entirely.
-    #[must_use]
-    pub const fn is_unlimited(&self) -> bool {
-        self.wall_clock.is_none()
-            && self.max_events.is_none()
-            && self.max_leap_steps.is_none()
-            && self.max_tau_halvings.is_none()
-            && self.max_sweeps.is_none()
-    }
 }
 
 /// Why a run stopped before reaching its nominal end.
@@ -123,14 +86,8 @@ impl RunBudget {
 pub enum TruncationReason {
     /// The wall-clock deadline in [`RunBudget::wall_clock`] expired.
     WallClock,
-    /// The event cap ([`RunBudget::max_events`] or an engine-level cap) was hit.
+    /// The event cap ([`RunBudget::max_events`] or the engine default) was hit.
     MaxEvents,
-    /// The τ-leap step cap was hit.
-    MaxLeapSteps,
-    /// The cumulative τ-halving cap was hit.
-    MaxTauHalvings,
-    /// The solver sweep cap was hit.
-    MaxSweeps,
 }
 
 impl TruncationReason {
@@ -140,9 +97,6 @@ impl TruncationReason {
         match self {
             TruncationReason::WallClock => "wall_clock",
             TruncationReason::MaxEvents => "max_events",
-            TruncationReason::MaxLeapSteps => "max_leap_steps",
-            TruncationReason::MaxTauHalvings => "max_tau_halvings",
-            TruncationReason::MaxSweeps => "max_sweeps",
         }
     }
 }
@@ -152,9 +106,6 @@ impl fmt::Display for TruncationReason {
         let text = match self {
             TruncationReason::WallClock => "wall-clock budget exhausted",
             TruncationReason::MaxEvents => "event budget exhausted",
-            TruncationReason::MaxLeapSteps => "tau-leap step budget exhausted",
-            TruncationReason::MaxTauHalvings => "tau-halving budget exhausted",
-            TruncationReason::MaxSweeps => "sweep budget exhausted",
         };
         f.write_str(text)
     }
@@ -289,12 +240,6 @@ impl BudgetTracker {
     #[must_use]
     pub fn checks(&self) -> u64 {
         self.checks
-    }
-
-    /// True when the tracker has a deadline to enforce.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.deadline.is_some()
     }
 }
 
@@ -490,10 +435,10 @@ mod tests {
     #[test]
     fn unlimited_budget_has_no_caps() {
         let budget = RunBudget::default();
-        assert!(budget.is_unlimited());
         assert_eq!(budget, RunBudget::unlimited());
+        assert_eq!(budget.wall_clock, None);
+        assert_eq!(budget.max_events, None);
         let capped = budget.max_events(10);
-        assert!(!capped.is_unlimited());
         assert_eq!(capped.max_events, Some(10));
     }
 
@@ -504,7 +449,6 @@ mod tests {
             assert!(!tracker.expired());
         }
         assert_eq!(tracker.checks(), 0);
-        assert!(!tracker.is_armed());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A deterministic least-recently-used cache with bounded capacity.
 //!
 //! Recency is tracked with stamps drawn from a monotone counter, not wall
-//! clocks: every lookup hit and every insertion takes a fresh stamp, and
+//! clocks: every lookup and every insertion takes a fresh stamp, and
 //! eviction removes the entry with the smallest stamp. Stamps are unique,
 //! so ties cannot occur and eviction order is a pure function of the
 //! operation sequence — the property the serve-layer determinism tests
-//! pin down.
+//! pin down. The [`ModelInterner`](crate::hash::ModelInterner) keeps its
+//! compiled models here, and `mfu-serve` its bound artifacts.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -13,7 +14,7 @@ use std::hash::Hash;
 /// Bounded map with LRU eviction.
 ///
 /// ```
-/// use mfu_serve::cache::LruCache;
+/// use mfu_lang::cache::LruCache;
 ///
 /// let mut cache = LruCache::new(2);
 /// cache.insert("sir", 1);

@@ -21,7 +21,7 @@
 //! [`ModelInterner`] builds on the hash: it maps content hash → compiled
 //! model (shared via [`Arc`]) so identical sources compile once, with an
 //! optional capacity bound evicted in deterministic least-recently-used
-//! order.
+//! order by an [`LruCache`].
 //!
 //! ```
 //! use mfu_lang::hash::source_hash;
@@ -46,11 +46,11 @@
 //! # Ok::<(), mfu_lang::LangError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::ast::CmpOp;
+use crate::cache::LruCache;
 use crate::compile::CompiledModel;
 use crate::diagnostics::LangError;
 use crate::expr::{Builtin, CompiledExpr};
@@ -276,39 +276,30 @@ pub fn source_hash(source: &str) -> Result<(ModelHash, ResolvedModel), LangError
 ///
 /// `intern_source` parses and validates every call (cheap, and it is what
 /// produces the hash) but compiles only on a cache miss; hits return the
-/// same [`Arc`] so downstream engines share one compiled model. With a
-/// capacity bound, insertion past the bound evicts the least recently used
-/// entry — "use" meaning any hit or insertion — deterministically (ties
-/// cannot occur: every touch gets a fresh stamp from a monotone counter).
+/// same [`Arc`] so downstream engines share one compiled model. The models
+/// live in an [`LruCache`]: with a capacity bound, insertion past the bound
+/// evicts the least recently used entry — "use" meaning any lookup or
+/// insertion — deterministically.
 #[derive(Debug)]
 pub struct ModelInterner {
-    entries: HashMap<u128, (Arc<CompiledModel>, u64)>,
-    capacity: Option<usize>,
-    stamp: u64,
+    entries: LruCache<u128, Arc<CompiledModel>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl ModelInterner {
     /// An unbounded interner.
     pub fn new() -> Self {
-        ModelInterner {
-            entries: HashMap::new(),
-            capacity: None,
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
+        ModelInterner::with_capacity(usize::MAX)
     }
 
     /// An interner holding at most `capacity` compiled models (LRU
     /// eviction past the bound). A capacity of zero caches nothing.
     pub fn with_capacity(capacity: usize) -> Self {
         ModelInterner {
-            capacity: Some(capacity),
-            ..ModelInterner::new()
+            entries: LruCache::new(capacity),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -334,20 +325,12 @@ impl ModelInterner {
 
     /// Entries evicted to stay within the capacity bound.
     pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
+        self.entries.evictions()
     }
 
     /// Looks a model up by content hash without compiling anything.
     pub fn get(&mut self, hash: ModelHash) -> Option<Arc<CompiledModel>> {
-        let stamp = self.touch();
-        let (model, last_used) = self.entries.get_mut(&hash.0)?;
-        *last_used = stamp;
-        Some(Arc::clone(model))
+        self.entries.get(&hash.0).map(Arc::clone)
     }
 
     /// Interns a source: hashes it, returns the cached compiled model on a
@@ -357,44 +340,19 @@ impl ModelInterner {
         source: &str,
     ) -> Result<(ModelHash, Arc<CompiledModel>), LangError> {
         let (hash, resolved) = source_hash(source)?;
-        let stamp = self.touch();
-        if let Some((model, last_used)) = self.entries.get_mut(&hash.0) {
-            *last_used = stamp;
+        if let Some(model) = self.get(hash) {
             self.hits += 1;
-            return Ok((hash, Arc::clone(model)));
+            return Ok((hash, model));
         }
         self.misses += 1;
         let model = Arc::new(CompiledModel::new(resolved));
-        self.insert_bounded(hash, Arc::clone(&model), stamp);
+        self.insert(hash, Arc::clone(&model));
         Ok((hash, model))
     }
 
     /// Inserts an already-compiled model under its content hash.
     pub fn insert(&mut self, hash: ModelHash, model: Arc<CompiledModel>) {
-        let stamp = self.touch();
-        self.insert_bounded(hash, model, stamp);
-    }
-
-    fn insert_bounded(&mut self, hash: ModelHash, model: Arc<CompiledModel>, stamp: u64) {
-        if self.capacity == Some(0) {
-            return;
-        }
-        self.entries.insert(hash.0, (model, stamp));
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                if let Some(&oldest) = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, used))| *used)
-                    .map(|(k, _)| k)
-                {
-                    self.entries.remove(&oldest);
-                    self.evictions += 1;
-                } else {
-                    break;
-                }
-            }
-        }
+        self.entries.insert(hash.0, model);
     }
 }
 

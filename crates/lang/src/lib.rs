@@ -156,6 +156,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod cache;
 pub mod compile;
 pub mod diagnostics;
 pub mod expr;

@@ -4,8 +4,9 @@
 //! computed once for a (parameter box, horizon) cell answers every later
 //! query in that cell. This crate turns that observation into a server:
 //!
-//! * [`cache`] — a deterministic bounded LRU map (stamp-ordered, no wall
-//!   clocks) used by the artifact tier;
+//! * [`LruCache`] — `mfu_lang`'s deterministic bounded LRU map
+//!   (stamp-ordered, no wall clocks), shared by the model interner and
+//!   the artifact tier;
 //! * [`protocol`] — line-delimited JSON requests/responses (`bound`,
 //!   `stats`, `shutdown`) over the hand-rolled [`mfu_core::json`] layer;
 //! * [`service`] — the [`service::QueryService`]: a two-tier cache in
@@ -34,12 +35,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod cache;
 pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use cache::LruCache;
+pub use mfu_lang::cache::LruCache;
 pub use protocol::{BoundRequest, Request};
 pub use server::{query_line, Server};
 pub use service::{QueryOutcome, QueryService, ServiceOptions};

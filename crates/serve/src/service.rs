@@ -19,13 +19,13 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::cache::LruCache;
 use mfu_core::artifact::{ArtifactCost, BoundArtifact, BoundMethod, ParamRange};
 use mfu_core::drift::ImpreciseDrift;
 use mfu_core::hull::{DifferentialHull, HullOptions};
 use mfu_core::json::Json;
 use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mfu_ctmc::params::{Interval, ParamSpace};
+use mfu_lang::cache::LruCache;
 use mfu_lang::hash::ModelInterner;
 use mfu_lang::scenarios::ScenarioRegistry;
 use mfu_lang::CompiledModel;
@@ -351,24 +351,27 @@ impl QueryService {
         let started = Instant::now();
         let mut lower = Vec::with_capacity(model.dim());
         let mut upper = Vec::with_capacity(model.dim());
+        // A sweep the wall clock cut short degrades its extremal, so such
+        // artifacts are marked truncated and never cached.
+        let mut truncated = false;
+        let failed = |e| format!("Pontryagin bound failed on `{display_name}`: {e}");
         for coordinate in 0..model.dim() {
-            let (lo, hi) = if coordinate < reduced_dim {
-                solver.coordinate_extremes(&reduced_drift, &reduced_x0, horizon, coordinate)
+            let (drift, x0) = if coordinate < reduced_dim {
+                (&reduced_drift, &reduced_x0)
             } else {
-                solver.coordinate_extremes(&full_drift, &full_x0, horizon, coordinate)
-            }
-            .map_err(|e| format!("Pontryagin bound failed on `{display_name}`: {e}"))?;
-            lower.push(lo);
-            upper.push(hi);
+                (&full_drift, &full_x0)
+            };
+            let lo = solver
+                .minimize_coordinate(drift, x0, horizon, coordinate)
+                .map_err(failed)?;
+            let hi = solver
+                .maximize_coordinate(drift, x0, horizon, coordinate)
+                .map_err(failed)?;
+            truncated |= lo.truncated() || hi.truncated();
+            lower.push(lo.objective_value());
+            upper.push(hi.objective_value());
         }
         let wall_ns = started.elapsed().as_nanos() as u64;
-        // The sweep has no explicit truncation report; a tripped wall
-        // clock is the conservative proxy (the budget ends sweeps early,
-        // degrading the extremals, so such artifacts must not be cached).
-        let truncated = match self.options.pontryagin.budget.wall_clock {
-            Some(limit) => started.elapsed() >= limit,
-            None => false,
-        };
         let cost = cost_from(&metrics, wall_ns);
         Ok(BoundArtifact {
             model: display_name.to_string(),
@@ -525,6 +528,39 @@ mod tests {
         assert_eq!(snap.counter(Counter::ServeArtifactMisses), 1);
         assert_eq!(snap.counter(Counter::ServeModelMisses), 1);
         assert_eq!(snap.counter(Counter::ServeModelHits), 1);
+    }
+
+    #[test]
+    fn deadline_truncated_sweeps_are_marked_and_never_cached() {
+        use mfu_guard::RunBudget;
+        use std::time::Duration;
+
+        let mut options = fast_options();
+        options.pontryagin.budget = RunBudget::unlimited().wall_clock(Duration::ZERO);
+        let service = QueryService::new(options);
+        let cold = service
+            .bound(&sir_request(BoundMethod::Pontryagin))
+            .unwrap();
+        assert!(cold.artifact.truncated);
+        let again = service
+            .bound(&sir_request(BoundMethod::Pontryagin))
+            .unwrap();
+        assert!(!again.cache_hit, "a truncated artifact must not be cached");
+
+        // a deadline that never trips neither marks nor blocks caching
+        let mut options = fast_options();
+        options.pontryagin.budget = RunBudget::unlimited().wall_clock(Duration::from_secs(3600));
+        let service = QueryService::new(options);
+        let cold = service
+            .bound(&sir_request(BoundMethod::Pontryagin))
+            .unwrap();
+        assert!(!cold.artifact.truncated);
+        assert!(
+            service
+                .bound(&sir_request(BoundMethod::Pontryagin))
+                .unwrap()
+                .cache_hit
+        );
     }
 
     #[test]

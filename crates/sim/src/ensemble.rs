@@ -182,19 +182,7 @@ impl Partial {
         // Grid sampling needs the full horizon: a prefix is not a meaningful
         // ensemble member, so a truncated replication converts back into a
         // typed error.
-        if let mfu_guard::Outcome::Truncated { reason, reached_t } = run.outcome() {
-            return Err(match reason {
-                mfu_guard::TruncationReason::MaxEvents => SimError::EventBudgetExhausted {
-                    events: run.events(),
-                    reached: reached_t,
-                },
-                _ => SimError::Truncated {
-                    reason,
-                    events: run.events(),
-                    reached: reached_t,
-                },
-            });
-        }
+        run.require_completed()?;
         let trajectory = run.trajectory();
         for (k, &t) in times.iter().enumerate() {
             let state = trajectory.at(t)?;
@@ -557,7 +545,7 @@ mod tests {
     #[test]
     fn ensemble_propagates_simulation_errors() {
         let sim = Simulator::new(bike_model(), 10).unwrap();
-        // policy outside the parameter box under strict checking
+        // policy outside the parameter box
         let res = run_ensemble(
             &sim,
             &[5],

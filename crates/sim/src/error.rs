@@ -18,21 +18,14 @@ pub enum SimError {
         /// Time at which the violation occurred.
         time: f64,
     },
-    /// The event budget was exhausted before reaching the time horizon.
-    ///
-    /// Single runs no longer produce this: a tripped budget returns `Ok`
-    /// with a truncated [`Outcome`](mfu_guard::Outcome) and the
-    /// trajectory-so-far. Aggregating engines (ensemble, steady-state) that
-    /// need the full horizon convert that truncation back into this error.
-    EventBudgetExhausted {
-        /// Number of events simulated before giving up.
-        events: usize,
-        /// Simulated time reached when the budget ran out.
-        reached: f64,
-    },
     /// A run was truncated by a [`RunBudget`](mfu_guard::RunBudget) cap in a
     /// context where a prefix is not a meaningful result (ensemble grids,
     /// steady-state sampling).
+    ///
+    /// Single runs never produce this: a tripped budget returns `Ok` with a
+    /// truncated [`Outcome`](mfu_guard::Outcome) and the trajectory-so-far.
+    /// Aggregating engines that need the full horizon convert that
+    /// truncation into this error.
     Truncated {
         /// Which budget cap tripped.
         reason: TruncationReason,
@@ -74,12 +67,6 @@ impl fmt::Display for SimError {
             SimError::InvalidInput { message } => write!(f, "invalid input: {message}"),
             SimError::PolicyOutOfRange { time } => {
                 write!(f, "parameter policy left the parameter space at t = {time}")
-            }
-            SimError::EventBudgetExhausted { events, reached } => {
-                write!(
-                    f,
-                    "event budget exhausted after {events} events at t = {reached}"
-                )
             }
             SimError::Truncated {
                 reason,
@@ -137,11 +124,12 @@ mod tests {
         assert!(SimError::PolicyOutOfRange { time: 1.5 }
             .to_string()
             .contains("1.5"));
-        let err = SimError::EventBudgetExhausted {
+        let err = SimError::Truncated {
+            reason: TruncationReason::MaxEvents,
             events: 10,
             reached: 0.7,
         };
-        assert!(err.to_string().contains("10"));
+        assert!(err.to_string().contains("event budget") && err.to_string().contains("10"));
         let err = SimError::Truncated {
             reason: TruncationReason::WallClock,
             events: 10,

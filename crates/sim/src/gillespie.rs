@@ -86,13 +86,17 @@ impl std::fmt::Display for SimulationAlgorithm {
     }
 }
 
+/// The event cap of a run whose [`RunBudget::max_events`] is unset.
+pub const DEFAULT_MAX_EVENTS: usize = 50_000_000;
+
 /// Options controlling a single stochastic simulation run.
+///
+/// A policy value outside the model's parameter space is always an error
+/// ([`SimError::PolicyOutOfRange`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationOptions {
     /// Time horizon of the simulation.
     pub t_end: f64,
-    /// Hard cap on the number of simulated events.
-    pub max_events: usize,
     /// Record one trajectory point every `record_stride` events (the initial
     /// and final states are always recorded).
     pub record_stride: usize,
@@ -100,14 +104,12 @@ pub struct SimulationOptions {
     /// time units (combined with `record_stride`, both conditions must hold).
     /// This bounds memory usage for long runs at large `N`.
     pub record_interval: Option<f64>,
-    /// When `true`, a policy value outside the model's parameter space is an
-    /// error; when `false` it is clamped into the space.
-    pub strict_policy: bool,
     /// Which simulation algorithm the run uses (defaults to the exact
     /// event-by-event SSA; see [`SimulationAlgorithm::TauLeap`] for the
     /// approximate large-`N` engine).
     pub algorithm: SimulationAlgorithm,
-    /// Resource budget for the run (defaults to unlimited). A tripped budget
+    /// Resource budget for the run: an optional wall-clock deadline and the
+    /// event cap ([`DEFAULT_MAX_EVENTS`] when unset). A tripped budget
     /// truncates the run gracefully: the engine returns `Ok` with the
     /// trajectory-so-far and [`SimulationRun::outcome`] reporting the reason.
     /// An untripped budget never perturbs the run — budget checks touch
@@ -128,10 +130,8 @@ impl SimulationOptions {
         );
         SimulationOptions {
             t_end,
-            max_events: 50_000_000,
             record_stride: 1,
             record_interval: None,
-            strict_policy: true,
             algorithm: SimulationAlgorithm::Exact,
             budget: RunBudget::unlimited(),
         }
@@ -148,13 +148,6 @@ impl SimulationOptions {
     #[must_use]
     pub fn tau_leap(self, options: TauLeapOptions) -> Self {
         self.algorithm(SimulationAlgorithm::TauLeap(options))
-    }
-
-    /// Sets the event budget.
-    #[must_use]
-    pub fn max_events(mut self, n: usize) -> Self {
-        self.max_events = n.max(1);
-        self
     }
 
     /// Sets the recording stride.
@@ -179,14 +172,7 @@ impl SimulationOptions {
         self
     }
 
-    /// Clamp out-of-range policy values instead of failing.
-    #[must_use]
-    pub fn lenient_policy(mut self) -> Self {
-        self.strict_policy = false;
-        self
-    }
-
-    /// Sets the resource budget (wall-clock, events, τ-leap caps).
+    /// Sets the resource budget (wall clock and events).
     ///
     /// Tripped budgets truncate gracefully — see
     /// [`SimulationOptions::budget`].
@@ -196,15 +182,12 @@ impl SimulationOptions {
         self
     }
 
-    /// The effective event cap: the engine-level `max_events` combined with
-    /// the budget's event cap, whichever is smaller.
-    pub(crate) fn effective_max_events(&self) -> usize {
-        match self.budget.max_events {
-            Some(cap) => self
-                .max_events
-                .min(usize::try_from(cap).unwrap_or(usize::MAX)),
-            None => self.max_events,
-        }
+    /// The run's event cap: the budget's, or [`DEFAULT_MAX_EVENTS`] when
+    /// the budget leaves it unset.
+    pub(crate) fn max_events(&self) -> usize {
+        self.budget.max_events.map_or(DEFAULT_MAX_EVENTS, |cap| {
+            usize::try_from(cap).unwrap_or(usize::MAX)
+        })
     }
 }
 
@@ -377,6 +360,21 @@ impl SimulationRun {
         self.outcome.is_truncated()
     }
 
+    /// The run as a full-horizon result: a truncated run becomes
+    /// [`SimError::Truncated`]. Aggregating engines (ensemble grids,
+    /// steady-state sampling) need the whole horizon, where a prefix is not
+    /// a meaningful result.
+    pub(crate) fn require_completed(&self) -> Result<()> {
+        match self.outcome {
+            Outcome::Completed => Ok(()),
+            Outcome::Truncated { reason, reached_t } => Err(SimError::Truncated {
+                reason,
+                events: self.events,
+                reached: reached_t,
+            }),
+        }
+    }
+
     /// Consumes the run and returns its trajectory.
     pub fn into_trajectory(self) -> Trajectory {
         self.trajectory
@@ -515,10 +513,9 @@ impl Simulator {
     ///
     /// Returns an error if the initial counts have the wrong dimension or are
     /// negative, if a rate is invalid, or if the policy leaves the parameter
-    /// space under strict policy checking. An exhausted budget (events or
-    /// wall-clock) is *not* an error: the run returns `Ok` with
-    /// [`SimulationRun::outcome`] set to [`Outcome::Truncated`] and the
-    /// trajectory-so-far intact.
+    /// space. An exhausted budget (events or wall-clock) is *not* an error:
+    /// the run returns `Ok` with [`SimulationRun::outcome`] set to
+    /// [`Outcome::Truncated`] and the trajectory-so-far intact.
     pub fn simulate(
         &self,
         initial_counts: &[i64],
@@ -551,7 +548,7 @@ impl Simulator {
         // Budget enforcement: an exhausted cap breaks out of the loop with a
         // truncated outcome instead of erroring, so the prefix survives.
         // Neither check touches the RNG or any float.
-        let max_events = options.effective_max_events();
+        let max_events = options.max_events();
         let mut tracker = BudgetTracker::start(&options.budget);
         let mut outcome = Outcome::Completed;
 
@@ -583,7 +580,7 @@ impl Simulator {
         let mut theta_known = false;
 
         loop {
-            // Query the policy, validating or clamping its output.
+            // Query the policy and validate its output.
             let theta_changed = if theta_known && policy_constant {
                 false
             } else {
@@ -591,13 +588,10 @@ impl Simulator {
                 if let Some(plan) = &self.fault_plan {
                     plan.perturb_params(events as u64, &mut theta_raw);
                 }
-                theta = if self.model.params().contains(&theta_raw) {
-                    theta_raw
-                } else if options.strict_policy {
+                if !self.model.params().contains(&theta_raw) {
                     return Err(SimError::PolicyOutOfRange { time: t });
-                } else {
-                    self.model.params().clamp(&theta_raw)?
-                };
+                }
+                theta = theta_raw;
                 theta_known = true;
                 theta != last_theta
             };
@@ -888,23 +882,13 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_rejects_out_of_range_values() {
+    fn out_of_box_policy_values_are_rejected() {
         let sim = Simulator::new(bike_model(), 10).unwrap();
         let mut policy = ConstantPolicy::new(vec![10.0, 1.0]); // outside [0.5, 2]
         let err = sim
             .simulate(&[5], &mut policy, &SimulationOptions::new(1.0), 1)
             .unwrap_err();
         assert!(matches!(err, SimError::PolicyOutOfRange { .. }));
-        // lenient mode clamps instead
-        let run = sim
-            .simulate(
-                &[5],
-                &mut policy,
-                &SimulationOptions::new(1.0).lenient_policy(),
-                1,
-            )
-            .unwrap();
-        assert!(run.events() > 0);
     }
 
     #[test]
@@ -924,7 +908,7 @@ mod tests {
     fn event_budget_truncates_gracefully_with_the_prefix_intact() {
         let sim = Simulator::new(bike_model(), 1000).unwrap();
         let mut policy = ConstantPolicy::new(vec![2.0, 2.0]);
-        let options = SimulationOptions::new(100.0).max_events(50);
+        let options = SimulationOptions::new(100.0).budget(RunBudget::unlimited().max_events(50));
         let run = sim.simulate(&[500], &mut policy, &options, 5).unwrap();
         assert_eq!(run.events(), 50);
         let Outcome::Truncated { reason, reached_t } = run.outcome() else {
@@ -946,13 +930,16 @@ mod tests {
     }
 
     #[test]
-    fn budget_event_cap_combines_with_engine_cap() {
-        let options = SimulationOptions::new(1.0)
-            .max_events(100)
-            .budget(mfu_guard::RunBudget::unlimited().max_events(7));
-        assert_eq!(options.effective_max_events(), 7);
-        let options = SimulationOptions::new(1.0).max_events(3);
-        assert_eq!(options.effective_max_events(), 3);
+    fn the_budget_is_the_only_event_cap() {
+        let cap = |budget: RunBudget| SimulationOptions::new(1.0).budget(budget).max_events();
+        assert_eq!(cap(RunBudget::unlimited()), 50_000_000);
+        assert_eq!(cap(RunBudget::unlimited().max_events(7)), 7);
+        // a budget above the default raises the cap instead of being
+        // silently clipped to it
+        assert_eq!(
+            cap(RunBudget::unlimited().max_events(60_000_000)),
+            60_000_000
+        );
     }
 
     #[test]

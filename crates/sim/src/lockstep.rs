@@ -55,7 +55,9 @@ use crate::gillespie::{
 };
 use crate::policy::ParameterPolicy;
 use crate::selection::{linear_select, SelectorKind};
-use crate::tauleap::{reactant_orders, select_tau, TauLeapOptions};
+use crate::tauleap::{
+    reactant_orders, select_tau, TauLeapOptions, DEMOTE_AFTER_HALVINGS, SSA_BURST, SSA_THRESHOLD,
+};
 use crate::{Result, SimError};
 
 /// Shared per-group context threaded through the lane state machines.
@@ -172,22 +174,18 @@ impl<P: ParameterPolicy> Lane<P> {
         Ok(())
     }
 
-    /// Queries the policy at `(t, x)` and validates or clamps its output
-    /// against the model's parameter space — the contract the exact engine
-    /// applies at every event.
+    /// Queries the policy at `(t, x)` and validates its output against the
+    /// model's parameter space — the contract the exact engine applies at
+    /// every event.
     fn query_policy(&mut self, ctx: &Ctx<'_>) -> Result<Vec<f64>> {
         let mut theta = self.policy.value(self.t, &self.x, &mut self.rng);
         if let Some(plan) = ctx.simulator.fault_plan() {
             plan.perturb_params(self.steps as u64, &mut theta);
         }
-        let params = ctx.simulator.model().params();
-        if params.contains(&theta) {
-            Ok(theta)
-        } else if ctx.options.strict_policy {
-            Err(SimError::PolicyOutOfRange { time: self.t })
-        } else {
-            Ok(params.clamp(&theta)?)
+        if !ctx.simulator.model().params().contains(&theta) {
+            return Err(SimError::PolicyOutOfRange { time: self.t });
         }
+        Ok(theta)
     }
 
     /// Validates and scales this lane's row of raw densities in transition
@@ -246,7 +244,7 @@ impl<P: ParameterPolicy> Lane<P> {
             &mut self.sigma2,
         )
         .min(ctx.options.t_end - self.t);
-        self.threshold = ctx.leap.ssa_threshold / total;
+        self.threshold = SSA_THRESHOLD / total;
         self.inner_loop(ctx)
     }
 
@@ -275,7 +273,7 @@ impl<P: ParameterPolicy> Lane<P> {
                             ("t", Field::F64(self.t)),
                             ("tau", Field::F64(self.tau)),
                             ("threshold", Field::F64(self.threshold)),
-                            ("burst", Field::U64(ctx.leap.ssa_burst as u64)),
+                            ("burst", Field::U64(SSA_BURST as u64)),
                         ],
                     );
                 }
@@ -316,16 +314,7 @@ impl<P: ParameterPolicy> Lane<P> {
                         ],
                     );
                 }
-                if let Some(cap) = ctx.options.budget.max_tau_halvings {
-                    if self.tally.tau_halvings >= cap {
-                        self.outcome = Outcome::Truncated {
-                            reason: TruncationReason::MaxTauHalvings,
-                            reached_t: self.t,
-                        };
-                        return self.finish(ctx);
-                    }
-                }
-                if self.tally.tau_halvings >= ctx.leap.demote_after_halvings {
+                if self.tally.tau_halvings >= DEMOTE_AFTER_HALVINGS {
                     self.demoted = true;
                     self.tally.tau_demotions = 1;
                     if tracer.is_enabled() {
@@ -362,15 +351,6 @@ impl<P: ParameterPolicy> Lane<P> {
                     reached_t: self.t,
                 };
                 return self.finish(ctx);
-            }
-            if let Some(cap) = ctx.options.budget.max_leap_steps {
-                if self.tally.tau_leap_steps >= cap {
-                    self.outcome = Outcome::Truncated {
-                        reason: TruncationReason::MaxLeapSteps,
-                        reached_t: self.t,
-                    };
-                    return self.finish(ctx);
-                }
             }
             if self.t >= ctx.options.t_end {
                 return self.finish(ctx);
@@ -423,7 +403,7 @@ impl<P: ParameterPolicy> Lane<P> {
             return self.finish(ctx);
         }
         self.burst_step += 1;
-        if self.burst_step >= ctx.leap.ssa_burst {
+        if self.burst_step >= SSA_BURST {
             // burst done: reselect τ from the new state
             self.phase = Phase::Outer;
         }
@@ -526,7 +506,7 @@ pub fn simulate_tau_leap_lockstep<P: ParameterPolicy>(
         sparse_jumps: simulator.sparse_jumps(),
         orders: &orders,
         scale: simulator.scale() as f64,
-        max_events: options.effective_max_events(),
+        max_events: options.max_events(),
         n_transitions: model.transitions().len(),
     };
 
@@ -690,8 +670,7 @@ mod tests {
         // Boundary-parked pure death engages the exact fallback burst on
         // every lane; a tight event cap exercises the truncated epilogue.
         let simulator = Simulator::new(death_model(), 50).unwrap();
-        let options = SimulationOptions::new(1_000.0)
-            .tau_leap(TauLeapOptions::new(0.5).ssa_threshold(5.0).ssa_burst(10));
+        let options = SimulationOptions::new(1_000.0).tau_leap(TauLeapOptions::new(0.5));
         let seeds: Vec<u64> = (0..4).collect();
         let policies: Vec<_> = seeds
             .iter()
@@ -709,7 +688,7 @@ mod tests {
             assert_runs_bit_identical(run, &solo);
         }
 
-        let capped = options.max_events(3);
+        let capped = options.budget(mfu_guard::RunBudget::unlimited().max_events(3));
         let policies: Vec<_> = seeds
             .iter()
             .map(|_| ConstantPolicy::new(vec![1.0]))
@@ -803,8 +782,7 @@ mod tests {
             &[1],
         )
         .is_err());
-        // a strict-policy violation fails the lane, not the group
-        let strict = SimulationOptions::new(1.0).tau_leap(TauLeapOptions::new(0.1));
+        // an out-of-box policy value fails the lane, not the group
         let results = simulate_tau_leap_lockstep(
             &simulator,
             &[5],
@@ -812,7 +790,7 @@ mod tests {
                 ConstantPolicy::new(vec![99.0]),
                 ConstantPolicy::new(vec![1.0]),
             ],
-            &strict,
+            &leap,
             &[1, 2],
         )
         .unwrap();

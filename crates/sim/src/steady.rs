@@ -8,7 +8,7 @@
 //! long trajectory with a burn-in period discarded and the remainder thinned
 //! onto a uniform grid.
 
-use mfu_guard::{Outcome, RunBudget};
+use mfu_guard::RunBudget;
 use mfu_num::geometry::Point2;
 use mfu_num::StateVec;
 
@@ -25,15 +25,14 @@ pub struct SteadyStateOptions {
     pub sample_interval: f64,
     /// Number of retained samples.
     pub samples: usize,
-    /// Event budget forwarded to the simulator.
-    pub max_events: usize,
     /// Simulation algorithm forwarded to the simulator (τ-leaping makes
     /// long stationary runs at large `N` affordable; defaults to the
     /// exact SSA).
     pub algorithm: SimulationAlgorithm,
-    /// Resource budget forwarded to the simulator. Stationary sampling needs
-    /// the full horizon, so a truncated run is reported as a typed error
-    /// rather than a partial sample.
+    /// Resource budget forwarded to the simulator; its event cap defaults
+    /// to [`DEFAULT_MAX_EVENTS`](crate::gillespie::DEFAULT_MAX_EVENTS).
+    /// Stationary sampling needs the full horizon, so a truncated run is
+    /// reported as a typed error rather than a partial sample.
     pub budget: RunBudget,
 }
 
@@ -59,7 +58,6 @@ impl SteadyStateOptions {
             burn_in,
             sample_interval,
             samples,
-            max_events: 200_000_000,
             algorithm: SimulationAlgorithm::Exact,
             budget: RunBudget::unlimited(),
         }
@@ -177,7 +175,6 @@ pub fn sample_steady_state(
 ) -> Result<SteadyStateSample> {
     let horizon = options.horizon();
     let sim_options = SimulationOptions::new(horizon)
-        .max_events(options.max_events)
         .algorithm(options.algorithm)
         .budget(options.budget)
         .record_interval(
@@ -190,19 +187,7 @@ pub fn sample_steady_state(
     // Stationary statistics over a truncated run would silently repeat the
     // last reached state across the missing tail — surface the truncation
     // as a typed error instead (the same mapping the ensemble applies).
-    if let Outcome::Truncated { reason, reached_t } = run.outcome() {
-        return Err(match reason {
-            mfu_guard::TruncationReason::MaxEvents => SimError::EventBudgetExhausted {
-                events: run.events(),
-                reached: reached_t,
-            },
-            _ => SimError::Truncated {
-                reason,
-                events: run.events(),
-                reached: reached_t,
-            },
-        });
-    }
+    run.require_completed()?;
     let trajectory = run.trajectory();
     if trajectory.last_time() < options.burn_in {
         return Err(SimError::invalid_input(
@@ -369,6 +354,13 @@ mod tests {
         let options =
             SteadyStateOptions::new(20.0, 0.5, 60).budget(RunBudget::unlimited().max_events(100));
         let err = sample_steady_state(&sim, &[20], &mut policy, &options, 13).unwrap_err();
-        assert!(matches!(err, SimError::EventBudgetExhausted { .. }));
+        assert!(matches!(
+            err,
+            SimError::Truncated {
+                reason: mfu_guard::TruncationReason::MaxEvents,
+                events: 100,
+                ..
+            }
+        ));
     }
 }

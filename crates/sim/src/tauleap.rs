@@ -30,18 +30,24 @@
 //!
 //! # Exactness guards
 //!
-//! Two mechanisms keep the approximation honest near boundaries:
+//! Three mechanisms keep the approximation honest near boundaries. Their
+//! settings are fixed constants, not options: the fallback threshold and
+//! burst length are the operating point Cao, Gillespie & Petzold give for
+//! τ-leaping (J. Chem. Phys. 124, 2006).
 //!
 //! * **negative-population guard** — a leap whose aggregated firing
 //!   counts would drive any count negative is rejected wholesale and
 //!   retried with `τ/2` (fresh Poisson draws, so the retry is unbiased);
-//! * **exact fallback** — whenever `τ` falls below
-//!   [`TauLeapOptions::ssa_threshold`] multiples of the mean waiting time
-//!   `1/Σa_k` (because the system is small, stiff, or parked on a
-//!   boundary), leaping is not worth its bias and the engine executes a
-//!   burst of [`TauLeapOptions::ssa_burst`] exact SSA steps instead, then
-//!   resumes leaping. A model that never leaves the guarded regime
-//!   therefore degrades to the exact algorithm rather than mis-simulating.
+//! * **exact fallback** — whenever `τ` falls below [`SSA_THRESHOLD`]
+//!   multiples of the mean waiting time `1/Σa_k` (because the system is
+//!   small, stiff, or parked on a boundary), leaping is not worth its bias
+//!   and the engine executes a burst of [`SSA_BURST`] exact SSA steps
+//!   instead, then resumes leaping. A model that never leaves the guarded
+//!   regime therefore degrades to the exact algorithm rather than
+//!   mis-simulating;
+//! * **demotion** — once a run has halved τ [`DEMOTE_AFTER_HALVINGS`] times
+//!   in total, it runs exact SSA for the rest of its horizon instead of
+//!   thrashing.
 //!
 //! # Engine
 //!
@@ -60,32 +66,35 @@
 
 use crate::gillespie::Simulator;
 
-/// Tuning knobs of the explicit τ-leap engine.
+/// Exact-fallback threshold, in multiples of the mean waiting time
+/// `1/Σa_k`: when the selected (or guard-halved) `τ` drops below
+/// `SSA_THRESHOLD / Σa_k`, the engine runs exact SSA steps instead of
+/// leaping. The literature suggests a small multiple of 1; 10 is
+/// conservative.
+pub const SSA_THRESHOLD: f64 = 10.0;
+
+/// Number of exact SSA steps executed per fallback burst before
+/// τ-selection is retried.
+pub const SSA_BURST: usize = 100;
+
+/// Escalation ladder: once a run has accumulated this many τ halvings in
+/// total, the engine *demotes itself to exact SSA* for the remainder of the
+/// run instead of thrashing (every subsequent step goes through the
+/// fallback path). Halvings this frequent mean the leap approximation is
+/// not paying for itself on this model/regime.
+pub const DEMOTE_AFTER_HALVINGS: u64 = 256;
+
+/// The accuracy knob of the explicit τ-leap engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TauLeapOptions {
     /// Relative propensity-change budget per leap (the `ε` of the
     /// Cao–Gillespie step-size bound). Smaller is more accurate and
     /// slower; `0.03` is the literature's default operating point.
     pub epsilon: f64,
-    /// Exact-fallback threshold, in multiples of the mean waiting time
-    /// `1/Σa_k`: when the selected (or guard-halved) `τ` drops below
-    /// `ssa_threshold / Σa_k`, the engine runs exact SSA steps instead of
-    /// leaping. The literature suggests a small multiple of 1; 10 is
-    /// conservative.
-    pub ssa_threshold: f64,
-    /// Number of exact SSA steps executed per fallback burst before
-    /// τ-selection is retried.
-    pub ssa_burst: usize,
-    /// Escalation ladder: once the run has accumulated this many τ halvings
-    /// in total, the engine *demotes itself to exact SSA* for the remainder
-    /// of the run instead of thrashing (every subsequent step goes through
-    /// the fallback path). Halvings this frequent mean the leap
-    /// approximation is not paying for itself on this model/regime.
-    pub demote_after_halvings: u64,
 }
 
 impl TauLeapOptions {
-    /// Creates options with the given `epsilon` and default guards.
+    /// Creates options with the given `epsilon`.
     ///
     /// # Panics
     ///
@@ -95,48 +104,12 @@ impl TauLeapOptions {
             epsilon > 0.0 && epsilon < 1.0,
             "tau-leap epsilon must lie in (0, 1)"
         );
-        TauLeapOptions {
-            epsilon,
-            ssa_threshold: 10.0,
-            ssa_burst: 100,
-            demote_after_halvings: 256,
-        }
-    }
-
-    /// Sets the exact-fallback threshold (multiples of `1/Σa_k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not positive and finite.
-    #[must_use]
-    pub fn ssa_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold.is_finite(),
-            "ssa threshold must be positive"
-        );
-        self.ssa_threshold = threshold;
-        self
-    }
-
-    /// Sets the exact-burst length (values below 1 are treated as 1).
-    #[must_use]
-    pub fn ssa_burst(mut self, steps: usize) -> Self {
-        self.ssa_burst = steps.max(1);
-        self
-    }
-
-    /// Sets the cumulative-halving count after which the run demotes to
-    /// exact SSA (values below 1 are treated as 1).
-    #[must_use]
-    pub fn demote_after_halvings(mut self, halvings: u64) -> Self {
-        self.demote_after_halvings = halvings.max(1);
-        self
+        TauLeapOptions { epsilon }
     }
 }
 
 impl Default for TauLeapOptions {
-    /// The literature's default operating point: `ε = 0.03`, fallback
-    /// below `10/Σa_k`, 100-step exact bursts.
+    /// The literature's default operating point: `ε = 0.03`.
     fn default() -> Self {
         TauLeapOptions::new(0.03)
     }
@@ -255,14 +228,9 @@ mod tests {
 
     #[test]
     fn options_validate_and_default() {
-        let defaults = TauLeapOptions::default();
-        assert_eq!(defaults.epsilon, 0.03);
-        assert!(defaults.ssa_threshold > 0.0);
-        assert!(defaults.ssa_burst >= 1);
-        assert_eq!(TauLeapOptions::new(0.1).ssa_burst(0).ssa_burst, 1);
+        assert_eq!(TauLeapOptions::default().epsilon, 0.03);
         assert!(std::panic::catch_unwind(|| TauLeapOptions::new(0.0)).is_err());
         assert!(std::panic::catch_unwind(|| TauLeapOptions::new(1.0)).is_err());
-        assert!(std::panic::catch_unwind(|| TauLeapOptions::new(0.1).ssa_threshold(0.0)).is_err());
     }
 
     #[test]
@@ -352,8 +320,7 @@ mod tests {
         // Poisson draws overshoot constantly, so this exercises both the
         // halving guard and the exact fallback at the boundary
         let simulator = Simulator::new(death_model(), 50).unwrap();
-        let options = SimulationOptions::new(1_000.0)
-            .tau_leap(TauLeapOptions::new(0.5).ssa_threshold(5.0).ssa_burst(10));
+        let options = SimulationOptions::new(1_000.0).tau_leap(TauLeapOptions::new(0.5));
         for seed in 0..10 {
             let mut policy = ConstantPolicy::new(vec![1.0]);
             let run = simulator
@@ -405,8 +372,7 @@ mod tests {
 
         // Boundary-parked pure death: the exact fallback must engage.
         let death = Simulator::new(death_model(), 50).unwrap();
-        let options = SimulationOptions::new(1_000.0)
-            .tau_leap(TauLeapOptions::new(0.5).ssa_threshold(5.0).ssa_burst(10));
+        let options = SimulationOptions::new(1_000.0).tau_leap(TauLeapOptions::new(0.5));
         let mut policy = ConstantPolicy::new(vec![1.0]);
         let run = death.simulate(&[50], &mut policy, &options, 0).unwrap();
         let c = run.counters();
@@ -418,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_and_budget_contracts_match_the_exact_engine() {
+    fn policy_and_budget_contracts_match_the_exact_engine() {
         let simulator = Simulator::new(sir_model(), 1000).unwrap();
         let mut policy = ConstantPolicy::new(vec![99.0]); // outside [1, 10]
         let err = simulator
@@ -430,7 +396,7 @@ mod tests {
             .simulate(
                 &[700, 300, 0],
                 &mut policy,
-                &leap_options(1.0, 0.03).max_events(3),
+                &leap_options(1.0, 0.03).budget(mfu_guard::RunBudget::unlimited().max_events(3)),
                 1,
             )
             .unwrap();

@@ -107,7 +107,6 @@ fn assert_contract(context: &str, elapsed: Duration, result: Result<SimulationRu
             SimError::InvalidRate { .. }
             | SimError::PolicyOutOfRange { .. }
             | SimError::Truncated { .. }
-            | SimError::EventBudgetExhausted { .. }
             | SimError::InvalidInput { .. }
             | SimError::Model(_)
             | SimError::Numerical(_),
@@ -188,7 +187,6 @@ fn aggregating_engines_convert_faults_into_typed_errors() {
                         SimError::InvalidRate { .. }
                             | SimError::PolicyOutOfRange { .. }
                             | SimError::Truncated { .. }
-                            | SimError::EventBudgetExhausted { .. }
                     ),
                     "{context}: unexpected error {err:?}"
                 );
@@ -214,7 +212,6 @@ fn aggregating_engines_convert_faults_into_typed_errors() {
                         SimError::InvalidRate { .. }
                             | SimError::PolicyOutOfRange { .. }
                             | SimError::Truncated { .. }
-                            | SimError::EventBudgetExhausted { .. }
                     ),
                     "{context}: unexpected error {err:?}"
                 );
@@ -262,9 +259,7 @@ fn seeded_fault_plans_never_panic_any_engine() {
 fn armed_untripped_budgets_are_bit_identical_to_no_budget() {
     let generous = RunBudget::unlimited()
         .wall_clock(Duration::from_secs(3600))
-        .max_events(u64::MAX)
-        .max_leap_steps(u64::MAX)
-        .max_tau_halvings(u64::MAX);
+        .max_events(u64::MAX);
     for (name, model) in scenarios() {
         let population = model.population_model().unwrap();
         let counts = model.initial_counts(SCALE);

@@ -17,6 +17,7 @@
 
 use mean_field_uncertain::ctmc::population::PopulationModel;
 use mean_field_uncertain::ctmc::transition::TransitionClass;
+use mean_field_uncertain::guard::RunBudget;
 use mean_field_uncertain::lang::scenarios::ring_source;
 use mean_field_uncertain::lang::ScenarioRegistry;
 use mean_field_uncertain::num::StateVec;
@@ -57,7 +58,7 @@ fn run(
     seed: u64,
 ) -> SimulationRun {
     let mut policy = ConstantPolicy::new(theta.to_vec());
-    let options = SimulationOptions::new(t_end).max_events(400_000);
+    let options = SimulationOptions::new(t_end).budget(RunBudget::unlimited().max_events(400_000));
     simulator
         .simulate(counts, &mut policy, &options, seed)
         .expect("simulation failed")

@@ -123,8 +123,7 @@ fn negative_population_guard_holds_on_the_guarded_boundary_model() {
     // coarse epsilon on a small population: Poisson overshoot is the rule,
     // not the exception, so the halving guard and the exact fallback both
     // fire constantly
-    let options = SimulationOptions::new(200.0)
-        .tau_leap(TauLeapOptions::new(0.3).ssa_threshold(5.0).ssa_burst(20));
+    let options = SimulationOptions::new(200.0).tau_leap(TauLeapOptions::new(0.3));
     for seed in 0..8 {
         let mut policy = ConstantPolicy::new(theta.clone());
         let run = simulator
