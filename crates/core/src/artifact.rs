@@ -96,7 +96,8 @@ pub struct ArtifactCost {
     pub jacobian_evals: u64,
     /// Forward–backward sweep iterations (Pontryagin).
     pub sweeps: u64,
-    /// Drift evaluations at hull box corners/midpoints (hull).
+    /// Hull grid points (box corners and midpoints) the drift was evaluated
+    /// at, each once per right-hand side and with every Θ candidate (hull).
     pub hull_vertex_evals: u64,
 }
 

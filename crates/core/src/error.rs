@@ -41,6 +41,17 @@ pub enum CoreError {
         /// Dimension of the supplied model.
         found: usize,
     },
+    /// The differential hull's drift batch per right-hand side would
+    /// exceed [`MAX_HULL_LANES`](crate::hull::MAX_HULL_LANES): its
+    /// rectangle grid has up to `3^dim` points, each paired with every
+    /// Θ candidate.
+    HullTooLarge {
+        /// State dimension of the drift.
+        dim: usize,
+        /// Worst-case lanes per right-hand side, `3^dim · |Θ candidates|`;
+        /// `None` when the count overflows `usize`.
+        lanes: Option<usize>,
+    },
     /// An error bubbled up from the modelling layer.
     Model(CtmcError),
     /// An error bubbled up from the numerical layer.
@@ -69,6 +80,24 @@ impl fmt::Display for CoreError {
             }
             CoreError::UnsupportedDimension { required, found } => {
                 write!(f, "analysis requires dimension {required}, model has dimension {found}")
+            }
+            CoreError::HullTooLarge { dim, lanes } => {
+                let cap = crate::hull::MAX_HULL_LANES;
+                match lanes {
+                    Some(lanes) => write!(
+                        f,
+                        "differential hull refused: a {dim}-dimensional drift needs {lanes} \
+                         drift lanes per stage (3^{dim} grid points × Θ candidates), over \
+                         the cap of {cap}"
+                    ),
+                    None => write!(
+                        f,
+                        "differential hull refused: a {dim}-dimensional drift needs more than \
+                         {} drift lanes per stage (3^{dim} grid points × Θ candidates), over \
+                         the cap of {cap}",
+                        usize::MAX
+                    ),
+                }
             }
             CoreError::Model(err) => write!(f, "model error: {err}"),
             CoreError::Numerical(err) => write!(f, "numerical error: {err}"),
@@ -123,6 +152,16 @@ mod tests {
             found: 4,
         };
         assert!(err.to_string().contains("dimension 2"));
+        let err = CoreError::HullTooLarge {
+            dim: 10,
+            lanes: Some(118_098),
+        };
+        assert!(err.to_string().contains("10-dimensional") && err.to_string().contains("118098"));
+        let err = CoreError::HullTooLarge {
+            dim: 41,
+            lanes: None,
+        };
+        assert!(err.to_string().contains("more than"));
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! The optimisation over the rectangle is performed by enumerating its
 //! corners and edge midpoints; the optimisation over `Θ` scans
 //! [`theta_candidates`] like [`extremal_theta`](crate::drift::extremal_theta).
-//! Every rectangle point × Θ-candidate drift of one bound evaluation goes
-//! through a single [`ImpreciseDrift::drift_batch_into`] call. The paper (Figures 4 and 5) shows
-//! that this method is cheap and accurate for small parameter ranges but
-//! becomes very loose — eventually trivial — as the range grows, which is
-//! exactly the behaviour reproduced by the benchmarks.
+//! The `2d` faces are slices of one grid — per coordinate the lower bound,
+//! the upper bound and their midpoint — so each right-hand side evaluates
+//! every grid point on a face, times every Θ candidate, in a single
+//! [`ImpreciseDrift::drift_batch_into`] call: `3^d − 1` points (the
+//! all-midpoint centre lies on no face), where a face-by-face enumeration
+//! would take `2d · 3^(d−1)`. Each face then reduces over its own lanes.
+//! The grid grows as `3^d`, so [`DifferentialHull::bounds`] refuses a
+//! drift whose batch could exceed [`MAX_HULL_LANES`]. The paper (Figures
+//! 4 and 5) shows that this method is cheap and accurate for small
+//! parameter ranges but becomes very loose — eventually trivial — as the
+//! range grows, which is exactly the behaviour reproduced by the
+//! benchmarks.
 
 use std::cell::{Cell, RefCell};
 
@@ -137,6 +144,12 @@ impl Default for HullOptions {
     }
 }
 
+/// Largest drift batch one hull right-hand side may need, in lanes (grid
+/// points × Θ candidates). [`DifferentialHull::bounds`] checks the
+/// worst-case grid `3^d · |Θ candidates|` against it before integrating;
+/// the 8-dimensional `bike_city_4` drift needs `3^8 · 4 = 26,244`.
+pub const MAX_HULL_LANES: usize = 65_536;
+
 /// The differential-hull analysis of an imprecise drift.
 pub struct DifferentialHull<D> {
     drift: D,
@@ -155,7 +168,8 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
     }
 
     /// Attaches an observability bundle; [`DifferentialHull::bounds`] then
-    /// reports how many rectangle-vertex drift evaluations it performed.
+    /// reports how many rectangle-grid points it evaluated the drift at
+    /// (each point once per right-hand side, times every Θ candidate).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -173,7 +187,9 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
     /// # Errors
     ///
     /// Returns an error on dimension mismatches, invalid horizons, or
-    /// integration failure.
+    /// integration failure, and [`CoreError::HullTooLarge`] before any
+    /// work when the drift's rectangle grid could need more than
+    /// [`MAX_HULL_LANES`] drift lanes per right-hand side.
     pub fn bounds(&self, x0: &StateVec, t_end: f64) -> Result<HullBounds> {
         if x0.dim() != self.drift.dim() {
             return Err(CoreError::invalid_input(
@@ -186,10 +202,18 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
             ));
         }
         let dim = self.drift.dim();
+        let theta_candidates = theta_candidates(&self.drift);
+        let lanes = u32::try_from(dim)
+            .ok()
+            .and_then(|d| 3usize.checked_pow(d))
+            .and_then(|grid| grid.checked_mul(theta_candidates.len()));
+        if lanes.is_none_or(|lanes| lanes > MAX_HULL_LANES) {
+            return Err(CoreError::HullTooLarge { dim, lanes });
+        }
         let system = HullOde {
             drift: &self.drift,
             dim,
-            theta_candidates: theta_candidates(&self.drift),
+            theta_candidates,
             vertex_evals: Cell::new(0),
             scratch: RefCell::new(HullScratch::default()),
         };
@@ -285,104 +309,145 @@ struct HullOde<'a, D> {
     scratch: RefCell<HullScratch>,
 }
 
-/// Reusable batch buffers for [`HullOde::extreme_over_box`].
+/// Reusable buffers of [`HullOde`]'s right-hand side, so that a call
+/// allocates nothing once the first one has sized them.
 #[derive(Default)]
 struct HullScratch {
-    /// Rectangle points in visit order, point-major (`point · dim + i`).
+    /// Per coordinate: the values its grid axis takes.
+    axes: Vec<Axis>,
+    /// Per coordinate: its stride in the linear grid index (coordinate 0
+    /// varies fastest).
+    strides: Vec<usize>,
+    /// Grid index → evaluated point, or [`OFF_FACE`].
+    point_of: Vec<usize>,
+    /// Evaluated points in grid order, point-major (`point · dim + i`).
     points: Vec<f64>,
+    /// Multi-index of the grid walk and of each face walk.
+    digits: Vec<usize>,
     x: SoaBatch,
     thetas: SoaBatch,
     drifts: SoaBatch,
 }
 
+/// [`HullScratch::point_of`] entry of a grid point that lies on no face.
+const OFF_FACE: usize = usize::MAX;
+
+/// One coordinate's grid axis, built from the box bounds `lo ≤ hi`.
+#[derive(Clone, Copy)]
+struct Axis {
+    /// `[lo, hi, mid]`.
+    values: [f64; 3],
+    /// How many leading `values` a coordinate takes while another one is
+    /// pinned: `[lo, hi]`, plus `mid` when `hi > lo`, deduplicated like
+    /// `Vec::dedup`. A collapsed coordinate keeps `lo` alone, `mid == hi`
+    /// drops the midpoint and `mid == lo` keeps it.
+    free: usize,
+    /// Grid length: `free`, or 2 when `lo == hi` differ in bits (−0.0 and
+    /// +0.0) and `values[1]` is kept only for the upper face to pin.
+    len: usize,
+    /// Index of the upper face's pin value, which holds `hi`'s bits.
+    upper_pin: usize,
+}
+
+impl Axis {
+    fn new(lo: f64, hi: f64) -> Axis {
+        let values = [lo, hi, 0.5 * (lo + hi)];
+        let free = if hi == lo {
+            1
+        } else if hi > lo && values[2] != hi {
+            3
+        } else {
+            2
+        };
+        let (len, upper_pin) = if free == 1 && hi.to_bits() == lo.to_bits() {
+            (1, 0)
+        } else {
+            (free.max(2), 1)
+        };
+        Axis {
+            values,
+            free,
+            len,
+            upper_pin,
+        }
+    }
+}
+
 impl<D: ImpreciseDrift> HullOde<'_, D> {
-    /// Visits the corner and edge-midpoint points of the rectangle
-    /// `[lower, upper]` with coordinate `pin` fixed to `pin_value`, in a
-    /// fixed deterministic order. The midpoints help for drifts that are
-    /// not monotone in the state.
-    fn for_each_rect_point<F: FnMut(&StateVec)>(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        mut visit: F,
-    ) {
-        let free: Vec<usize> = (0..self.dim).filter(|&i| i != pin).collect();
-        // per free coordinate: candidate values
-        let candidates: Vec<Vec<f64>> = free
-            .iter()
-            .map(|&i| {
-                let mut v = vec![lower[i], upper[i]];
-                if upper[i] > lower[i] {
-                    v.push(0.5 * (lower[i] + upper[i]));
-                }
-                v.dedup();
-                v
-            })
-            .collect();
-
-        let mut point = lower.clone();
-        point[pin] = pin_value;
-
-        // iterate over the Cartesian product of candidate values
-        let mut indices = vec![0usize; free.len()];
-        loop {
-            for (slot, &coord) in free.iter().enumerate() {
-                point[coord] = candidates[slot][indices[slot]];
-            }
-            visit(&point);
-            // advance the multi-index
-            let mut slot = 0;
-            loop {
-                if slot == free.len() {
-                    return;
-                }
-                indices[slot] += 1;
-                if indices[slot] < candidates[slot].len() {
-                    break;
-                }
-                indices[slot] = 0;
-                slot += 1;
-            }
+    /// The hull right-hand side on the box whose coordinate `i` spans
+    /// `bounds[i] = (lo, hi)`, `hi ≥ lo` unless one is NaN: `out[i]` is the
+    /// lower face's minimum of `f_i` and `out[dim + i]` the upper face's
+    /// maximum.
+    fn box_rhs(&self, bounds: impl Iterator<Item = (f64, f64)>, out: &mut [f64]) {
+        let scratch = &mut *self.scratch.borrow_mut();
+        self.evaluate_grid(bounds, scratch);
+        for i in 0..self.dim {
+            let upper_pin = scratch.axes[i].upper_pin;
+            out[i] = self.face_extreme(scratch, i, 0, false);
+            out[self.dim + i] = self.face_extreme(scratch, i, upper_pin, true);
         }
     }
 
-    /// Enumerates the corner (and optionally midpoint) values of the other
-    /// coordinates, with coordinate `pin` fixed to `pin_value`, and returns
-    /// the extreme of drift coordinate `pin` over those points and over `Θ`.
+    /// Builds the box's grid in `scratch` and evaluates the drift at every
+    /// grid point that lies on a face × every Θ candidate in one
+    /// [`ImpreciseDrift::drift_batch_into`] call; lane `p·C + c` holds
+    /// point `p` with candidate `c`.
     ///
-    /// One [`ImpreciseDrift::drift_batch_into`] pass evaluates every
-    /// rectangle point × Θ-candidate pair. Per point, the reduction then
-    /// runs the [`extremal_theta`](crate::drift::extremal_theta) scan with
-    /// direction `+e_pin` for an upper bound or `−e_pin` for a lower one —
-    /// same candidate order, same strict comparisons, same left-to-right
-    /// dot-product fold — so the result is bit for bit what the scalar scan
-    /// gives on each point.
-    fn extreme_over_box(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        want_max: bool,
-    ) -> f64 {
-        let scratch = &mut *self.scratch.borrow_mut();
+    /// A point is on a face when it takes at most one pin-only value and,
+    /// if none, at least one coordinate sits at its lower or upper pin —
+    /// that leaves out only the all-midpoint centre.
+    fn evaluate_grid(&self, bounds: impl Iterator<Item = (f64, f64)>, scratch: &mut HullScratch) {
+        let dim = self.dim;
+        scratch.axes.clear();
+        scratch.strides.clear();
+        let mut grid_len = 1;
+        for (lo, hi) in bounds {
+            let axis = Axis::new(lo, hi);
+            scratch.strides.push(grid_len);
+            grid_len *= axis.len;
+            scratch.axes.push(axis);
+        }
+
+        scratch.point_of.clear();
         scratch.points.clear();
-        let points = &mut scratch.points;
-        self.for_each_rect_point(lower, upper, pin, pin_value, |point| {
-            points.extend_from_slice(point.as_slice());
-        });
-        let n_points = points.len() / self.dim;
+        scratch.digits.clear();
+        scratch.digits.resize(dim, 0);
+        let mut n_points = 0;
+        for _ in 0..grid_len {
+            let (mut pin_only, mut on_pin) = (0, false);
+            for (axis, &k) in scratch.axes.iter().zip(&scratch.digits) {
+                if k >= axis.free {
+                    pin_only += 1;
+                } else if k == 0 || k == axis.upper_pin {
+                    on_pin = true;
+                }
+            }
+            if pin_only == 1 || (pin_only == 0 && on_pin) {
+                scratch.point_of.push(n_points);
+                n_points += 1;
+                let axes = scratch.axes.iter().zip(&scratch.digits);
+                let point = axes.map(|(axis, &k)| axis.values[k]);
+                scratch.points.extend(point);
+            } else {
+                scratch.point_of.push(OFF_FACE);
+            }
+            for (axis, k) in scratch.axes.iter().zip(scratch.digits.iter_mut()) {
+                *k += 1;
+                if *k < axis.len {
+                    break;
+                }
+                *k = 0;
+            }
+        }
+        self.vertex_evals
+            .set(self.vertex_evals.get() + n_points as u64);
+
         let n_cands = self.theta_candidates.len();
         let width = n_points * n_cands;
-
-        // lane p·C + c holds rectangle point p paired with Θ candidate c, so
-        // the reduction walks lanes in exactly the scalar visit order
-        scratch.x.reset(self.dim, width);
+        scratch.x.reset(dim, width);
         scratch.thetas.reset(self.drift.params().dim(), width);
         for p in 0..n_points {
-            let point = &scratch.points[p * self.dim..(p + 1) * self.dim];
+            let point = &scratch.points[p * dim..(p + 1) * dim];
             for (c, candidate) in self.theta_candidates.iter().enumerate() {
                 scratch.x.set_lane(p * n_cands + c, point);
                 scratch.thetas.set_lane(p * n_cands + c, candidate);
@@ -393,6 +458,30 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
             &BatchTheta::PerLane(&scratch.thetas),
             &mut scratch.drifts,
         );
+    }
+
+    /// The extreme of drift coordinate `pin` over one face of the grid
+    /// [`HullOde::evaluate_grid`] evaluated: coordinate `pin` at grid index
+    /// `pin_index`, every other coordinate through its free values.
+    ///
+    /// The face's points are visited with the lowest free coordinate
+    /// varying fastest, the order of a face-by-face enumeration. Per point,
+    /// the reduction runs the [`extremal_theta`](crate::drift::extremal_theta)
+    /// scan with direction `+e_pin` for an upper bound or `−e_pin` for a
+    /// lower one — same candidate order, same strict comparisons, same
+    /// left-to-right dot-product fold — so the result is bit for bit what
+    /// the scalar scan gives on each point.
+    fn face_extreme(
+        &self,
+        scratch: &mut HullScratch,
+        pin: usize,
+        pin_index: usize,
+        want_max: bool,
+    ) -> f64 {
+        let dim = self.dim;
+        let n_cands = self.theta_candidates.len();
+        let drifts = scratch.drifts.as_slice();
+        let width = scratch.drifts.width();
 
         // the extremal scan's direction is `sign · e_pin`: `+e_pin` finds the
         // maximum, `−e_pin` minus the minimum. The dot product with it is
@@ -401,9 +490,9 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
         let sign = if want_max { 1.0 } else { -1.0 };
         let dot_pin = |lane: usize| -> f64 {
             let mut acc = 0.0;
-            for i in 0..self.dim {
+            for i in 0..dim {
                 let dir = if i == pin { sign } else { 0.0 };
-                acc += scratch.drifts.get(i, lane) * dir;
+                acc += drifts[i * width + lane] * dir;
             }
             acc
         };
@@ -413,8 +502,11 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
         } else {
             f64::INFINITY
         };
-        for p in 0..n_points {
-            self.vertex_evals.set(self.vertex_evals.get() + 1);
+        let digits = &mut scratch.digits;
+        digits.fill(0);
+        let mut g = pin_index * scratch.strides[pin];
+        loop {
+            let p = scratch.point_of[g];
             let mut extreme = f64::NEG_INFINITY;
             for c in 0..n_cands {
                 let value = dot_pin(p * n_cands + c);
@@ -426,8 +518,25 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
             if (want_max && value > best) || (!want_max && value < best) {
                 best = value;
             }
+            // advance the free coordinates' multi-index
+            let mut j = 0;
+            loop {
+                if j == dim {
+                    return best;
+                }
+                if j != pin {
+                    let stride = scratch.strides[j];
+                    digits[j] += 1;
+                    g += stride;
+                    if digits[j] < scratch.axes[j].free {
+                        break;
+                    }
+                    g -= digits[j] * stride;
+                    digits[j] = 0;
+                }
+                j += 1;
+            }
         }
-        best
     }
 }
 
@@ -437,14 +546,10 @@ impl<D: ImpreciseDrift> OdeSystem for HullOde<'_, D> {
     }
 
     fn rhs(&self, _t: f64, combined: &StateVec, out: &mut StateVec) {
-        let lower: StateVec = (0..self.dim).map(|i| combined[i]).collect();
-        let upper_raw: StateVec = (0..self.dim).map(|i| combined[self.dim + i]).collect();
-        // ensure a well-formed box even at intermediate RK stages
-        let upper = lower.component_max(&upper_raw);
-        for i in 0..self.dim {
-            out[i] = self.extreme_over_box(&lower, &upper, i, lower[i], false);
-            out[self.dim + i] = self.extreme_over_box(&lower, &upper, i, upper[i], true);
-        }
+        let (lower, upper) = combined.as_slice().split_at(self.dim);
+        // a well-formed box even at intermediate RK stages
+        let bounds = lower.iter().zip(upper).map(|(&lo, &hi)| (lo, lo.max(hi)));
+        self.box_rhs(bounds, out.as_mut_slice());
     }
 }
 
@@ -454,7 +559,7 @@ mod tests {
     use crate::drift::FnDrift;
     use crate::inclusion::DifferentialInclusion;
     use crate::signal::PiecewiseSignal;
-    use mfu_ctmc::params::ParamSpace;
+    use mfu_ctmc::params::{Interval, ParamSpace};
 
     fn decay_drift(lo: f64, hi: f64) -> FnDrift<impl Fn(&StateVec, &[f64], &mut StateVec)> {
         let theta = ParamSpace::single("rate", lo, hi).unwrap();
@@ -580,22 +685,72 @@ mod tests {
             .unwrap()
             .counter(Counter::CoreHullVertexEvals);
         assert_eq!(second, 2 * first);
+        // 1,000 RK4 steps × 4 stages, two grid points each (lower and
+        // upper bound; the midpoint lies on no face), except the first
+        // stage, whose box is the single point x0
+        assert_eq!(first, 7_999);
     }
 
-    #[test]
-    fn box_extremes_match_the_scalar_extremal_scan() {
-        // the coupled 2-d drift exercises midpoint refinement and a
-        // non-trivial rectangle enumeration; a refined Θ adds grid candidates
-        let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
-        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-            dx[0] = th[0] * (x[1] - x[0]);
-            dx[1] = x[0] * x[1] - th[0] * th[0] * x[1];
-        })
-        .with_theta_refinement(2);
+    /// Visits the corner and edge-midpoint points of the rectangle
+    /// `[lower, upper]` with coordinate `pin` fixed to `pin_value`, the
+    /// lowest free coordinate varying fastest: the face-by-face definition
+    /// the shared grid of [`HullOde::rhs`] must reproduce.
+    fn for_each_rect_point<F: FnMut(&StateVec)>(
+        lower: &StateVec,
+        upper: &StateVec,
+        pin: usize,
+        pin_value: f64,
+        mut visit: F,
+    ) {
+        let free: Vec<usize> = (0..lower.dim()).filter(|&i| i != pin).collect();
+        // per free coordinate: candidate values
+        let candidates: Vec<Vec<f64>> = free
+            .iter()
+            .map(|&i| {
+                let mut v = vec![lower[i], upper[i]];
+                if upper[i] > lower[i] {
+                    v.push(0.5 * (lower[i] + upper[i]));
+                }
+                v.dedup();
+                v
+            })
+            .collect();
+
+        let mut point = lower.clone();
+        point[pin] = pin_value;
+
+        // iterate over the Cartesian product of candidate values
+        let mut indices = vec![0usize; free.len()];
+        loop {
+            for (slot, &coord) in free.iter().enumerate() {
+                point[coord] = candidates[slot][indices[slot]];
+            }
+            visit(&point);
+            // advance the multi-index
+            let mut slot = 0;
+            loop {
+                if slot == free.len() {
+                    return;
+                }
+                indices[slot] += 1;
+                if indices[slot] < candidates[slot].len() {
+                    break;
+                }
+                indices[slot] = 0;
+                slot += 1;
+            }
+        }
+    }
+
+    /// Runs one right-hand side per box `[lower | upper]` and checks every
+    /// face bit for bit against the scalar extremal scan over the
+    /// face-by-face enumeration.
+    fn assert_faces_match_the_scalar_scan<D: ImpreciseDrift>(drift: &D, boxes: &[Vec<f64>]) {
+        let dim = drift.dim();
         let ode = HullOde {
-            drift: &drift,
-            dim: 2,
-            theta_candidates: theta_candidates(&drift),
+            drift,
+            dim,
+            theta_candidates: theta_candidates(drift),
             vertex_evals: Cell::new(0),
             scratch: RefCell::new(HullScratch::default()),
         };
@@ -607,10 +762,10 @@ mod tests {
             } else {
                 f64::INFINITY
             };
-            ode.for_each_rect_point(lower, upper, pin, pin_value, |point| {
-                let mut direction = StateVec::zeros(2);
+            for_each_rect_point(lower, upper, pin, pin_value, |point| {
+                let mut direction = StateVec::zeros(dim);
                 direction[pin] = if want_max { 1.0 } else { -1.0 };
-                let (_, extreme) = crate::drift::extremal_theta(&drift, point, &direction);
+                let (_, extreme) = crate::drift::extremal_theta(drift, point, &direction);
                 let value = if want_max { extreme } else { -extreme };
                 if (want_max && value > best) || (!want_max && value < best) {
                     best = value;
@@ -618,25 +773,136 @@ mod tests {
             });
             best
         };
-        let boxes = [
-            ([1.0, 0.0], [1.0, 0.0]),
-            ([0.2, -0.5], [0.9, 0.4]),
-            ([-1.0, 0.25], [0.0, 0.25]),
-        ];
-        for (lo, hi) in boxes {
-            let (lower, upper) = (StateVec::from(lo), StateVec::from(hi));
-            for pin in 0..2 {
-                for (pin_value, want_max) in [(lower[pin], false), (upper[pin], true)] {
-                    let batched = ode.extreme_over_box(&lower, &upper, pin, pin_value, want_max);
+        for bounds in boxes {
+            let (lower, upper) = bounds.split_at(dim);
+            let mut out = vec![0.0; 2 * dim];
+            ode.box_rhs(lower.iter().copied().zip(upper.iter().copied()), &mut out);
+            let (lower, upper) = (
+                StateVec::from(lower.to_vec()),
+                StateVec::from(upper.to_vec()),
+            );
+            for pin in 0..dim {
+                for (slot, pin_value, want_max) in
+                    [(pin, lower[pin], false), (dim + pin, upper[pin], true)]
+                {
                     let scalar = reference(&lower, &upper, pin, pin_value, want_max);
                     assert_eq!(
-                        batched.to_bits(),
+                        out[slot].to_bits(),
                         scalar.to_bits(),
-                        "box {lo:?}..{hi:?}, pin {pin}, max {want_max}"
+                        "box {lower}..{upper}, pin {pin}, max {want_max}: {} vs {scalar}",
+                        out[slot]
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn box_extremes_match_the_scalar_extremal_scan() {
+        let above_one = 1.0f64.next_up();
+        let below_one = 1.0f64.next_down();
+
+        // the coupled 2-d drift exercises midpoint refinement and a
+        // non-trivial rectangle enumeration; a refined Θ adds grid candidates
+        let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
+        let coupled = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * (x[1] - x[0]);
+            dx[1] = x[0] * x[1] - th[0] * th[0] * x[1];
+        })
+        .with_theta_refinement(2);
+        assert_faces_match_the_scalar_scan(
+            &coupled,
+            &[
+                // the degenerate start box, and a proper box
+                vec![1.0, 0.0, 1.0, 0.0],
+                vec![0.2, -0.5, 0.9, 0.4],
+                // a collapsed coordinate
+                vec![-1.0, 0.25, 0.0, 0.25],
+                // the midpoint rounds onto lo (`[lo, hi, lo]`) and onto hi
+                vec![1.0, below_one, above_one, 1.0],
+                // NaN bounds keep two candidates
+                vec![f64::NAN, 0.1, 0.2, f64::NAN],
+            ],
+        );
+
+        // a 1-dim drift: two points per face-pair, the midpoint unused
+        let decay = decay_drift(1.0, 2.0);
+        assert_faces_match_the_scalar_scan(
+            &decay,
+            &[vec![1.0, 1.0], vec![0.25, 0.75], vec![1.0, above_one]],
+        );
+
+        // a 4-dim drift with two parameters and a refined Θ; `signum` tells
+        // −0.0 from +0.0, so the zero-signed boxes check which bits each
+        // face pins (`f_1` and `f_3` read their own coordinate's sign) and
+        // which a free coordinate takes (`f_0` and `f_2` read `x_3`'s)
+        let params = ParamSpace::new(vec![
+            ("a", Interval::new(0.5, 1.5).unwrap()),
+            ("b", Interval::new(-1.0, 1.0).unwrap()),
+        ])
+        .unwrap();
+        let mixed = FnDrift::new(4, params, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * x[1] * x[2] - x[0] * x[3].signum();
+            dx[1] = th[1] * th[1] * x[0] - 0.1 * x[1].signum();
+            dx[2] = x[3].signum() * th[0] - x[2] / (1.0 + x[0] * x[0]);
+            dx[3] = th[1] * x[0] * x[1] * x[2] - th[0] * x[3].signum();
+        })
+        .with_theta_refinement(1);
+        assert_faces_match_the_scalar_scan(
+            &mixed,
+            &[
+                vec![0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.4],
+                vec![0.0, 0.1, -0.3, -0.2, 0.5, 0.4, 0.3, 0.2],
+                // collapsed coordinates whose bounds differ only in sign
+                vec![0.1, 0.0, 0.2, -0.0, 0.6, -0.0, 0.9, 0.0],
+                vec![0.1, -0.0, 0.2, 0.0, 0.6, -0.0, 0.2, 0.0],
+                // a midpoint on an endpoint beside a collapsed coordinate
+                vec![1.0, 0.5, 0.0, -1.0, above_one, 0.5, 0.25, -0.5],
+            ],
+        );
+    }
+
+    #[test]
+    fn oversized_grids_are_refused_before_any_work() {
+        let wide = |dim: usize| {
+            let theta = ParamSpace::single("rate", 1.0, 2.0).unwrap();
+            FnDrift::new(dim, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+                for i in 0..x.dim() {
+                    dx[i] = -th[0] * x[i];
+                }
+            })
+        };
+        // 3^41 overflows a 64-bit `usize`
+        let err = DifferentialHull::new(wide(41), HullOptions::default())
+            .bounds(&StateVec::zeros(41), 1.0)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::HullTooLarge {
+                dim: 41,
+                lanes: None
+            }
+        );
+        // 3^10 · 2 Θ vertices = 118,098 lanes, over the cap
+        let err = DifferentialHull::new(wide(10), HullOptions::default())
+            .bounds(&StateVec::zeros(10), 1.0)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::HullTooLarge {
+                dim: 10,
+                lanes: Some(118_098)
+            }
+        );
+        // 3^9 · 2 = 39,366 lanes fit
+        let options = HullOptions {
+            time_intervals: 1,
+            step: 0.5,
+            ..HullOptions::default()
+        };
+        assert!(DifferentialHull::new(wide(9), options)
+            .bounds(&StateVec::zeros(9), 0.5)
+            .is_ok());
     }
 
     #[test]

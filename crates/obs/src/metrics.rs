@@ -56,7 +56,8 @@ pub enum Counter {
     /// Single-start Pontryagin solves escalated to multi-start after a
     /// suspicious-convergence probe.
     CorePontryaginEscalations,
-    /// Drift evaluations at hull box corners/midpoints.
+    /// Hull grid points (box corners and midpoints) the drift is evaluated
+    /// at, each once per right-hand side and with every Θ candidate.
     CoreHullVertexEvals,
     /// DSL rules lowered to rate programs under observation.
     LangRulesLowered,

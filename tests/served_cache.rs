@@ -19,9 +19,9 @@ use mean_field_uncertain::core::pontryagin::PontryaginOptions;
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
 use mean_field_uncertain::serve::{BoundRequest, QueryService, ServiceOptions};
 
-/// The hull's rectangle-point enumeration is exponential in the dimension,
-/// so the sweep keeps to the models both methods can bound in test time
-/// (same cap as `tests/batch_invariance.rs`).
+/// The hull's rectangle grid is exponential in the dimension, so the sweep
+/// keeps to the models both methods can bound in test time (same cap as
+/// `tests/batch_invariance.rs`).
 const MAX_DIM: usize = 6;
 
 /// Fast-but-real analysis options: coarse enough for a full registry
@@ -38,6 +38,16 @@ fn fast_options() -> ServiceOptions {
             ..Default::default()
         },
         ..Default::default()
+    }
+}
+
+fn hull_request(model: &str) -> BoundRequest {
+    BoundRequest {
+        model: Some(model.to_string()),
+        source: None,
+        method: BoundMethod::Hull,
+        horizon: Some(1.0),
+        box_overrides: Vec::new(),
     }
 }
 
@@ -153,4 +163,43 @@ fn concurrent_clients_racing_one_service_get_identical_answers() {
         hits += usize::from(first.cache_hit) + 1;
     }
     assert!(hits >= 8, "the cache never warmed across 16 queries");
+}
+
+#[test]
+fn hull_vertex_evaluations_are_pinned() {
+    // The counter is a pure function of the code: one count per grid point
+    // evaluated per right-hand side (3^d − 1 once the box has opened up),
+    // so any change to the enumeration shows here exactly.
+    for (model, evals) in [("sir", 10_358), ("pod_choices_d2", 95_950)] {
+        let outcome = QueryService::new(fast_options())
+            .bound(&hull_request(model))
+            .unwrap_or_else(|e| panic!("{model}: hull query failed: {e}"));
+        assert_eq!(
+            outcome.artifact.cost.hull_vertex_evals, evals,
+            "{model}: hull vertex evaluations"
+        );
+    }
+}
+
+#[test]
+fn hull_queries_past_the_lane_cap_are_refused_at_once() {
+    // `grid_6x6` (36 species) needs 3^36 grid points per stage and
+    // `ring_48`'s 3^48 overflows `usize`: both get a typed refusal before
+    // any integration work instead of running out of memory.
+    let service = QueryService::new(fast_options());
+    for model in ["grid_6x6", "ring_48"] {
+        let started = std::time::Instant::now();
+        let err = service
+            .bound(&hull_request(model))
+            .expect_err("an oversized hull must be refused");
+        let elapsed = started.elapsed();
+        assert!(
+            err.contains("differential hull refused") && err.contains("drift lanes"),
+            "{model}: unexpected error `{err}`"
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{model}: refusal took {elapsed:?}"
+        );
+    }
 }
