@@ -23,7 +23,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
+use mfu_core::pontryagin::{ExtremalSolution, PontryaginOptions, PontryaginSolver};
 use mfu_guard::RunBudget;
 use mfu_lang::vm::RateProgram;
 use mfu_lang::{CompiledModel, ScenarioRegistry};
@@ -85,8 +85,9 @@ RUN OPTIONS:
                              simulation summaries, tau-leap adaptations,
                              Pontryagin solves) as JSON Lines to <file>
     --timeout <secs>         wall-clock budget (positive seconds, fractions
-                             allowed) for each Pontryagin sweep and the
-                             simulation; a sweep or run that trips it
+                             allowed) for each bounded extreme (shared by
+                             all of its Pontryagin restarts) and for the
+                             simulation; a solve or run that trips it
                              reports the best bound or the prefix computed
                              so far, notes the truncation on stderr and
                              still exits 0
@@ -668,6 +669,19 @@ fn build_obs(options: &RunOptions) -> Result<Obs, String> {
     Ok(Obs { metrics, tracer })
 }
 
+/// How a Pontryagin extreme's sweep ended, for the `imprecise bounds` line.
+fn sweep_status(solution: &ExtremalSolution) -> String {
+    let sweeps = solution.iterations();
+    let unit = if sweeps == 1 { "sweep" } else { "sweeps" };
+    if solution.converged() {
+        format!("converged in {sweeps} {unit}")
+    } else if solution.truncated() {
+        format!("truncated after {sweeps} {unit}")
+    } else {
+        format!("not converged after {sweeps} {unit}")
+    }
+}
+
 fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
     let obs = build_obs(options)?;
     let loaded = load_model(target, &obs)?;
@@ -725,10 +739,13 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
             mfu_guard::TruncationReason::WallClock
         );
     }
-    let (lo, hi) = (lo.objective_value(), hi.objective_value());
     let _ = writeln!(
         out,
-        "imprecise bounds: {species}({horizon}) in [{lo:.6}, {hi:.6}]"
+        "imprecise bounds: {species}({horizon}) in [{:.6}, {:.6}] (min {}, max {})",
+        lo.objective_value(),
+        hi.objective_value(),
+        sweep_status(&lo),
+        sweep_status(&hi)
     );
 
     // `--simulate` wins; a scenario-declared default scale (the

@@ -106,21 +106,34 @@ pub fn extremal_theta<D: ImpreciseDrift + ?Sized>(
     let mut best_value = f64::NEG_INFINITY;
     let mut buffer = StateVec::zeros(drift.dim());
     for theta in theta_candidates(drift) {
-        drift.drift_into(x, &theta, &mut buffer);
-        // `direction · f` as a left fold from +0.0, the fold the hull's
-        // batched reduction runs too (`Iterator::sum`, and so
-        // `StateVec::dot`, starts from −0.0 and can differ in the sign of
-        // a zero)
-        let value = buffer
-            .iter()
-            .zip(direction.iter())
-            .fold(0.0, |acc, (f, d)| acc + f * d);
+        let value = hamiltonian(drift, x, direction, &theta, &mut buffer);
         if value > best_value {
             best_value = value;
             best_theta = theta;
         }
     }
     (best_theta, best_value)
+}
+
+/// The functional `direction · f(x, ϑ)` that [`extremal_theta`] maximises,
+/// with `buffer` receiving `f(x, ϑ)`.
+///
+/// It is a left fold from +0.0, the fold the hull's batched reduction runs
+/// too (`Iterator::sum`, and so `StateVec::dot`, starts from −0.0 and can
+/// differ in the sign of a zero), so a control scored here compares
+/// exactly with the scan's candidates.
+pub(crate) fn hamiltonian<D: ImpreciseDrift + ?Sized>(
+    drift: &D,
+    x: &StateVec,
+    direction: &StateVec,
+    theta: &[f64],
+    buffer: &mut StateVec,
+) -> f64 {
+    drift.drift_into(x, theta, buffer);
+    buffer
+        .iter()
+        .zip(direction.iter())
+        .fold(0.0, |acc, (f, d)| acc + f * d)
 }
 
 impl<D: ImpreciseDrift + ?Sized> ImpreciseDrift for &D {

@@ -5,26 +5,38 @@
 //! measurable signal `ϑ(t) ∈ Θ` that maximises the terminal value. Pontryagin's
 //! principle gives necessary conditions — a costate `p` satisfying
 //! `-ṗ = (∂f/∂x)ᵀ p` with a terminal condition aligned with the objective,
-//! and `ϑ(t) ∈ argmax_ϑ  p(t)·f(x(t), ϑ)` — which this module solves with the
-//! classical forward–backward sweep:
+//! and `ϑ(t) ∈ argmax_ϑ  p(t)·f(x(t), ϑ)` — which this module solves with a
+//! monotone forward–backward sweep:
 //!
-//! 1. integrate the state forward under the current control;
-//! 2. integrate the costate backward along that state;
-//! 3. update the control pointwise from the Hamiltonian maximisation
-//!    (exact vertex selection for drifts affine in `ϑ`, which yields the
-//!    bang-bang controls of Figure 2);
-//! 4. repeat until state and control stop changing.
+//! 1. integrate the state forward under the start control (once);
+//! 2. integrate the costate backward along the current state;
+//! 3. rank the intervals where switching the control to the Hamiltonian
+//!    maximiser `θ*` gains (exact vertex selection for drifts affine in
+//!    `ϑ`, which yields the bang-bang controls of Figure 2), largest gain
+//!    first;
+//! 4. switch them all, and halve that switch set (keeping the best-ranked)
+//!    until the forward objective strictly improves; adopt that control and
+//!    its state and go back to 2.
+//!
+//! The sweep has converged when no interval gains (the maximum principle
+//! holds on the grid) or when switching even the single best interval does
+//! not pay. No sweep can lower the objective, and a switched interval holds
+//! a `Θ` candidate, so the controls stay bang-bang: this is Krylov and
+//! Chernous'ko's method of successive approximations with the monotone step
+//! of McAsey, Mou and Han (*Convergence of the forward–backward sweep method
+//! in optimal control*, 2012).
 //!
 //! Arbitrary linear functionals `α·x(T)` are supported, which is what the
 //! paper calls *template* refinement of the reachable set.
 //!
 //! The sweep's numerical settings are fixed constants, not options: at most
-//! 200 sweeps per start, convergence once state and control move less than
-//! `1e-7` between sweeps, an undamped control update and a `1e-6`
-//! finite-difference Jacobian step. A single-start solve always runs the
-//! Θ-vertex escalation ladder (see [`PontryaginSolver::solve`]).
+//! 200 sweeps per start and a `1e-6` finite-difference Jacobian step. A
+//! single-start solve always runs the Θ-vertex escalation ladder (see
+//! [`PontryaginSolver::solve`]).
 
-use mfu_guard::{BudgetTracker, RunBudget, DIVERGENCE_CAP};
+use std::time::Instant;
+
+use mfu_guard::{RunBudget, DIVERGENCE_CAP};
 use mfu_num::batch::{BatchTheta, SoaBatch};
 use mfu_num::grid::{GridSignal, TimeGrid};
 use mfu_num::jacobian::Jacobian;
@@ -32,7 +44,7 @@ use mfu_num::ode::Trajectory;
 use mfu_num::StateVec;
 use mfu_obs::{Counter, Field, Gauge, Obs};
 
-use crate::drift::{extremal_theta, ImpreciseDrift};
+use crate::drift::{extremal_theta, hamiltonian, ImpreciseDrift};
 use crate::signal::GridParamSignal;
 use crate::{CoreError, Result};
 
@@ -54,13 +66,9 @@ const MAX_COSTATE_STEP_GROWTH: f64 = 2.5;
 /// Maximum number of sweep iterations per start.
 const MAX_ITERATIONS: usize = 200;
 
-/// Convergence threshold on the sup-norm change of the terminal state and
-/// of the control between two sweeps.
-const TOLERANCE: f64 = 1e-7;
-
-/// Weight of the control update `c + RELAXATION·(θ* − c)`: 1 replaces the
-/// control outright.
-const RELAXATION: f64 = 1.0;
+/// Margin by which a constant-control vertex probe must beat the sweep's
+/// extremal before a single-start solve escalates to the vertex starts.
+const ESCALATION_MARGIN: f64 = 1e-6;
 
 /// Finite-difference step of the costate Jacobian.
 const JACOBIAN_STEP: f64 = 1e-6;
@@ -137,11 +145,14 @@ pub struct PontryaginOptions {
     /// `false`, the escalation ladder of [`PontryaginSolver::solve`] reruns
     /// the vertex starts only when a constant-control probe beats the sweep.
     pub multi_start: bool,
-    /// Run budget for the sweep. Only `wall_clock` applies: it is checked
-    /// once per sweep iteration, per restart. A tripped deadline ends the
-    /// sweep early with `converged() == false` and `truncated() == true`
-    /// instead of erroring — every iterate is a feasible selection of the
-    /// inclusion, so the bound so far is valid, merely not extremal.
+    /// Run budget for the solve. Only `wall_clock` applies: one deadline
+    /// starts with [`PontryaginSolver::solve`] and is shared by every
+    /// restart and escalated vertex start, which check it before each
+    /// backward pass and each trial forward pass. A tripped deadline ends
+    /// the sweeps early with `converged() == false` and
+    /// `truncated() == true` instead of erroring — every adopted control is
+    /// a feasible selection of the inclusion, so the bound so far is
+    /// valid, merely not extremal.
     pub budget: RunBudget,
 }
 
@@ -195,12 +206,15 @@ impl ExtremalSolution {
         &self.control
     }
 
-    /// Whether the sweep met its convergence tolerance.
+    /// Whether the sweep converged: after its last backward pass no
+    /// interval gained by switching to the Hamiltonian maximiser, or
+    /// switching even the best-ranked one alone did not raise the
+    /// objective. `false` when the sweep cap or the deadline stopped it.
     pub fn converged(&self) -> bool {
         self.converged
     }
 
-    /// Number of sweep iterations performed.
+    /// Number of sweep iterations (backward passes) performed.
     pub fn iterations(&self) -> usize {
         self.iterations
     }
@@ -268,11 +282,11 @@ impl PontryaginSolver {
     }
 
     /// Attaches an observability bundle: every solve flushes its RK4-step,
-    /// Jacobian-evaluation, sweep-iteration and restart counts into
-    /// `obs.metrics` (multi-start restarts run on scoped threads and share
-    /// the handle's atomics), records which restart won as a gauge, and
-    /// emits a `pontryagin_solve` trace event per solve. Results are
-    /// unaffected — counters are flushed after the numerics finish.
+    /// Jacobian-evaluation, sweep-iteration, rejected-step and restart
+    /// counts into `obs.metrics` (multi-start restarts run on scoped threads
+    /// and share the handle's atomics), records which restart won as a
+    /// gauge, and emits a `pontryagin_solve` trace event per solve. Results
+    /// are unaffected — counters are flushed after the numerics finish.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -354,16 +368,22 @@ impl PontryaginSolver {
     /// A single-start solve runs the escalation ladder afterwards: it probes
     /// every vertex of `Θ` with a cheap constant-control forward
     /// integration, and if any probe beats the sweep's extremal by more than
-    /// ten times the convergence tolerance — a sure sign the sweep settled
-    /// on a local extremal — it reruns the sweep from every vertex and keeps
-    /// the best result, exactly as `multi_start` would have.
+    /// `1e-6` — a sure sign the sweep settled on a local extremal — it
+    /// reruns the sweep from every vertex and keeps the best result, exactly
+    /// as `multi_start` would have. A sweep never lowers the objective of
+    /// its start, so an escalated vertex start ends at least at the probe
+    /// that beat the midpoint sweep.
+    ///
+    /// The wall-clock budget starts here, once: the midpoint start, the
+    /// restarts and the escalated vertex starts all stop at the same
+    /// deadline.
     ///
     /// # Errors
     ///
-    /// Returns an error on inconsistent inputs or when an integration step
-    /// produces non-finite values. A sweep that merely fails to meet the
-    /// convergence tolerance within the iteration budget is *not* an error;
-    /// the returned solution reports `converged() == false`.
+    /// Returns an error on inconsistent inputs, when an integration step
+    /// produces non-finite values, or when a forward pass diverges. A sweep
+    /// that merely does not converge within the sweep cap is *not* an
+    /// error; the returned solution reports `converged() == false`.
     pub fn solve<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
@@ -371,11 +391,16 @@ impl PontryaginSolver {
         horizon: f64,
         objective: LinearObjective,
     ) -> Result<ExtremalSolution> {
+        let deadline = self
+            .options
+            .budget
+            .wall_clock
+            .and_then(|limit| Instant::now().checked_add(limit));
         let mut initializations = vec![drift.params().midpoint()];
         if self.options.multi_start {
             initializations.extend(drift.params().vertices());
         }
-        let outcomes = self.sweep_all(drift, x0, horizon, &objective, initializations);
+        let outcomes = self.sweep_all(drift, x0, horizon, &objective, initializations, deadline);
 
         // Deterministic selection: walk candidates in initialization order,
         // keeping the strictly better one — the sequential semantics.
@@ -414,8 +439,7 @@ impl PontryaginSolver {
         let mut escalated = false;
         if !self.options.multi_start {
             let ascent = objective.ascent_weights();
-            let margin = 10.0 * TOLERANCE;
-            let threshold = sign * best.objective_value() + margin;
+            let threshold = sign * best.objective_value() + ESCALATION_MARGIN;
             // One lockstep integration evaluates every vertex probe. The
             // RK4-step tally counts the probes up to the first one that
             // beats the sweep, as a probe-by-probe scan would.
@@ -431,7 +455,8 @@ impl PontryaginSolver {
             );
             if beaten_by.is_some() {
                 let offset = usize::try_from(restarts).unwrap_or(usize::MAX);
-                let vertex_outcomes = self.sweep_all(drift, x0, horizon, &objective, vertices);
+                let vertex_outcomes =
+                    self.sweep_all(drift, x0, horizon, &objective, vertices, deadline);
                 for (index, outcome) in vertex_outcomes {
                     restarts += 1;
                     let candidate = outcome?;
@@ -471,7 +496,8 @@ impl PontryaginSolver {
     }
 
     /// Runs one sweep per initialization (in parallel when possible) and
-    /// returns the outcomes sorted by initialization index.
+    /// returns the outcomes sorted by initialization index. Every sweep
+    /// stops at the solve's shared `deadline`.
     fn sweep_all<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
@@ -479,6 +505,7 @@ impl PontryaginSolver {
         horizon: f64,
         objective: &LinearObjective,
         initializations: Vec<Vec<f64>>,
+        deadline: Option<Instant>,
     ) -> Vec<(usize, Result<ExtremalSolution>)> {
         let n = initializations.len();
         let threads = std::thread::available_parallelism()
@@ -492,7 +519,7 @@ impl PontryaginSolver {
                 .map(|(i, initial)| {
                     (
                         i,
-                        self.solve_from(drift, x0, horizon, objective.clone(), initial),
+                        self.solve_from(drift, x0, horizon, objective.clone(), initial, deadline),
                     )
                 })
                 .collect()
@@ -514,6 +541,7 @@ impl PontryaginSolver {
                                         horizon,
                                         objective_ref.clone(),
                                         initializations[index].clone(),
+                                        deadline,
                                     ),
                                 ));
                                 index += threads;
@@ -642,7 +670,8 @@ impl PontryaginSolver {
             .collect()
     }
 
-    /// One forward–backward sweep started from a constant control `initial`.
+    /// One monotone forward–backward sweep started from a constant control
+    /// `initial_control`, stopping at `deadline`.
     fn solve_from<D: ImpreciseDrift>(
         &self,
         drift: &D,
@@ -650,6 +679,7 @@ impl PontryaginSolver {
         horizon: f64,
         objective: LinearObjective,
         initial_control: Vec<f64>,
+        deadline: Option<Instant>,
     ) -> Result<ExtremalSolution> {
         let dim = drift.dim();
         if x0.dim() != dim {
@@ -672,9 +702,8 @@ impl PontryaginSolver {
         let n = grid.intervals();
         let h = grid.step();
         let ascent = objective.ascent_weights();
-        let theta_dim = drift.params().dim();
 
-        if initial_control.len() != theta_dim {
+        if initial_control.len() != drift.params().dim() {
             return Err(CoreError::invalid_input(
                 "initial control dimension mismatch",
             ));
@@ -683,6 +712,13 @@ impl PontryaginSolver {
         let mut control: Vec<Vec<f64>> = vec![initial_control; n + 1];
         let mut state: Vec<StateVec> = vec![x0.clone(); n + 1];
         let mut costate: Vec<StateVec> = vec![StateVec::zeros(dim); n + 1];
+        // The step search's trial control and state; an accepted trial swaps
+        // places with the adopted pair.
+        let mut trial_control = control.clone();
+        let mut trial_state = state.clone();
+        // Intervals whose switch to the Hamiltonian maximiser gains, as
+        // (gain, interval, maximiser).
+        let mut switches: Vec<(f64, usize, Vec<f64>)> = Vec::new();
 
         // Preallocated work buffers, reused by every RK4 stage and every
         // finite-difference Jacobian of the sweep: the inner loops below run
@@ -691,6 +727,7 @@ impl PontryaginSolver {
         let mut jac = Jacobian::zeros(dim, dim);
         let mut jac_batch = BatchedJacobianScratch::default();
         let mut midpoint = StateVec::zeros(dim);
+        let mut drift_value = StateVec::zeros(dim);
 
         let mut converged = false;
         let mut truncated = false;
@@ -700,49 +737,22 @@ impl PontryaginSolver {
         // metrics handle's atomics make the flush thread-safe).
         let mut rk4_steps = 0u64;
         let mut jacobian_evals = 0u64;
-        // Best (in the ascent sense) control seen so far. The sweep can
-        // oscillate before converging; every iterate is a feasible selection
-        // of the inclusion, so keeping the best one makes the reported bound
-        // monotone across iterations.
-        let mut best_value = f64::NEG_INFINITY;
-        let mut best_control: Option<Vec<Vec<f64>>> = None;
+        let mut rejected_steps = 0u64;
 
-        let mut tracker = BudgetTracker::start(&self.options.budget);
-        for iteration in 0..MAX_ITERATIONS {
-            // A tripped deadline ends the sweep gracefully: every iterate is a
-            // feasible selection, so the best control so far is still a valid
+        forward_pass(drift, &grid, &control, &mut state, &mut rk4)?;
+        rk4_steps += n as u64;
+        let mut value = ascent.dot(&state[n]);
+
+        'sweeps: for iteration in 0..MAX_ITERATIONS {
+            // A tripped deadline ends the sweep gracefully: the adopted
+            // control is a feasible selection, so its value is still a valid
             // (if not extremal) bound, reported with `converged() == false`
             // and `truncated() == true`.
-            if tracker.expired_now() {
+            if expired(deadline) {
                 truncated = true;
                 break;
             }
             iterations = iteration + 1;
-            // ---- forward pass -------------------------------------------------
-            let previous_state_end = state[n].clone();
-            for k in 0..n {
-                let theta = &control[k];
-                let (head, tail) = state.split_at_mut(k + 1);
-                rk4_step_into(
-                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
-                    &head[k],
-                    h,
-                    &mut tail[0],
-                    &mut rk4,
-                )?;
-            }
-            rk4_steps += n as u64;
-            if mfu_guard::state_diverged(state[n].as_slice(), DIVERGENCE_CAP) {
-                return Err(CoreError::Diverged {
-                    analysis: "pontryagin sweep",
-                    time: horizon,
-                });
-            }
-            let iterate_value = ascent.dot(&state[n]);
-            if iterate_value > best_value {
-                best_value = iterate_value;
-                best_control = Some(control.clone());
-            }
 
             // ---- backward pass ------------------------------------------------
             costate[n] = ascent.clone();
@@ -752,10 +762,9 @@ impl PontryaginSolver {
                 // with step -h is equivalent to integrating ṗ = Jᵀ p forward
                 // in the reversed time variable. The Jacobian is frozen at
                 // the interval midpoint, so it is evaluated once per
-                // interval and shared by all four RK4 stages (the stages
-                // previously recomputed the identical matrix); a failed
-                // evaluation zeroes the matrix, preserving the historical
-                // "treat a bad Jacobian as no costate motion" behaviour.
+                // interval and shared by all four RK4 stages; a failed
+                // evaluation zeroes the matrix (no costate motion on that
+                // interval).
                 half_sum_into(&state[k], &state[k + 1], &mut midpoint);
                 let jacobian_ok = batched_jacobian_into(
                     drift,
@@ -787,58 +796,60 @@ impl PontryaginSolver {
             rk4_steps += n as u64;
             jacobian_evals += n as u64;
 
-            // ---- control update ----------------------------------------------
-            let mut control_change = 0.0_f64;
+            // ---- switch set ----------------------------------------------------
+            // The gain of an interval is H(θ*) − H(u) at its start state and
+            // midpoint costate, with u its current control.
+            switches.clear();
             for k in 0..n {
                 half_sum_into(&costate[k], &costate[k + 1], &mut midpoint);
-                let (theta_star, _) = extremal_theta(drift, &state[k], &midpoint);
-                let mut updated = Vec::with_capacity(theta_dim);
-                for j in 0..theta_dim {
-                    let relaxed = control[k][j] + RELAXATION * (theta_star[j] - control[k][j]);
-                    updated.push(drift.params().intervals()[j].clamp(relaxed));
+                let (theta_star, best) = extremal_theta(drift, &state[k], &midpoint);
+                if theta_star != control[k] {
+                    let gain = best
+                        - hamiltonian(drift, &state[k], &midpoint, &control[k], &mut drift_value);
+                    if gain > 0.0 {
+                        switches.push((gain, k, theta_star));
+                    }
                 }
-                let change = updated
-                    .iter()
-                    .zip(control[k].iter())
-                    .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
-                control_change = control_change.max(change);
-                control[k] = updated;
             }
-            control[n] = control[n - 1].clone();
-
-            let state_change = state[n].distance_inf(&previous_state_end);
-            if control_change < TOLERANCE && state_change < TOLERANCE && iteration > 0 {
+            if switches.is_empty() {
+                // the maximum principle holds on the grid
                 converged = true;
                 break;
             }
-        }
+            switches.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        // Report the best control encountered (the converged control when the
-        // sweep converged, the best oscillation iterate otherwise) and rerun
-        // the forward pass with it so state and control match exactly.
-        if let Some(best) = best_control {
-            let final_value = ascent.dot(&state[n]);
-            if best_value > final_value {
-                control = best;
+            // ---- step search ---------------------------------------------------
+            // Switch the best-ranked `size` intervals, halving the set until
+            // the objective strictly improves.
+            let mut size = switches.len();
+            loop {
+                if expired(deadline) {
+                    truncated = true;
+                    break 'sweeps;
+                }
+                trial_control.clone_from(&control);
+                for (_, k, theta_star) in &switches[..size] {
+                    trial_control[*k].clone_from(theta_star);
+                }
+                let (intervals, last) = trial_control.split_at_mut(n);
+                last[0].clone_from(&intervals[n - 1]);
+                forward_pass(drift, &grid, &trial_control, &mut trial_state, &mut rk4)?;
+                rk4_steps += n as u64;
+                let trial_value = ascent.dot(&trial_state[n]);
+                if trial_value > value {
+                    std::mem::swap(&mut control, &mut trial_control);
+                    std::mem::swap(&mut state, &mut trial_state);
+                    value = trial_value;
+                    break;
+                }
+                rejected_steps += 1;
+                if size == 1 {
+                    // not even the best-ranked switch alone pays
+                    converged = true;
+                    break 'sweeps;
+                }
+                size = size.div_ceil(2);
             }
-        }
-        for k in 0..n {
-            let theta = &control[k];
-            let (head, tail) = state.split_at_mut(k + 1);
-            rk4_step_into(
-                &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
-                &head[k],
-                h,
-                &mut tail[0],
-                &mut rk4,
-            )?;
-        }
-        rk4_steps += n as u64;
-        if mfu_guard::state_diverged(state[n].as_slice(), DIVERGENCE_CAP) {
-            return Err(CoreError::Diverged {
-                analysis: "pontryagin sweep",
-                time: horizon,
-            });
         }
         let objective_value = objective.weights().dot(&state[n]);
 
@@ -847,6 +858,7 @@ impl PontryaginSolver {
             metrics.add(Counter::CoreRk4Steps, rk4_steps);
             metrics.add(Counter::CoreJacobianEvals, jacobian_evals);
             metrics.add(Counter::CorePontryaginSweeps, iterations as u64);
+            metrics.add(Counter::CorePontryaginRejectedSteps, rejected_steps);
         }
 
         let control_values: Vec<StateVec> = control.into_iter().map(StateVec::from).collect();
@@ -861,6 +873,43 @@ impl PontryaginSolver {
             truncated,
         })
     }
+}
+
+/// Whether the solve's shared deadline has passed (never, without one).
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|deadline| Instant::now() >= deadline)
+}
+
+/// Integrates the state forward over `grid` under a piecewise-constant
+/// control: `state[k + 1]` from `state[k]` under `control[k]`, with
+/// `state[0]` the initial condition. Fails on a non-finite RK4 step or a
+/// terminal state past the divergence cap.
+fn forward_pass<D: ImpreciseDrift>(
+    drift: &D,
+    grid: &TimeGrid,
+    control: &[Vec<f64>],
+    state: &mut [StateVec],
+    rk4: &mut Rk4Scratch,
+) -> Result<()> {
+    let (n, h) = (grid.intervals(), grid.step());
+    for k in 0..n {
+        let theta = &control[k];
+        let (head, tail) = state.split_at_mut(k + 1);
+        rk4_step_into(
+            &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
+            &head[k],
+            h,
+            &mut tail[0],
+            rk4,
+        )?;
+    }
+    if mfu_guard::state_diverged(state[n].as_slice(), DIVERGENCE_CAP) {
+        return Err(CoreError::Diverged {
+            analysis: "pontryagin sweep",
+            time: grid.end(),
+        });
+    }
+    Ok(())
 }
 
 /// Reusable batch buffers of [`batched_jacobian_into`].
@@ -1273,11 +1322,14 @@ mod tests {
 
     #[test]
     fn solve_counters_satisfy_the_sweep_accounting() {
-        // Per solve_from call over a grid of n intervals: every sweep does a
-        // forward RK4 pass (n steps), n Jacobian evaluations and a backward
-        // RK4 pass (n steps); the final replay adds one more forward pass.
-        // Hence jacobian_evals == sweeps·n and
-        // rk4_steps == 2·jacobian_evals + restarts·n.
+        // Per solve_from call over a grid of n intervals: one forward pass
+        // under the start control (n RK4 steps), then every sweep does a
+        // backward RK4 pass (n steps) with n Jacobian evaluations, and one
+        // forward trial pass (n steps) per tried switch set. A converged
+        // start accepted a trial in every sweep but its last, so its
+        // accepted trials plus its start pass number its sweeps. Hence
+        // jacobian_evals == sweeps·n and
+        // rk4_steps == 2·jacobian_evals + rejected_steps·n.
         let drift = decay_drift();
         let x0 = StateVec::from([1.0]);
         let obs = Obs::with_metrics();
@@ -1296,11 +1348,12 @@ mod tests {
         let sweeps = snapshot.counter(Counter::CorePontryaginSweeps);
         let jacobians = snapshot.counter(Counter::CoreJacobianEvals);
         let rk4 = snapshot.counter(Counter::CoreRk4Steps);
+        let rejected = snapshot.counter(Counter::CorePontryaginRejectedSteps);
         // midpoint + both vertices of the single interval
         assert_eq!(restarts, 3);
         assert!(sweeps >= restarts, "each restart sweeps at least once");
         assert_eq!(jacobians, sweeps * 200);
-        assert_eq!(rk4, 2 * jacobians + restarts * 200);
+        assert_eq!(rk4, 2 * jacobians + rejected * 200);
         let winner = snapshot
             .gauge(Gauge::CorePontryaginWinningRestart)
             .expect("winner gauge set");
@@ -1359,9 +1412,9 @@ mod tests {
             ..Default::default()
         });
         let solution = s.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
-        // No sweep ran. The midpoint replay ϑ ≡ 1.5 loses to the vertex
-        // probe ϑ ≡ 1, so the ladder escalates and the replayed vertex
-        // control wins.
+        // No sweep ran. The midpoint start's forward pass ϑ ≡ 1.5 loses to
+        // the vertex probe ϑ ≡ 1, so the ladder escalates and the vertex
+        // start's forward pass wins.
         assert_eq!(solution.iterations(), 0);
         assert!(!solution.converged());
         assert!(solution.truncated());

@@ -56,6 +56,9 @@ pub enum Counter {
     /// Single-start Pontryagin solves escalated to multi-start after a
     /// suspicious-convergence probe.
     CorePontryaginEscalations,
+    /// Pontryagin trial forward passes whose switch set did not improve
+    /// the objective (each one halves the set or ends the sweep).
+    CorePontryaginRejectedSteps,
     /// Hull grid points (box corners and midpoints) the drift is evaluated
     /// at, each once per right-hand side and with every Θ candidate.
     CoreHullVertexEvals,
@@ -75,7 +78,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot rendering order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::SimEventsFired,
         Counter::SimPropensityEvals,
         Counter::SimPropensitySkips,
@@ -92,6 +95,7 @@ impl Counter {
         Counter::CorePontryaginSweeps,
         Counter::CorePontryaginRestarts,
         Counter::CorePontryaginEscalations,
+        Counter::CorePontryaginRejectedSteps,
         Counter::CoreHullVertexEvals,
         Counter::LangRulesLowered,
         Counter::ServeArtifactHits,
@@ -121,6 +125,7 @@ impl Counter {
             Counter::CorePontryaginSweeps => "core_pontryagin_sweeps",
             Counter::CorePontryaginRestarts => "core_pontryagin_restarts",
             Counter::CorePontryaginEscalations => "core_pontryagin_escalations",
+            Counter::CorePontryaginRejectedSteps => "core_pontryagin_rejected_steps",
             Counter::CoreHullVertexEvals => "core_hull_vertex_evals",
             Counter::LangRulesLowered => "lang_rules_lowered",
             Counter::ServeArtifactHits => "serve_artifact_hits",

@@ -11,15 +11,22 @@
 //!
 //! * an armed-but-untripped budget is invisible — trajectories are
 //!   bit-identical with the guard on or off;
-//! * the Pontryagin escalation ladder closes the carried "single-start
-//!   settles on a local extremal for the reduced botnet drift" issue: the
-//!   single-start solver now matches the multi-start bound on its own.
+//! * a single-start Pontryagin solve matches the multi-start bound on its
+//!   own: on the reduced botnet drift the midpoint sweep reaches it, and
+//!   where the midpoint sweep settles on a local extremal the escalation
+//!   ladder recovers it;
+//! * one wall-clock deadline bounds a whole Pontryagin solve, escalated
+//!   vertex starts included.
 
 use std::time::{Duration, Instant};
 
+use mean_field_uncertain::core::drift::ImpreciseDrift;
 use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
+use mean_field_uncertain::ctmc::params::ParamSpace;
 use mean_field_uncertain::guard::{FaultKind, FaultPlan, Outcome, RunBudget};
 use mean_field_uncertain::lang::{CompiledModel, ScenarioRegistry};
+use mean_field_uncertain::num::batch::{BatchTheta, SoaBatch};
+use mean_field_uncertain::num::StateVec;
 use mean_field_uncertain::obs::{Counter, Obs};
 use mean_field_uncertain::sim::ensemble::{run_ensemble, EnsembleOptions};
 use mean_field_uncertain::sim::gillespie::{
@@ -298,12 +305,11 @@ fn armed_untripped_budgets_are_bit_identical_to_no_budget() {
 }
 
 #[test]
-fn botnet_single_start_escalates_and_matches_the_multi_start_bound() {
-    // The carried robustness issue: the single-start sweep settles on a
-    // local extremal for the 3-dimensional reduced botnet drift, which used
-    // to force every caller to know to pass multi_start. The escalation
-    // ladder must now detect the bad extremal and recover the multi-start
-    // bound on its own, reporting the escalation in the metrics.
+fn botnet_single_start_matches_the_multi_start_bound() {
+    // The carried robustness issue: the single-start sweep used to settle
+    // on a local extremal for the 3-dimensional reduced botnet drift, which
+    // forced every caller to know to pass multi_start. The monotone sweep
+    // reaches the multi-start bound from the midpoint start alone.
     let registry = ScenarioRegistry::with_builtins();
     let scenario = registry.get("botnet").unwrap();
     let model = scenario.compile().unwrap();
@@ -321,13 +327,11 @@ fn botnet_single_start_escalates_and_matches_the_multi_start_bound() {
         .coordinate_extremes(&drift, &x0, horizon, coordinate)
         .unwrap();
 
-    let obs = Obs::with_metrics();
     let single = PontryaginSolver::new(PontryaginOptions {
         grid_intervals: 120,
         multi_start: false,
         ..Default::default()
-    })
-    .with_obs(obs.clone());
+    });
     let (lo, hi) = single
         .coordinate_extremes(&drift, &x0, horizon, coordinate)
         .unwrap();
@@ -339,11 +343,119 @@ fn botnet_single_start_escalates_and_matches_the_multi_start_bound() {
         (hi - multi_hi).abs() < 1e-6,
         "upper bound {hi} vs multi-start {multi_hi}"
     );
+}
+
+/// `pod_choices_d2`'s reduced drift, start state and horizon: its
+/// coordinate-1 minimum at grid 120 is an input whose midpoint sweep
+/// settles on a local extremal that a vertex probe beats.
+fn pod_choices_d2() -> (CompiledModel, f64) {
+    let registry = ScenarioRegistry::with_builtins();
+    let scenario = registry.get("pod_choices_d2").unwrap();
+    (scenario.compile().unwrap(), scenario.horizon())
+}
+
+#[test]
+fn single_start_escalates_on_a_local_extremal_and_matches_the_multi_start_bound() {
+    let (model, horizon) = pod_choices_d2();
+    let drift = model.reduced_drift();
+    let x0 = model.reduced_initial_state();
+    let multi = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 120,
+        multi_start: true,
+        ..Default::default()
+    })
+    .minimize_coordinate(&drift, &x0, horizon, 1)
+    .unwrap();
+
+    let obs = Obs::with_metrics();
+    let single = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 120,
+        multi_start: false,
+        ..Default::default()
+    })
+    .with_obs(obs.clone())
+    .minimize_coordinate(&drift, &x0, horizon, 1)
+    .unwrap();
+    // the escalated solve keeps the best of the same starts, picked in the
+    // same order, as the multi-start solve
+    assert_eq!(
+        single.objective_value().to_bits(),
+        multi.objective_value().to_bits(),
+        "single-start {} vs multi-start {}",
+        single.objective_value(),
+        multi.objective_value()
+    );
+    assert!(single.converged());
     let snapshot = obs.metrics.snapshot().unwrap();
-    assert!(
-        snapshot.counter(Counter::CorePontryaginEscalations) >= 1,
+    assert_eq!(
+        snapshot.counter(Counter::CorePontryaginEscalations),
+        1,
         "the ladder never escalated"
     );
+}
+
+/// A drift whose per-lane-Θ batches — the escalation ladder's vertex
+/// probes, the only per-lane batches a Pontryagin solve evaluates — sleep
+/// until `until`. Every other evaluation is the wrapped drift's.
+struct SlowProbes<D> {
+    inner: D,
+    until: Instant,
+}
+
+impl<D: ImpreciseDrift> ImpreciseDrift for SlowProbes<D> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn params(&self) -> &ParamSpace {
+        self.inner.params()
+    }
+
+    fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
+        self.inner.drift_into(x, theta, out);
+    }
+
+    fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
+        if matches!(theta, BatchTheta::PerLane(_)) {
+            std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
+        }
+        self.inner.drift_batch_into(x, theta, out);
+    }
+
+    fn theta_refinement(&self) -> usize {
+        self.inner.theta_refinement()
+    }
+}
+
+#[test]
+fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
+    // The midpoint sweep ends well inside the budget; the vertex probes then
+    // sleep past the deadline. The escalated vertex starts must find the
+    // solve's deadline spent and stop before their first sweep, rather than
+    // each starting a fresh budget of their own.
+    let (model, horizon) = pod_choices_d2();
+    let x0 = model.reduced_initial_state();
+    let budget = Duration::from_secs(3);
+    let obs = Obs::with_metrics();
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 120,
+        multi_start: false,
+        budget: RunBudget::unlimited().wall_clock(budget),
+    })
+    .with_obs(obs.clone());
+    let drift = SlowProbes {
+        inner: model.reduced_drift(),
+        until: Instant::now() + budget + Duration::from_millis(100),
+    };
+    let solution = solver.minimize_coordinate(&drift, &x0, horizon, 1).unwrap();
+    let snapshot = obs.metrics.snapshot().unwrap();
+    assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 1);
+    assert!(
+        solution.truncated(),
+        "the escalated starts outlived the solve's deadline"
+    );
+    assert!(!solution.converged());
+    assert_eq!(solution.iterations(), 0, "an escalated start swept");
 }
 
 /// Scenario horizons, clamped so that debug-mode suites stay quick: the

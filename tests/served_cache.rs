@@ -51,6 +51,16 @@ fn hull_request(model: &str) -> BoundRequest {
     }
 }
 
+fn pontryagin_request(model: &str) -> BoundRequest {
+    BoundRequest {
+        model: Some(model.to_string()),
+        source: None,
+        method: BoundMethod::Pontryagin,
+        horizon: None,
+        box_overrides: Vec::new(),
+    }
+}
+
 fn assert_artifacts_bit_identical(a: &BoundArtifact, b: &BoundArtifact, what: &str) {
     assert_eq!(a.model, b.model, "{what}: model name");
     assert_eq!(a.model_hash, b.model_hash, "{what}: model hash");
@@ -177,6 +187,28 @@ fn hull_vertex_evaluations_are_pinned() {
         assert_eq!(
             outcome.artifact.cost.hull_vertex_evals, evals,
             "{model}: hull vertex evaluations"
+        );
+    }
+}
+
+#[test]
+fn pontryagin_sweep_work_is_pinned() {
+    // The sweep counters are pure functions of the code as well: one more
+    // sweep (a backward pass with its Jacobians) or one more trial forward
+    // pass anywhere in a served solve shows here exactly. Both queries run
+    // at the scenario's declared horizon, every coordinate and both
+    // extremes, single start with the escalation ladder.
+    for (model, sweeps, rk4_steps, jacobian_evals) in
+        [("sir", 29, 3120, 1160), ("botnet", 28, 4280, 1120)]
+    {
+        let outcome = QueryService::new(fast_options())
+            .bound(&pontryagin_request(model))
+            .unwrap_or_else(|e| panic!("{model}: Pontryagin query failed: {e}"));
+        let cost = &outcome.artifact.cost;
+        assert_eq!(
+            (cost.sweeps, cost.rk4_steps, cost.jacobian_evals),
+            (sweeps, rk4_steps, jacobian_evals),
+            "{model}: (sweeps, RK4 steps, Jacobian evaluations)"
         );
     }
 }
