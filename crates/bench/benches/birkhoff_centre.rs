@@ -19,7 +19,6 @@ fn bench_birkhoff(c: &mut Criterion) {
                 step: 2e-3,
                 settle_time: 25.0,
                 boundary_samples: 80,
-                ..Default::default()
             };
             b.iter(|| birkhoff_centre_2d(&drift, black_box(&x0), &options).unwrap())
         });

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mfu_core::drift::ImpreciseDrift;
 use mfu_models::sir::SirModel;
-use mfu_num::ode::{Dopri45, Euler, FnSystem, Integrator, Rk4};
+use mfu_num::ode::{Dopri45, FnSystem, Integrator, Rk4};
 use mfu_num::StateVec;
 use std::hint::black_box;
 
@@ -21,14 +21,6 @@ fn bench_ode_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("ode_solvers_sir_t10");
     group.sample_size(20);
 
-    group.bench_function("euler_h1e-3", |b| {
-        let system = sir_system(5.0);
-        b.iter(|| {
-            Euler::with_step(1e-3)
-                .final_state(&system, 0.0, black_box(x0.clone()), 10.0)
-                .unwrap()
-        })
-    });
     group.bench_function("rk4_h1e-2", |b| {
         let system = sir_system(5.0);
         b.iter(|| {

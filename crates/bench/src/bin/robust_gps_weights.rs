@@ -53,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let robust = RobustOptions {
             coarse_grid: 12,
             design_tolerance: 0.05,
-            ..Default::default()
         };
         let best = minimize_worst_case(1.0, 20.0, &robust, |phi1| {
             worst_case_backlog(phi1, capacity, horizon)

@@ -9,43 +9,33 @@
 //! reachable interval is computed at a sequence of growing horizons and the
 //! iteration stops once it stabilises, giving a box containing `A_F` as seen
 //! from the given initial condition.
+//!
+//! The procedure's settings are constants: the first horizon is 5, each
+//! round doubles it, at most 6 rounds run, the bounds have stabilised when
+//! none moves by `1e-3` or more between two rounds, and every horizon is
+//! solved on a 200-interval Pontryagin grid.
 
 use mfu_num::StateVec;
 
 use crate::drift::ImpreciseDrift;
 use crate::pontryagin::{PontryaginOptions, PontryaginSolver};
-use crate::{CoreError, Result};
+use crate::Result;
 
-/// Options of the asymptotic-box computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AsymptoticOptions {
-    /// First horizon probed.
-    pub initial_horizon: f64,
-    /// Multiplicative factor between successive horizons.
-    pub growth_factor: f64,
-    /// Maximum number of horizon doublings.
-    pub max_rounds: usize,
-    /// The iteration stops when no bound moves by more than this amount
-    /// between two successive horizons.
-    pub tolerance: f64,
-    /// Options of the per-horizon Pontryagin sweeps.
-    pub pontryagin: PontryaginOptions,
-}
+/// First horizon probed.
+const INITIAL_HORIZON: f64 = 5.0;
 
-impl Default for AsymptoticOptions {
-    fn default() -> Self {
-        AsymptoticOptions {
-            initial_horizon: 5.0,
-            growth_factor: 2.0,
-            max_rounds: 6,
-            tolerance: 1e-3,
-            pontryagin: PontryaginOptions {
-                grid_intervals: 200,
-                ..Default::default()
-            },
-        }
-    }
-}
+/// Multiplicative factor between successive horizons.
+const GROWTH_FACTOR: f64 = 2.0;
+
+/// Maximum number of horizons probed.
+const MAX_ROUNDS: usize = 6;
+
+/// The iteration stops when no bound moves by this amount or more between
+/// two successive horizons.
+const TOLERANCE: f64 = 1e-3;
+
+/// Intervals of the per-horizon Pontryagin grid.
+const GRID_INTERVALS: usize = 200;
 
 /// A per-coordinate box containing the asymptotic reachable set `A_F`.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,32 +89,22 @@ impl AsymptoticBox {
 ///
 /// # Errors
 ///
-/// Returns an error on invalid options or if a Pontryagin sweep fails. A
-/// failure to stabilise within the round budget is *not* an error; the
-/// returned box reports `converged() == false`.
-pub fn asymptotic_box<D: ImpreciseDrift + Sync>(
-    drift: &D,
-    x0: &StateVec,
-    options: &AsymptoticOptions,
-) -> Result<AsymptoticBox> {
-    if options.initial_horizon.is_nan()
-        || options.initial_horizon <= 0.0
-        || options.growth_factor.is_nan()
-        || options.growth_factor <= 1.0
-    {
-        return Err(CoreError::invalid_input(
-            "asymptotic options need a positive initial horizon and a growth factor above 1",
-        ));
-    }
+/// Returns an error if a Pontryagin sweep fails (for instance on a
+/// dimension mismatch). A failure to stabilise within the round budget is
+/// *not* an error; the returned box reports `converged() == false`.
+pub fn asymptotic_box<D: ImpreciseDrift + Sync>(drift: &D, x0: &StateVec) -> Result<AsymptoticBox> {
     let dim = drift.dim();
-    let solver = PontryaginSolver::new(options.pontryagin);
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: GRID_INTERVALS,
+        ..Default::default()
+    });
 
-    let mut horizon = options.initial_horizon;
+    let mut horizon = INITIAL_HORIZON;
     let mut lower = StateVec::zeros(dim);
     let mut upper = StateVec::zeros(dim);
     let mut converged = false;
 
-    for round in 0..options.max_rounds.max(1) {
+    for round in 0..MAX_ROUNDS {
         let mut new_lower = StateVec::zeros(dim);
         let mut new_upper = StateVec::zeros(dim);
         for coordinate in 0..dim {
@@ -136,7 +116,7 @@ pub fn asymptotic_box<D: ImpreciseDrift + Sync>(
             let movement = new_lower
                 .distance_inf(&lower)
                 .max(new_upper.distance_inf(&upper));
-            if movement < options.tolerance {
+            if movement < TOLERANCE {
                 lower = new_lower;
                 upper = new_upper;
                 converged = true;
@@ -145,7 +125,7 @@ pub fn asymptotic_box<D: ImpreciseDrift + Sync>(
         }
         lower = new_lower;
         upper = new_upper;
-        horizon *= options.growth_factor;
+        horizon *= GROWTH_FACTOR;
     }
     Ok(AsymptoticBox {
         lower,
@@ -170,22 +150,10 @@ mod tests {
         })
     }
 
-    fn fast_options() -> AsymptoticOptions {
-        AsymptoticOptions {
-            initial_horizon: 3.0,
-            max_rounds: 5,
-            pontryagin: PontryaginOptions {
-                grid_intervals: 80,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn relaxation_box_converges_to_the_parameter_interval() {
         let drift = relaxation_drift();
-        let result = asymptotic_box(&drift, &StateVec::from([0.0]), &fast_options()).unwrap();
+        let result = asymptotic_box(&drift, &StateVec::from([0.0])).unwrap();
         assert!(result.converged());
         assert!(
             (result.lower()[0] - 0.3).abs() < 0.02,
@@ -205,24 +173,9 @@ mod tests {
     #[test]
     fn starting_inside_the_set_gives_the_same_box() {
         let drift = relaxation_drift();
-        let from_below = asymptotic_box(&drift, &StateVec::from([0.0]), &fast_options()).unwrap();
-        let from_inside = asymptotic_box(&drift, &StateVec::from([0.5]), &fast_options()).unwrap();
+        let from_below = asymptotic_box(&drift, &StateVec::from([0.0])).unwrap();
+        let from_inside = asymptotic_box(&drift, &StateVec::from([0.5])).unwrap();
         assert!((from_below.lower()[0] - from_inside.lower()[0]).abs() < 0.02);
         assert!((from_below.upper()[0] - from_inside.upper()[0]).abs() < 0.02);
-    }
-
-    #[test]
-    fn invalid_options_are_rejected() {
-        let drift = relaxation_drift();
-        let bad = AsymptoticOptions {
-            initial_horizon: 0.0,
-            ..fast_options()
-        };
-        assert!(asymptotic_box(&drift, &StateVec::from([0.0]), &bad).is_err());
-        let bad = AsymptoticOptions {
-            growth_factor: 1.0,
-            ..fast_options()
-        };
-        assert!(asymptotic_box(&drift, &StateVec::from([0.0]), &bad).is_err());
     }
 }

@@ -25,7 +25,21 @@ use mfu_num::StateVec;
 use crate::drift::ImpreciseDrift;
 use crate::{CoreError, Result};
 
+/// Maximum number of expansion rounds.
+const MAX_EXPANSIONS: usize = 60;
+
+/// A boundary point expands the region when one probe step along the drift
+/// moves it outside the current hull by more than this distance.
+const OUTWARD_TOLERANCE: f64 = 1e-6;
+
+/// Length of the probe step along the drift when testing for escape.
+const PROBE_STEP: f64 = 1e-3;
+
 /// Options of the Birkhoff-centre construction.
+///
+/// The expansion's own settings are constants: at most 60 rounds, and a
+/// boundary point escapes when a probe step of `1e-3` along the drift
+/// leaves the hull by more than `1e-6`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BirkhoffOptions {
     /// Fixed integration step for every trajectory.
@@ -34,13 +48,6 @@ pub struct BirkhoffOptions {
     pub settle_time: f64,
     /// Number of boundary sample points tested per expansion round.
     pub boundary_samples: usize,
-    /// Maximum number of expansion rounds.
-    pub max_expansions: usize,
-    /// A boundary point expands the region when the drift moves it outside
-    /// the current hull by more than this distance (scaled probe step).
-    pub outward_tolerance: f64,
-    /// Length of the probe step along the drift when testing for escape.
-    pub probe_step: f64,
 }
 
 impl Default for BirkhoffOptions {
@@ -49,9 +56,6 @@ impl Default for BirkhoffOptions {
             step: 1e-3,
             settle_time: 40.0,
             boundary_samples: 120,
-            max_expansions: 60,
-            outward_tolerance: 1e-6,
-            probe_step: 1e-3,
         }
     }
 }
@@ -120,7 +124,8 @@ impl BirkhoffCentre {
 /// # Errors
 ///
 /// Returns [`CoreError::UnsupportedDimension`] when the drift is not
-/// two-dimensional, propagates integration errors, and reports
+/// two-dimensional, [`CoreError::InvalidInput`] when the step is not
+/// positive and finite, propagates integration errors, and reports
 /// non-convergence when the `ϑ^max` fixed point cannot be found.
 pub fn birkhoff_centre_2d<D: ImpreciseDrift>(
     drift: &D,
@@ -136,6 +141,7 @@ pub fn birkhoff_centre_2d<D: ImpreciseDrift>(
     if seed.dim() != 2 {
         return Err(CoreError::invalid_input("seed must be two-dimensional"));
     }
+    CoreError::check_step(options.step)?;
     let theta_max = drift.params().upper();
     let theta_min = drift.params().lower();
     let solver = Rk4::with_step(options.step);
@@ -191,19 +197,17 @@ pub fn birkhoff_centre_2d<D: ImpreciseDrift>(
     let theta_vertices = drift.params().vertices();
     let mut expansions = 0usize;
     let mut drift_buffer = StateVec::zeros(2);
-    for _round in 0..options.max_expansions {
+    for _round in 0..MAX_EXPANSIONS {
         let mut expanded = false;
         for sample in boundary_samples(&hull, options.boundary_samples) {
             let state = StateVec::from([sample.x, sample.y]);
             for theta in &theta_vertices {
                 drift.drift_into(&state, theta, &mut drift_buffer);
                 let probe = Point2::new(
-                    sample.x + options.probe_step * drift_buffer[0],
-                    sample.y + options.probe_step * drift_buffer[1],
+                    sample.x + PROBE_STEP * drift_buffer[0],
+                    sample.y + PROBE_STEP * drift_buffer[1],
                 );
-                if !hull.contains(probe)
-                    && hull.distance_to_region(probe) > options.outward_tolerance
-                {
+                if !hull.contains(probe) && hull.distance_to_region(probe) > OUTWARD_TOLERANCE {
                     // The drift pushes this boundary point outside: grow the
                     // region with a trajectory burst under that parameter.
                     let burst = solver.integrate(
@@ -303,8 +307,6 @@ mod tests {
             step: 1e-2,
             settle_time: 20.0,
             boundary_samples: 60,
-            max_expansions: 30,
-            ..Default::default()
         }
     }
 

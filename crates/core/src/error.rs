@@ -65,6 +65,16 @@ impl CoreError {
             message: message.into(),
         }
     }
+
+    /// Checks a caller's fixed RK4 step, which must be positive and finite
+    /// (`Rk4::with_step` panics on any other).
+    pub(crate) fn check_step(step: f64) -> crate::Result<()> {
+        if step > 0.0 && step.is_finite() {
+            Ok(())
+        } else {
+            Err(CoreError::invalid_input("step must be positive and finite"))
+        }
+    }
 }
 
 impl fmt::Display for CoreError {

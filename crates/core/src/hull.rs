@@ -186,8 +186,8 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
     ///
     /// # Errors
     ///
-    /// Returns an error on dimension mismatches, invalid horizons, or
-    /// integration failure, and [`CoreError::HullTooLarge`] before any
+    /// Returns an error on dimension mismatches, invalid horizons or steps,
+    /// or integration failure, and [`CoreError::HullTooLarge`] before any
     /// work when the drift's rectangle grid could need more than
     /// [`MAX_HULL_LANES`] drift lanes per right-hand side.
     pub fn bounds(&self, x0: &StateVec, t_end: f64) -> Result<HullBounds> {
@@ -201,6 +201,7 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
                 "time horizon must be positive and finite",
             ));
         }
+        CoreError::check_step(self.options.step)?;
         let dim = self.drift.dim();
         let theta_candidates = theta_candidates(&self.drift);
         let lanes = u32::try_from(dim)

@@ -101,9 +101,7 @@ impl<D: ImpreciseDrift> DifferentialInclusion<D> {
         step: f64,
     ) -> Result<Trajectory> {
         self.check_x0(&x0)?;
-        if step <= 0.0 || !step.is_finite() {
-            return Err(CoreError::invalid_input("step must be positive and finite"));
-        }
+        CoreError::check_step(step)?;
         self.validate_signal(signal, t_end)?;
         let system = SelectionOde {
             drift: &self.drift,

@@ -32,7 +32,10 @@
 //! The sweep's numerical settings are fixed constants, not options: at most
 //! 200 sweeps per start and a `1e-6` finite-difference Jacobian step. A
 //! single-start solve always runs the Θ-vertex escalation ladder (see
-//! [`PontryaginSolver::solve`]).
+//! [`PontryaginSolver::solve`]). State and costate share one time grid and
+//! step with the workspace's one scalar RK4 step, [`Rk4::step_into`]; a
+//! wall-clock budget is checked before every interval of a backward or
+//! trial pass (see [`PontryaginOptions::budget`]).
 
 use std::time::Instant;
 
@@ -40,7 +43,7 @@ use mfu_guard::{RunBudget, DIVERGENCE_CAP};
 use mfu_num::batch::{BatchTheta, SoaBatch};
 use mfu_num::grid::{GridSignal, TimeGrid};
 use mfu_num::jacobian::Jacobian;
-use mfu_num::ode::Trajectory;
+use mfu_num::ode::{Rk4, Rk4Scratch, Trajectory};
 use mfu_num::StateVec;
 use mfu_obs::{Counter, Field, Gauge, Obs};
 
@@ -60,7 +63,8 @@ use crate::{CoreError, Result};
 /// a failed evaluation (no costate motion on that interval) instead of being
 /// integrated into an overflow. Smooth population drifts sit orders of
 /// magnitude below this cap, so the gate is exercised only by discontinuous
-/// models.
+/// models. Every zeroed interval is counted in
+/// [`Counter::CoreCostateGateTrips`].
 const MAX_COSTATE_STEP_GROWTH: f64 = 2.5;
 
 /// Maximum number of sweep iterations per start.
@@ -147,8 +151,10 @@ pub struct PontryaginOptions {
     pub multi_start: bool,
     /// Run budget for the solve. Only `wall_clock` applies: one deadline
     /// starts with [`PontryaginSolver::solve`] and is shared by every
-    /// restart and escalated vertex start, which check it before each
-    /// backward pass and each trial forward pass. A tripped deadline ends
+    /// restart and escalated vertex start, which check it before every
+    /// interval of each backward pass and each trial forward pass (each
+    /// start's first forward pass always completes: without it there is no
+    /// bound). A tripped deadline discards the trial pass it cuts and ends
     /// the sweeps early with `converged() == false` and
     /// `truncated() == true` instead of erroring — every adopted control is
     /// a feasible selection of the inclusion, so the bound so far is
@@ -282,11 +288,12 @@ impl PontryaginSolver {
     }
 
     /// Attaches an observability bundle: every solve flushes its RK4-step,
-    /// Jacobian-evaluation, sweep-iteration, rejected-step and restart
-    /// counts into `obs.metrics` (multi-start restarts run on scoped threads
-    /// and share the handle's atomics), records which restart won as a
-    /// gauge, and emits a `pontryagin_solve` trace event per solve. Results
-    /// are unaffected — counters are flushed after the numerics finish.
+    /// Jacobian-evaluation, costate-gate-trip, sweep-iteration,
+    /// rejected-step and restart counts into `obs.metrics` (multi-start
+    /// restarts run on scoped threads and share the handle's atomics),
+    /// records which restart won as a gauge, and emits a `pontryagin_solve`
+    /// trace event per solve. Results are unaffected — counters are flushed
+    /// after the numerics finish.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -573,9 +580,10 @@ impl PontryaginSolver {
     ///
     /// The probes integrate in lockstep, one lane per vertex, with a single
     /// [`ImpreciseDrift::drift_batch_into`] call per RK4 stage. Each lane
-    /// performs exactly the sweep's scalar RK4 arithmetic (stage states
-    /// `x + c·h·k`, weighted final sum, left-fold terminal dot product); a
-    /// lane whose step goes non-finite reports `None`.
+    /// performs exactly the arithmetic of the sweep's scalar step
+    /// [`Rk4::step_into`] (stage states `x + c·h·k`, weighted final sum),
+    /// then a left-fold terminal dot product; a lane whose step goes
+    /// non-finite reports `None`.
     fn probe_constant_controls<D: ImpreciseDrift>(
         &self,
         drift: &D,
@@ -720,7 +728,7 @@ impl PontryaginSolver {
         // (gain, interval, maximiser).
         let mut switches: Vec<(f64, usize, Vec<f64>)> = Vec::new();
 
-        // Preallocated work buffers, reused by every RK4 stage and every
+        // Preallocated work buffers, reused by every RK4 step and every
         // finite-difference Jacobian of the sweep: the inner loops below run
         // thousands of times per solve and allocate nothing.
         let mut rk4 = Rk4Scratch::new(dim);
@@ -737,26 +745,26 @@ impl PontryaginSolver {
         // metrics handle's atomics make the flush thread-safe).
         let mut rk4_steps = 0u64;
         let mut jacobian_evals = 0u64;
+        let mut gate_trips = 0u64;
         let mut rejected_steps = 0u64;
 
-        forward_pass(drift, &grid, &control, &mut state, &mut rk4)?;
+        // The start pass ignores the deadline: without it there is no bound.
+        forward_pass(drift, &grid, &control, &mut state, &mut rk4, None)?;
         rk4_steps += n as u64;
         let mut value = ascent.dot(&state[n]);
 
+        // A tripped deadline ends the sweep gracefully, between two
+        // intervals of a pass: the adopted control is a feasible selection,
+        // so its value is still a valid (if not extremal) bound, reported
+        // with `converged() == false` and `truncated() == true`.
         'sweeps: for iteration in 0..MAX_ITERATIONS {
-            // A tripped deadline ends the sweep gracefully: the adopted
-            // control is a feasible selection, so its value is still a valid
-            // (if not extremal) bound, reported with `converged() == false`
-            // and `truncated() == true`.
-            if expired(deadline) {
-                truncated = true;
-                break;
-            }
-            iterations = iteration + 1;
-
             // ---- backward pass ------------------------------------------------
             costate[n] = ascent.clone();
             for k in (0..n).rev() {
+                if expired(deadline) {
+                    truncated = true;
+                    break 'sweeps;
+                }
                 let theta = &control[k];
                 // Costate dynamics: -ṗ = Jᵀ p. Integrating backwards in time
                 // with step -h is equivalent to integrating ṗ = Jᵀ p forward
@@ -778,23 +786,27 @@ impl PontryaginSolver {
                 // `MAX_COSTATE_STEP_GROWTH`) counts as a failed evaluation.
                 if !jacobian_ok || jac.inf_norm() * h > MAX_COSTATE_STEP_GROWTH {
                     jac.fill_zero();
+                    gate_trips += 1;
                 }
                 let jac_ref = &jac;
                 let (head, tail) = costate.split_at_mut(k + 1);
-                rk4_step_into(
-                    &mut |p: &StateVec, dp: &mut StateVec| {
+                Rk4::step_into(
+                    &mut |_t: f64, p: &StateVec, dp: &mut StateVec| {
                         if jac_ref.transpose_mul_into(p, dp).is_err() {
                             dp.fill_zero();
                         }
                     },
+                    0.0,
                     &tail[0],
                     h,
                     &mut head[k],
                     &mut rk4,
-                )?;
+                );
+                check_finite(&head[k])?;
+                rk4_steps += 1;
+                jacobian_evals += 1;
             }
-            rk4_steps += n as u64;
-            jacobian_evals += n as u64;
+            iterations = iteration + 1;
 
             // ---- switch set ----------------------------------------------------
             // The gain of an interval is H(θ*) − H(u) at its start state and
@@ -823,18 +835,26 @@ impl PontryaginSolver {
             // the objective strictly improves.
             let mut size = switches.len();
             loop {
-                if expired(deadline) {
-                    truncated = true;
-                    break 'sweeps;
-                }
                 trial_control.clone_from(&control);
                 for (_, k, theta_star) in &switches[..size] {
                     trial_control[*k].clone_from(theta_star);
                 }
                 let (intervals, last) = trial_control.split_at_mut(n);
                 last[0].clone_from(&intervals[n - 1]);
-                forward_pass(drift, &grid, &trial_control, &mut trial_state, &mut rk4)?;
-                rk4_steps += n as u64;
+                let steps = forward_pass(
+                    drift,
+                    &grid,
+                    &trial_control,
+                    &mut trial_state,
+                    &mut rk4,
+                    deadline,
+                )?;
+                rk4_steps += steps as u64;
+                if steps < n {
+                    // the deadline cut the trial short: discard it
+                    truncated = true;
+                    break 'sweeps;
+                }
                 let trial_value = ascent.dot(&trial_state[n]);
                 if trial_value > value {
                     std::mem::swap(&mut control, &mut trial_control);
@@ -857,6 +877,7 @@ impl PontryaginSolver {
         if metrics.is_enabled() {
             metrics.add(Counter::CoreRk4Steps, rk4_steps);
             metrics.add(Counter::CoreJacobianEvals, jacobian_evals);
+            metrics.add(Counter::CoreCostateGateTrips, gate_trips);
             metrics.add(Counter::CorePontryaginSweeps, iterations as u64);
             metrics.add(Counter::CorePontryaginRejectedSteps, rejected_steps);
         }
@@ -882,26 +903,34 @@ fn expired(deadline: Option<Instant>) -> bool {
 
 /// Integrates the state forward over `grid` under a piecewise-constant
 /// control: `state[k + 1]` from `state[k]` under `control[k]`, with
-/// `state[0]` the initial condition. Fails on a non-finite RK4 step or a
-/// terminal state past the divergence cap.
+/// `state[0]` the initial condition. Checks `deadline` before every
+/// interval and returns the number of intervals integrated: fewer than
+/// `grid.intervals()` only when the deadline cut the pass short. Fails on a
+/// non-finite RK4 step or a terminal state past the divergence cap.
 fn forward_pass<D: ImpreciseDrift>(
     drift: &D,
     grid: &TimeGrid,
     control: &[Vec<f64>],
     state: &mut [StateVec],
     rk4: &mut Rk4Scratch,
-) -> Result<()> {
+    deadline: Option<Instant>,
+) -> Result<usize> {
     let (n, h) = (grid.intervals(), grid.step());
     for k in 0..n {
+        if expired(deadline) {
+            return Ok(k);
+        }
         let theta = &control[k];
         let (head, tail) = state.split_at_mut(k + 1);
-        rk4_step_into(
-            &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
+        Rk4::step_into(
+            &mut |_t: f64, x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
+            0.0,
             &head[k],
             h,
             &mut tail[0],
             rk4,
-        )?;
+        );
+        check_finite(&tail[0])?;
     }
     if mfu_guard::state_diverged(state[n].as_slice(), DIVERGENCE_CAP) {
         return Err(CoreError::Diverged {
@@ -909,7 +938,18 @@ fn forward_pass<D: ImpreciseDrift>(
             time: grid.end(),
         });
     }
-    Ok(())
+    Ok(n)
+}
+
+/// The sweep's error for an RK4 step that left the finite numbers.
+fn check_finite(x: &StateVec) -> Result<()> {
+    if x.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::Numerical(mfu_num::NumError::non_finite(
+            "pontryagin RK4 step",
+        )))
+    }
 }
 
 /// Reusable batch buffers of [`batched_jacobian_into`].
@@ -969,67 +1009,6 @@ pub fn batched_jacobian_into<D: ImpreciseDrift + ?Sized>(
         }
     }
     true
-}
-
-/// Preallocated stage buffers of [`rk4_step_into`]: the four slopes plus
-/// the perturbed stage state. One instance serves every step of a sweep.
-#[derive(Debug, Clone)]
-struct Rk4Scratch {
-    k1: StateVec,
-    k2: StateVec,
-    k3: StateVec,
-    k4: StateVec,
-    stage: StateVec,
-}
-
-impl Rk4Scratch {
-    fn new(dim: usize) -> Self {
-        Rk4Scratch {
-            k1: StateVec::zeros(dim),
-            k2: StateVec::zeros(dim),
-            k3: StateVec::zeros(dim),
-            k4: StateVec::zeros(dim),
-            stage: StateVec::zeros(dim),
-        }
-    }
-}
-
-/// One RK4 step of an autonomous vector field writing into a caller buffer.
-///
-/// All temporaries live in `scratch`; the step allocates nothing. The
-/// arithmetic (stage states `x + c·h·k`, weighted final sum) reproduces the
-/// former allocating implementation operation for operation.
-fn rk4_step_into<F>(
-    f: &mut F,
-    x: &StateVec,
-    h: f64,
-    out: &mut StateVec,
-    scratch: &mut Rk4Scratch,
-) -> Result<()>
-where
-    F: FnMut(&StateVec, &mut StateVec),
-{
-    f(x, &mut scratch.k1);
-    scratch.stage.copy_from(x);
-    scratch.stage.add_scaled(0.5 * h, &scratch.k1);
-    f(&scratch.stage, &mut scratch.k2);
-    scratch.stage.copy_from(x);
-    scratch.stage.add_scaled(0.5 * h, &scratch.k2);
-    f(&scratch.stage, &mut scratch.k3);
-    scratch.stage.copy_from(x);
-    scratch.stage.add_scaled(h, &scratch.k3);
-    f(&scratch.stage, &mut scratch.k4);
-    out.copy_from(x);
-    out.add_scaled(h / 6.0, &scratch.k1);
-    out.add_scaled(h / 3.0, &scratch.k2);
-    out.add_scaled(h / 3.0, &scratch.k3);
-    out.add_scaled(h / 6.0, &scratch.k4);
-    if !out.is_finite() {
-        return Err(CoreError::Numerical(mfu_num::NumError::non_finite(
-            "pontryagin RK4 step",
-        )));
-    }
-    Ok(())
 }
 
 /// `out[i] = 0.5 * (a[i] + b[i])`, the midpoint used by the costate sweep
@@ -1304,14 +1283,14 @@ mod tests {
             let mut x = x0.clone();
             let mut next = StateVec::zeros(2);
             for _ in 0..60 {
-                rk4_step_into(
-                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, vertex, dx),
+                Rk4::step_into(
+                    &mut |_t: f64, x: &StateVec, dx: &mut StateVec| drift.drift_into(x, vertex, dx),
+                    0.0,
                     &x,
                     h,
                     &mut next,
                     &mut rk4,
-                )
-                .unwrap();
+                );
                 std::mem::swap(&mut x, &mut next);
             }
             // equal as numbers: bit for bit unless both are zeros, whose
@@ -1429,6 +1408,28 @@ mod tests {
         let solution = s.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
         assert!(solution.converged());
         assert!(!solution.truncated());
+    }
+
+    #[test]
+    fn forward_passes_stop_between_intervals_at_the_deadline() {
+        // Every drift evaluation sleeps 1 ms, so each interval takes at
+        // least 4 ms and at most 5 intervals start within a 20 ms budget.
+        let theta = ParamSpace::single("rate", 1.0, 2.0).unwrap();
+        let slow = FnDrift::new(1, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            dx[0] = -th[0] * x[0]
+        });
+        let grid = TimeGrid::new(0.0, 1.0, 200).unwrap();
+        let control = vec![vec![1.5]; 201];
+        let mut state = vec![StateVec::from([1.0]); 201];
+        let mut rk4 = Rk4Scratch::new(1);
+        let deadline = Instant::now() + std::time::Duration::from_millis(20);
+        let steps =
+            forward_pass(&slow, &grid, &control, &mut state, &mut rk4, Some(deadline)).unwrap();
+        assert!(steps <= 5, "{steps} of 200 intervals ran on a 20 ms budget");
+        // without a deadline the pass runs to its end
+        let steps = forward_pass(&decay_drift(), &grid, &control, &mut state, &mut rk4, None);
+        assert_eq!(steps.unwrap(), 200);
     }
 
     #[test]

@@ -5,29 +5,26 @@
 //! parameter signals, computed with the Pontryagin sweep — is minimised.
 //! This module provides that outer minimisation: the caller supplies a
 //! *worst-case objective* as a function of the scalar design parameter
-//! (typically wrapping [`PontryaginSolver`]
-//! on a model rebuilt for each candidate design), and the optimiser searches
-//! the design range, optionally exploiting unimodality.
+//! (typically wrapping
+//! [`PontryaginSolver`](crate::pontryagin::PontryaginSolver) on a model
+//! rebuilt for each candidate design), and the optimiser brackets the
+//! optimum on a coarse grid, then refines it assuming local unimodality.
 
 use mfu_num::rootfind::{golden_section_min, grid_min, SolverOptions};
 
-use crate::drift::ImpreciseDrift;
-use crate::pontryagin::{LinearObjective, PontryaginOptions, PontryaginSolver};
 use crate::{CoreError, Result};
-use mfu_num::StateVec;
+
+/// Maximum number of golden-section iterations of the refinement.
+const MAX_ITERATIONS: usize = 200;
 
 /// Options of the robust-design search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustOptions {
     /// Number of coarse grid evaluations used to bracket the optimum.
     pub coarse_grid: usize,
-    /// Tolerance on the design parameter for the golden-section refinement.
+    /// Tolerance on the design parameter for the golden-section refinement
+    /// (at most 200 iterations).
     pub design_tolerance: f64,
-    /// Maximum number of golden-section iterations.
-    pub max_iterations: usize,
-    /// When `true`, skip the golden-section refinement and return the best
-    /// grid point (useful for non-unimodal objectives).
-    pub grid_only: bool,
 }
 
 impl Default for RobustOptions {
@@ -35,8 +32,6 @@ impl Default for RobustOptions {
         RobustOptions {
             coarse_grid: 12,
             design_tolerance: 1e-3,
-            max_iterations: 200,
-            grid_only: false,
         }
     }
 }
@@ -116,13 +111,6 @@ where
     if let Some(err) = failure {
         return Err(err);
     }
-    if options.grid_only {
-        return Ok(RobustDesign {
-            design: coarse.0,
-            worst_case: coarse.1,
-            evaluations,
-        });
-    }
 
     // Refine around the best grid point (one grid cell on each side).
     let cell = (hi - lo) / options.coarse_grid as f64;
@@ -130,8 +118,7 @@ where
     let refine_hi = (coarse.0 + cell).min(hi);
     let solver_options = SolverOptions {
         x_tolerance: options.design_tolerance,
-        max_iterations: options.max_iterations,
-        ..SolverOptions::default()
+        max_iterations: MAX_ITERATIONS,
     };
     let mut failure: Option<CoreError> = None;
     let refined = golden_section_min(
@@ -167,45 +154,13 @@ where
     })
 }
 
-/// Convenience wrapper: minimises, over a scalar design parameter, the
-/// worst-case value of a linear functional of the mean field at a fixed
-/// horizon.
-///
-/// `make_drift` rebuilds the imprecise drift for a candidate design value;
-/// `objective` is maximised by the inner Pontryagin sweep (the adversary) and
-/// minimised by the outer design search.
-///
-/// # Errors
-///
-/// Propagates errors from the inner sweeps and the outer search.
-#[allow(clippy::too_many_arguments)] // mirrors the problem statement: box, horizon, objective, two option sets
-pub fn robust_design_sweep<D, F>(
-    lo: f64,
-    hi: f64,
-    x0: &StateVec,
-    horizon: f64,
-    objective: LinearObjective,
-    pontryagin: &PontryaginOptions,
-    robust: &RobustOptions,
-    mut make_drift: F,
-) -> Result<RobustDesign>
-where
-    D: ImpreciseDrift + Sync,
-    F: FnMut(f64) -> Result<D>,
-{
-    let solver = PontryaginSolver::new(*pontryagin);
-    minimize_worst_case(lo, hi, robust, |design| {
-        let drift = make_drift(design)?;
-        let solution = solver.solve(&drift, x0, horizon, objective.clone())?;
-        Ok(solution.objective_value())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drift::FnDrift;
+    use crate::pontryagin::{LinearObjective, PontryaginOptions, PontryaginSolver};
     use mfu_ctmc::params::ParamSpace;
+    use mfu_num::StateVec;
 
     #[test]
     fn minimizes_a_convex_objective() {
@@ -216,18 +171,6 @@ mod tests {
         assert!((result.design - 7.0).abs() < 1e-2);
         assert!((result.worst_case - 1.0).abs() < 1e-3);
         assert!(result.evaluations > 10);
-    }
-
-    #[test]
-    fn grid_only_mode_skips_refinement() {
-        let options = RobustOptions {
-            coarse_grid: 10,
-            grid_only: true,
-            ..Default::default()
-        };
-        let result = minimize_worst_case(0.0, 1.0, &options, |x| Ok((x - 0.33).abs())).unwrap();
-        assert!((result.design - 0.3).abs() < 0.11);
-        assert_eq!(result.evaluations, 11);
     }
 
     #[test]
@@ -255,36 +198,29 @@ mod tests {
         // between two queues: queue 0 drains at rate w, queue 1 at rate 1 - w.
         // Arrivals are imprecise in [0.5, 1]. The worst-case total backlog at
         // T is minimised near w = 0.5 by symmetry.
-        let pontryagin = PontryaginOptions {
+        let solver = PontryaginSolver::new(PontryaginOptions {
             grid_intervals: 60,
             ..Default::default()
-        };
+        });
         let robust = RobustOptions {
             coarse_grid: 8,
             design_tolerance: 1e-2,
-            ..Default::default()
         };
         let x0 = StateVec::from([0.5, 0.5]);
-        let result = robust_design_sweep(
-            0.1,
-            0.9,
-            &x0,
-            2.0,
-            LinearObjective::maximize(StateVec::from([1.0, 1.0])),
-            &pontryagin,
-            &robust,
-            |w| {
-                let theta = ParamSpace::single("arrival", 0.5, 1.0)?;
-                Ok(FnDrift::new(
-                    2,
-                    theta,
-                    move |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                        dx[0] = th[0] - w * x[0];
-                        dx[1] = th[0] - (1.0 - w) * x[1];
-                    },
-                ))
-            },
-        )
+        let objective = LinearObjective::maximize(StateVec::from([1.0, 1.0]));
+        let result = minimize_worst_case(0.1, 0.9, &robust, |w| {
+            let theta = ParamSpace::single("arrival", 0.5, 1.0)?;
+            let drift = FnDrift::new(
+                2,
+                theta,
+                move |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+                    dx[0] = th[0] - w * x[0];
+                    dx[1] = th[0] - (1.0 - w) * x[1];
+                },
+            );
+            let solution = solver.solve(&drift, &x0, 2.0, objective.clone())?;
+            Ok(solution.objective_value())
+        })
         .unwrap();
         assert!(
             (result.design - 0.5).abs() < 0.1,

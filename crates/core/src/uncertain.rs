@@ -114,8 +114,9 @@ impl UncertainAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns an error if inputs are inconsistent or integration fails for
-    /// some candidate parameter.
+    /// Returns an error if inputs are inconsistent (including a step that is
+    /// not positive and finite) or integration fails for some candidate
+    /// parameter.
     pub fn envelope<D: ImpreciseDrift>(
         &self,
         drift: &D,
@@ -132,6 +133,7 @@ impl UncertainAnalysis {
                 "time horizon must be positive and finite",
             ));
         }
+        CoreError::check_step(self.step)?;
         let times: Vec<f64> = (0..=self.time_intervals)
             .map(|k| t_end * k as f64 / self.time_intervals as f64)
             .collect();

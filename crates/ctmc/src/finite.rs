@@ -17,20 +17,21 @@ use crate::generator::GeneratorMatrix;
 use crate::population::PopulationModel;
 use crate::{CtmcError, Result};
 
+/// Transition rates at or below this threshold are treated as structurally
+/// zero by the expansion.
+const RATE_CUTOFF: f64 = 1e-12;
+
 /// Options controlling the breadth-first state-space expansion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpansionOptions {
     /// Hard cap on the number of enumerated states.
     pub max_states: usize,
-    /// Rates below this threshold are treated as structurally zero.
-    pub rate_cutoff: f64,
 }
 
 impl Default for ExpansionOptions {
     fn default() -> Self {
         ExpansionOptions {
             max_states: 200_000,
-            rate_cutoff: 1e-12,
         }
     }
 }
@@ -112,7 +113,7 @@ impl FiniteChain {
                     });
                 }
                 let rate = density * scale as f64;
-                if rate <= options.rate_cutoff {
+                if rate <= RATE_CUTOFF {
                     continue;
                 }
                 let target: Vec<i64> = counts.iter().zip(jump.iter()).map(|(c, j)| c + j).collect();
@@ -335,10 +336,7 @@ mod tests {
     #[test]
     fn expansion_respects_state_limit() {
         let model = bike_model();
-        let options = ExpansionOptions {
-            max_states: 3,
-            ..Default::default()
-        };
+        let options = ExpansionOptions { max_states: 3 };
         let res = FiniteChain::expand(&model, 100, &[50], &[1.0, 1.0], &options);
         assert!(matches!(res, Err(CtmcError::StateSpaceTooLarge { .. })));
     }

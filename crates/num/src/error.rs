@@ -108,12 +108,12 @@ mod tests {
     #[test]
     fn display_no_convergence_mentions_method() {
         let err = NumError::NoConvergence {
-            method: "brent",
+            method: "golden_section_min",
             iterations: 40,
             residual: 1e-3,
         };
         let text = err.to_string();
-        assert!(text.contains("brent"));
+        assert!(text.contains("golden_section_min"));
         assert!(text.contains("40"));
     }
 

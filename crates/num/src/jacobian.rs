@@ -88,22 +88,8 @@ impl Jacobian {
         norm
     }
 
-    /// Computes `Jᵀ p`, the product of the transposed Jacobian with a vector.
-    ///
-    /// This is exactly the contraction appearing in the costate equation
-    /// `-ṗ = (∂f/∂x)ᵀ p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `p` does not have `rows` components.
-    pub fn transpose_mul(&self, p: &StateVec) -> Result<StateVec> {
-        let mut out = StateVec::zeros(self.cols);
-        self.transpose_mul_into(p, &mut out)?;
-        Ok(out)
-    }
-
-    /// Computes `Jᵀ p` into a preallocated vector (the allocation-free
-    /// variant for inner loops).
+    /// Computes `Jᵀ p` into a preallocated vector: the contraction of the
+    /// costate equation `-ṗ = (∂f/∂x)ᵀ p`.
     ///
     /// # Errors
     ///
@@ -134,97 +120,6 @@ impl Jacobian {
         }
         Ok(())
     }
-
-    /// Computes `J v`, the ordinary matrix-vector product.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `v` does not have `cols` components.
-    pub fn mul(&self, v: &StateVec) -> Result<StateVec> {
-        if v.dim() != self.cols {
-            return Err(NumError::DimensionMismatch {
-                expected: self.cols,
-                found: v.dim(),
-            });
-        }
-        let mut out = StateVec::zeros(self.rows);
-        for i in 0..self.rows {
-            let mut acc = 0.0;
-            for j in 0..self.cols {
-                acc += self.data[i * self.cols + j] * v[j];
-            }
-            out[i] = acc;
-        }
-        Ok(out)
-    }
-}
-
-/// Approximates the Jacobian of `f` at `x` by central finite differences.
-///
-/// `f` maps a [`StateVec`] of dimension `x.dim()` to a [`StateVec`] of
-/// dimension `output_dim`; `h` is the perturbation size (a good default is
-/// `1e-6`).
-///
-/// # Errors
-///
-/// Returns an error if `h` is not strictly positive, if `f` returns a vector
-/// of the wrong dimension, or if any evaluation is non-finite.
-///
-/// # Example
-///
-/// ```
-/// use mfu_num::jacobian::finite_difference_jacobian;
-/// use mfu_num::StateVec;
-///
-/// // f(x, y) = (x*y, x + 2y)
-/// let f = |v: &StateVec| StateVec::from(vec![v[0] * v[1], v[0] + 2.0 * v[1]]);
-/// let jac = finite_difference_jacobian(&f, &StateVec::from(vec![2.0, 3.0]), 2, 1e-6)?;
-/// assert!((jac.entry(0, 0) - 3.0).abs() < 1e-6);
-/// assert!((jac.entry(0, 1) - 2.0).abs() < 1e-6);
-/// assert!((jac.entry(1, 0) - 1.0).abs() < 1e-6);
-/// assert!((jac.entry(1, 1) - 2.0).abs() < 1e-6);
-/// # Ok::<(), mfu_num::NumError>(())
-/// ```
-pub fn finite_difference_jacobian<F>(
-    f: &F,
-    x: &StateVec,
-    output_dim: usize,
-    h: f64,
-) -> Result<Jacobian>
-where
-    F: Fn(&StateVec) -> StateVec,
-{
-    if h <= 0.0 || !h.is_finite() {
-        return Err(NumError::invalid_argument(
-            "finite-difference step must be positive",
-        ));
-    }
-    let n = x.dim();
-    let mut jac = Jacobian::zeros(output_dim, n);
-    let mut x_plus = x.clone();
-    let mut x_minus = x.clone();
-    for j in 0..n {
-        x_plus.copy_from(x);
-        x_minus.copy_from(x);
-        x_plus[j] += h;
-        x_minus[j] -= h;
-        let f_plus = f(&x_plus);
-        let f_minus = f(&x_minus);
-        if f_plus.dim() != output_dim || f_minus.dim() != output_dim {
-            return Err(NumError::DimensionMismatch {
-                expected: output_dim,
-                found: f_plus.dim(),
-            });
-        }
-        for i in 0..output_dim {
-            let d = (f_plus[i] - f_minus[i]) / (2.0 * h);
-            if !d.is_finite() {
-                return Err(NumError::non_finite(format!("jacobian entry ({i}, {j})")));
-            }
-            jac.set_entry(i, j, d);
-        }
-    }
-    Ok(jac)
 }
 
 /// Preallocated work buffers for
@@ -251,19 +146,43 @@ impl JacobianScratch {
     }
 }
 
-/// Allocation-free central-difference Jacobian: the vector field writes into
-/// a caller buffer and the matrix plus all temporaries are preallocated.
+/// Approximates the Jacobian of `f` at `x` by central finite differences
+/// `(f(x + h·e_j) − f(x − h·e_j)) / (2h)`, with `h` the perturbation size
+/// (a good default is `1e-6`).
 ///
-/// This is the allocation-free variant of [`finite_difference_jacobian`],
-/// and the scalar reference of the Pontryagin costate sweep's batched
-/// Jacobian (`mfu_core::pontryagin::batched_jacobian_into`), which must
-/// match it bit for bit.
+/// Allocation-free: the vector field writes into a caller buffer and the
+/// matrix plus all temporaries are preallocated. This is the scalar
+/// reference of the Pontryagin costate sweep's batched Jacobian
+/// (`mfu_core::pontryagin::batched_jacobian_into`), which must match it bit
+/// for bit.
 ///
 /// # Errors
 ///
 /// Returns an error if `h` is not strictly positive, if `jac`/`scratch`
 /// shapes do not match `x`, or if any evaluation is non-finite. On error the
 /// contents of `jac` are unspecified.
+///
+/// # Example
+///
+/// ```
+/// use mfu_num::jacobian::{finite_difference_jacobian_into, Jacobian, JacobianScratch};
+/// use mfu_num::StateVec;
+///
+/// // f(x, y) = (x*y, x + 2y)
+/// let mut f = |v: &StateVec, out: &mut StateVec| {
+///     out[0] = v[0] * v[1];
+///     out[1] = v[0] + 2.0 * v[1];
+/// };
+/// let mut jac = Jacobian::zeros(2, 2);
+/// let mut scratch = JacobianScratch::new(2, 2);
+/// let x = StateVec::from(vec![2.0, 3.0]);
+/// finite_difference_jacobian_into(&mut f, &x, 1e-6, &mut jac, &mut scratch)?;
+/// assert!((jac.entry(0, 0) - 3.0).abs() < 1e-6);
+/// assert!((jac.entry(0, 1) - 2.0).abs() < 1e-6);
+/// assert!((jac.entry(1, 0) - 1.0).abs() < 1e-6);
+/// assert!((jac.entry(1, 1) - 2.0).abs() < 1e-6);
+/// # Ok::<(), mfu_num::NumError>(())
+/// ```
 pub fn finite_difference_jacobian_into<F>(
     f: &mut F,
     x: &StateVec,
@@ -321,14 +240,21 @@ where
 mod tests {
     use super::*;
 
-    fn quadratic(v: &StateVec) -> StateVec {
-        StateVec::from([v[0] * v[0] + v[1], 3.0 * v[0] * v[1]])
+    fn quadratic(v: &StateVec, out: &mut StateVec) {
+        out[0] = v[0] * v[0] + v[1];
+        out[1] = 3.0 * v[0] * v[1];
+    }
+
+    fn jacobian_of_quadratic(x: &StateVec) -> Jacobian {
+        let mut jac = Jacobian::zeros(2, 2);
+        let mut scratch = JacobianScratch::new(2, 2);
+        finite_difference_jacobian_into(&mut quadratic, x, 1e-6, &mut jac, &mut scratch).unwrap();
+        jac
     }
 
     #[test]
     fn central_differences_match_analytic_jacobian() {
-        let x = StateVec::from([1.5, -2.0]);
-        let jac = finite_difference_jacobian(&quadratic, &x, 2, 1e-6).unwrap();
+        let jac = jacobian_of_quadratic(&StateVec::from([1.5, -2.0]));
         assert!((jac.entry(0, 0) - 3.0).abs() < 1e-6); // 2*x0
         assert!((jac.entry(0, 1) - 1.0).abs() < 1e-6);
         assert!((jac.entry(1, 0) + 6.0).abs() < 1e-6); // 3*x1
@@ -337,88 +263,69 @@ mod tests {
 
     #[test]
     fn transpose_mul_matches_manual_computation() {
-        let x = StateVec::from([1.0, 2.0]);
-        let jac = finite_difference_jacobian(&quadratic, &x, 2, 1e-6).unwrap();
+        let jac = jacobian_of_quadratic(&StateVec::from([1.0, 2.0]));
         let p = StateVec::from([1.0, -1.0]);
-        let jt_p = jac.transpose_mul(&p).unwrap();
+        let mut jt_p = StateVec::zeros(2);
+        jac.transpose_mul_into(&p, &mut jt_p).unwrap();
         // J = [[2, 1], [6, 3]]; Jᵀ p = [2*1 + 6*(-1), 1*1 + 3*(-1)] = [-4, -2]
         assert!((jt_p[0] + 4.0).abs() < 1e-5);
         assert!((jt_p[1] + 2.0).abs() < 1e-5);
     }
 
     #[test]
-    fn mul_matches_manual_computation() {
-        let mut jac = Jacobian::zeros(2, 2);
-        jac.set_entry(0, 0, 1.0);
-        jac.set_entry(0, 1, 2.0);
-        jac.set_entry(1, 0, -1.0);
-        jac.set_entry(1, 1, 0.5);
-        let v = StateVec::from([2.0, 4.0]);
-        let out = jac.mul(&v).unwrap();
-        assert_eq!(out.as_slice(), &[10.0, 0.0]);
-    }
-
-    #[test]
     fn dimension_mismatches_are_reported() {
         let jac = Jacobian::zeros(2, 3);
-        assert!(jac.transpose_mul(&StateVec::zeros(3)).is_err());
-        assert!(jac.mul(&StateVec::zeros(2)).is_err());
+        let mut out = StateVec::zeros(3);
+        assert!(jac
+            .transpose_mul_into(&StateVec::zeros(3), &mut out)
+            .is_err());
+        assert!(jac
+            .transpose_mul_into(&StateVec::zeros(2), &mut StateVec::zeros(2))
+            .is_err());
+        assert!(jac
+            .transpose_mul_into(&StateVec::zeros(2), &mut out)
+            .is_ok());
     }
 
     #[test]
     fn rejects_invalid_step() {
         let x = StateVec::from([0.0]);
-        let f = |v: &StateVec| v.clone();
-        assert!(finite_difference_jacobian(&f, &x, 1, 0.0).is_err());
-        assert!(finite_difference_jacobian(&f, &x, 1, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn rejects_inconsistent_output_dimension() {
-        let x = StateVec::from([1.0]);
-        let f = |v: &StateVec| StateVec::from([v[0], v[0]]);
-        assert!(finite_difference_jacobian(&f, &x, 1, 1e-6).is_err());
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant_bit_for_bit() {
-        let x = StateVec::from([1.5, -2.0]);
-        let reference = finite_difference_jacobian(&quadratic, &x, 2, 1e-6).unwrap();
-        let mut jac = Jacobian::zeros(2, 2);
-        let mut scratch = JacobianScratch::new(2, 2);
-        let mut f = |v: &StateVec, out: &mut StateVec| out.copy_from(&quadratic(v));
-        finite_difference_jacobian_into(&mut f, &x, 1e-6, &mut jac, &mut scratch).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(
-                    reference.entry(i, j).to_bits(),
-                    jac.entry(i, j).to_bits(),
-                    "entry ({i}, {j})"
-                );
-            }
-        }
-        // buffers are reusable across calls
-        finite_difference_jacobian_into(&mut f, &x, 1e-6, &mut jac, &mut scratch).unwrap();
-        assert_eq!(reference.entry(1, 0).to_bits(), jac.entry(1, 0).to_bits());
+        let mut f = |v: &StateVec, out: &mut StateVec| out.copy_from(v);
+        let mut jac = Jacobian::zeros(1, 1);
+        let mut scratch = JacobianScratch::new(1, 1);
+        assert!(finite_difference_jacobian_into(&mut f, &x, 0.0, &mut jac, &mut scratch).is_err());
+        assert!(
+            finite_difference_jacobian_into(&mut f, &x, f64::NAN, &mut jac, &mut scratch).is_err()
+        );
     }
 
     #[test]
     fn into_variant_validates_shapes_and_step() {
         let x = StateVec::from([1.0, 2.0]);
-        let mut f = |v: &StateVec, out: &mut StateVec| out.copy_from(&quadratic(v));
         let mut scratch = JacobianScratch::new(2, 2);
         let mut wrong_cols = Jacobian::zeros(2, 3);
-        assert!(
-            finite_difference_jacobian_into(&mut f, &x, 1e-6, &mut wrong_cols, &mut scratch)
-                .is_err()
-        );
+        assert!(finite_difference_jacobian_into(
+            &mut quadratic,
+            &x,
+            1e-6,
+            &mut wrong_cols,
+            &mut scratch
+        )
+        .is_err());
         let mut jac = Jacobian::zeros(2, 2);
-        assert!(finite_difference_jacobian_into(&mut f, &x, 0.0, &mut jac, &mut scratch).is_err());
-        let mut wrong_scratch = JacobianScratch::new(3, 2);
         assert!(
-            finite_difference_jacobian_into(&mut f, &x, 1e-6, &mut jac, &mut wrong_scratch)
+            finite_difference_jacobian_into(&mut quadratic, &x, 0.0, &mut jac, &mut scratch)
                 .is_err()
         );
+        let mut wrong_scratch = JacobianScratch::new(3, 2);
+        assert!(finite_difference_jacobian_into(
+            &mut quadratic,
+            &x,
+            1e-6,
+            &mut jac,
+            &mut wrong_scratch
+        )
+        .is_err());
     }
 
     #[test]

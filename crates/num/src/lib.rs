@@ -9,11 +9,12 @@
 //! * the [`batch`] module — coordinate-major structure-of-arrays batches
 //!   ([`batch::SoaBatch`]) carrying many states or parameter vectors for
 //!   lane-parallel evaluators;
-//! * the [`ode`] module — explicit ODE integrators (Euler, classic RK4 and an
+//! * the [`ode`] module — explicit ODE integrators (classic fixed-step RK4,
+//!   whose allocation-free step every fixed-step analysis shares, and an
 //!   adaptive Dormand–Prince 4(5) pair) together with dense
 //!   [`Trajectory`](ode::Trajectory) output and interpolation;
-//! * the [`rootfind`] module — bisection, Brent's method and golden-section
-//!   minimisation, used for fixed points and robust parameter tuning;
+//! * the [`rootfind`] module — grid scans and golden-section minimisation,
+//!   used for robust parameter tuning;
 //! * the [`jacobian`] module — finite-difference Jacobians of vector fields,
 //!   used by the Pontryagin costate equations;
 //! * the [`geometry`] module — 2-D polygons, convex hulls, point-in-polygon

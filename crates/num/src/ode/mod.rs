@@ -5,11 +5,13 @@
 //! inclusions driven by a parameter signal (for the imprecise case). This
 //! module provides the integrators used throughout the workspace:
 //!
-//! * [`Euler`] — explicit Euler with a fixed step, mainly for testing and as
-//!   a baseline;
-//! * [`Rk4`] — the classic fourth-order Runge–Kutta scheme with a fixed step;
+//! * [`Rk4`] — the classic fourth-order Runge–Kutta scheme with a fixed
+//!   step. Its allocation-free [`Rk4::step_into`] is the workspace's one
+//!   scalar RK4 step: [`Rk4`]'s own [`Integrator::integrate`] and the
+//!   Pontryagin sweep's forward and costate passes both call it;
 //! * [`Dopri45`] — the adaptive Dormand–Prince 4(5) embedded pair with PI
-//!   step-size control, the default solver for all analyses;
+//!   step-size control, which integrates the parameter selections of the
+//!   differential inclusion adaptively;
 //! * [`Trajectory`] — dense output with linear interpolation between accepted
 //!   steps;
 //! * [`equilibrium`] — integration until the vector field becomes negligibly
@@ -19,14 +21,12 @@
 //! can be written against the abstraction and tested with a cheap solver.
 
 mod dopri;
-mod euler;
 mod rk4;
 mod steady;
 mod trajectory;
 
 pub use dopri::Dopri45;
-pub use euler::Euler;
-pub use rk4::Rk4;
+pub use rk4::{Rk4, Rk4Scratch};
 pub use steady::{equilibrium, EquilibriumOptions};
 pub use trajectory::Trajectory;
 

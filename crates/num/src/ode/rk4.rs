@@ -4,9 +4,11 @@ use super::{check_inputs, Integrator, OdeSystem, Trajectory};
 
 /// Classic fourth-order Runge–Kutta integrator with a fixed step size.
 ///
-/// Fourth-order accurate and allocation-free in the inner loop. This is the
-/// solver of choice for the forward/backward passes of the Pontryagin sweep,
-/// where a fixed time grid shared by the state and the costate is required.
+/// Fourth-order accurate, with one allocation-free step,
+/// [`Rk4::step_into`], shared by every fixed-step integration of the
+/// workspace: [`Integrator::integrate`] here, and the forward and costate
+/// passes of the Pontryagin sweep, which need a fixed time grid shared by
+/// the state and the costate.
 ///
 /// # Example
 ///
@@ -24,12 +26,39 @@ pub struct Rk4 {
     step: f64,
 }
 
+/// Preallocated stage buffers of [`Rk4::step_into`]: the four slopes plus
+/// the perturbed stage state. One instance serves every step of an
+/// integration.
+#[derive(Debug, Clone)]
+pub struct Rk4Scratch {
+    k1: StateVec,
+    k2: StateVec,
+    k3: StateVec,
+    k4: StateVec,
+    stage: StateVec,
+}
+
+impl Rk4Scratch {
+    /// Buffers for steps of a `dim`-dimensional vector field.
+    pub fn new(dim: usize) -> Self {
+        Rk4Scratch {
+            k1: StateVec::zeros(dim),
+            k2: StateVec::zeros(dim),
+            k3: StateVec::zeros(dim),
+            k4: StateVec::zeros(dim),
+            stage: StateVec::zeros(dim),
+        }
+    }
+}
+
 impl Rk4 {
     /// Creates an RK4 integrator with the given step size.
     ///
     /// # Panics
     ///
-    /// Panics if `step` is not strictly positive.
+    /// Panics if `step` is not strictly positive and finite; analyses that
+    /// take a step from their caller validate it first and return a typed
+    /// error.
     pub fn with_step(step: f64) -> Self {
         assert!(
             step > 0.0 && step.is_finite(),
@@ -43,36 +72,43 @@ impl Rk4 {
         self.step
     }
 
-    /// Performs a single RK4 step of size `h` from `(t, x)`, writing into `x`.
+    /// One RK4 step of size `h` of the vector field `f(t, x, dx)` from
+    /// `(t, x)`, writing the new state into `out`.
     ///
-    /// Exposed for callers that manage their own time grid (e.g. the
-    /// forward–backward Pontryagin sweep).
-    pub fn step_in_place(system: &dyn OdeSystem, t: f64, x: &mut StateVec, h: f64) {
-        let dim = x.dim();
-        let mut k1 = StateVec::zeros(dim);
-        let mut k2 = StateVec::zeros(dim);
-        let mut k3 = StateVec::zeros(dim);
-        let mut k4 = StateVec::zeros(dim);
-        let mut tmp = StateVec::zeros(dim);
-
-        system.rhs(t, x, &mut k1);
-
-        tmp.copy_from(x);
-        tmp.add_scaled(0.5 * h, &k1);
-        system.rhs(t + 0.5 * h, &tmp, &mut k2);
-
-        tmp.copy_from(x);
-        tmp.add_scaled(0.5 * h, &k2);
-        system.rhs(t + 0.5 * h, &tmp, &mut k3);
-
-        tmp.copy_from(x);
-        tmp.add_scaled(h, &k3);
-        system.rhs(t + h, &tmp, &mut k4);
-
-        x.add_scaled(h / 6.0, &k1);
-        x.add_scaled(h / 3.0, &k2);
-        x.add_scaled(h / 3.0, &k3);
-        x.add_scaled(h / 6.0, &k4);
+    /// All temporaries live in `scratch`, so the step allocates nothing. The
+    /// arithmetic is fixed: stage states `x + c·h·k`, then `out = x` and the
+    /// four updates `out += (h/6)·k1`, `(h/3)·k2`, `(h/3)·k3`, `(h/6)·k4` in
+    /// that order. The step does not check its result; callers test
+    /// `out.is_finite()` and report their own error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `out` and `scratch` do not share one dimension.
+    pub fn step_into<F>(
+        f: &mut F,
+        t: f64,
+        x: &StateVec,
+        h: f64,
+        out: &mut StateVec,
+        scratch: &mut Rk4Scratch,
+    ) where
+        F: FnMut(f64, &StateVec, &mut StateVec),
+    {
+        f(t, x, &mut scratch.k1);
+        scratch.stage.copy_from(x);
+        scratch.stage.add_scaled(0.5 * h, &scratch.k1);
+        f(t + 0.5 * h, &scratch.stage, &mut scratch.k2);
+        scratch.stage.copy_from(x);
+        scratch.stage.add_scaled(0.5 * h, &scratch.k2);
+        f(t + 0.5 * h, &scratch.stage, &mut scratch.k3);
+        scratch.stage.copy_from(x);
+        scratch.stage.add_scaled(h, &scratch.k3);
+        f(t + h, &scratch.stage, &mut scratch.k4);
+        out.copy_from(x);
+        out.add_scaled(h / 6.0, &scratch.k1);
+        out.add_scaled(h / 3.0, &scratch.k2);
+        out.add_scaled(h / 3.0, &scratch.k3);
+        out.add_scaled(h / 6.0, &scratch.k4);
     }
 }
 
@@ -102,9 +138,13 @@ impl Integrator for Rk4 {
         if span == 0.0 {
             return Ok(traj);
         }
+        let mut next = StateVec::zeros(dim);
+        let mut scratch = Rk4Scratch::new(dim);
+        let mut rhs = |t: f64, x: &StateVec, dx: &mut StateVec| system.rhs(t, x, dx);
         for k in 0..n_steps {
             let t = t0 + h * k as f64;
-            Rk4::step_in_place(system, t, &mut x, h);
+            Rk4::step_into(&mut rhs, t, &x, h, &mut next, &mut scratch);
+            std::mem::swap(&mut x, &mut next);
             if !x.is_finite() {
                 return Err(NumError::non_finite(format!("RK4 step at t = {t}")));
             }
@@ -190,5 +230,14 @@ mod tests {
         assert!(Rk4::default()
             .integrate(&sys, 1.0, StateVec::from([0.0]), 0.0)
             .is_err());
+    }
+
+    #[test]
+    fn reports_a_non_finite_step() {
+        let sys = FnSystem::new(1, |_t, x: &StateVec, dx: &mut StateVec| dx[0] = x[0] * x[0]);
+        let err = Rk4::with_step(0.5)
+            .integrate(&sys, 0.0, StateVec::from([1e200]), 10.0)
+            .unwrap_err();
+        assert!(matches!(err, NumError::NonFinite { .. }), "{err:?}");
     }
 }

@@ -2,11 +2,13 @@ use crate::{NumError, Result, StateVec};
 
 use super::{Integrator, OdeSystem, Rk4};
 
+/// Length of each integration burst between two convergence checks of
+/// [`equilibrium`].
+const BURST: f64 = 5.0;
+
 /// Options controlling [`equilibrium`] search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EquilibriumOptions {
-    /// Length of each integration burst between convergence checks.
-    pub burst: f64,
     /// Integration step used inside each burst.
     pub step: f64,
     /// Convergence threshold on the sup norm of the vector field.
@@ -18,7 +20,6 @@ pub struct EquilibriumOptions {
 impl Default for EquilibriumOptions {
     fn default() -> Self {
         EquilibriumOptions {
-            burst: 5.0,
             step: 1e-2,
             drift_tolerance: 1e-9,
             max_time: 10_000.0,
@@ -28,9 +29,9 @@ impl Default for EquilibriumOptions {
 
 /// Integrates an autonomous system until it settles at an equilibrium.
 ///
-/// The system is integrated in bursts of [`EquilibriumOptions::burst`] time
-/// units; after each burst the vector field at the current state is
-/// evaluated, and the search stops once its sup norm drops below
+/// The system is integrated with [`Rk4`] in bursts of 5 time units; after
+/// each burst the vector field at the current state is evaluated, and the
+/// search stops once its sup norm drops below
 /// [`EquilibriumOptions::drift_tolerance`].
 ///
 /// This is how per-parameter fixed points of the uncertain mean field are
@@ -41,8 +42,10 @@ impl Default for EquilibriumOptions {
 ///
 /// # Errors
 ///
-/// Returns an error if integration fails or the drift has not fallen below
-/// the tolerance after `max_time` time units.
+/// Returns [`NumError::InvalidArgument`] unless the step is positive and
+/// finite and the tolerance positive, an error if integration fails, and
+/// [`NumError::NoConvergence`] if the drift has not fallen below the
+/// tolerance after `max_time` time units.
 ///
 /// # Example
 ///
@@ -61,9 +64,9 @@ pub fn equilibrium(
     x0: StateVec,
     options: &EquilibriumOptions,
 ) -> Result<StateVec> {
-    if options.burst <= 0.0 || options.step <= 0.0 || options.drift_tolerance <= 0.0 {
+    if options.step <= 0.0 || !options.step.is_finite() || options.drift_tolerance <= 0.0 {
         return Err(NumError::invalid_argument(
-            "equilibrium options must have positive burst, step and tolerance",
+            "equilibrium options must have a positive finite step and a positive tolerance",
         ));
     }
     let solver = Rk4::with_step(options.step);
@@ -78,12 +81,12 @@ pub fn equilibrium(
         if elapsed >= options.max_time {
             return Err(NumError::NoConvergence {
                 method: "equilibrium",
-                iterations: (elapsed / options.burst) as usize,
+                iterations: (elapsed / BURST) as usize,
                 residual: drift.norm_inf(),
             });
         }
-        x = solver.final_state(system, 0.0, x, options.burst)?;
-        elapsed += options.burst;
+        x = solver.final_state(system, 0.0, x, BURST)?;
+        elapsed += BURST;
     }
 }
 
@@ -135,7 +138,7 @@ mod tests {
     fn rejects_invalid_options() {
         let sys = FnSystem::new(1, |_t, _x: &StateVec, dx: &mut StateVec| dx[0] = 0.0);
         let options = EquilibriumOptions {
-            burst: -1.0,
+            step: -1.0,
             ..EquilibriumOptions::default()
         };
         assert!(equilibrium(&sys, StateVec::from([0.0]), &options).is_err());

@@ -1,22 +1,18 @@
-//! Scalar root finding and one-dimensional minimisation.
+//! One-dimensional minimisation.
 //!
-//! These routines back two pieces of the reproduction:
-//!
-//! * fixed-point refinement of mean-field ODEs (root of a drift component);
-//! * robust tuning of design parameters (Section VI-C of the paper), where a
-//!   worst-case objective computed by the Pontryagin sweep is minimised over
-//!   a scalar design parameter — done here with golden-section search, which
-//!   only requires unimodality, not derivatives.
+//! These routines back the robust tuning of design parameters (Section VI-C
+//! of the paper), where a worst-case objective computed by the Pontryagin
+//! sweep is minimised over a scalar design parameter: a coarse [`grid_min`]
+//! scan brackets the optimum, and [`golden_section_min`], which only
+//! requires unimodality, not derivatives, refines it.
 
 use crate::{NumError, Result};
 
-/// Options shared by the iterative scalar solvers.
+/// Options of [`golden_section_min`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Absolute tolerance on the argument.
     pub x_tolerance: f64,
-    /// Absolute tolerance on the function value (root finders only).
-    pub f_tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
 }
@@ -25,7 +21,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             x_tolerance: 1e-10,
-            f_tolerance: 1e-12,
             max_iterations: 200,
         }
     }
@@ -38,162 +33,6 @@ fn validate_bracket(a: f64, b: f64) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-/// Finds a root of `f` in `[a, b]` by bisection.
-///
-/// # Errors
-///
-/// Returns an error if the bracket is invalid, if `f(a)` and `f(b)` have the
-/// same sign, or if the iteration budget is exhausted before the bracket
-/// shrinks below the tolerance.
-///
-/// # Example
-///
-/// ```
-/// use mfu_num::rootfind::{bisection, SolverOptions};
-///
-/// let root = bisection(|x| x * x - 2.0, 0.0, 2.0, &SolverOptions::default())?;
-/// assert!((root - 2f64.sqrt()).abs() < 1e-9);
-/// # Ok::<(), mfu_num::NumError>(())
-/// ```
-pub fn bisection<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    options: &SolverOptions,
-) -> Result<f64> {
-    validate_bracket(a, b)?;
-    let (mut lo, mut hi) = (a, b);
-    let (mut f_lo, f_hi) = (f(lo), f(hi));
-    if f_lo.abs() <= options.f_tolerance {
-        return Ok(lo);
-    }
-    if f_hi.abs() <= options.f_tolerance {
-        return Ok(hi);
-    }
-    if f_lo * f_hi > 0.0 {
-        return Err(NumError::invalid_argument(
-            "bisection requires a sign change over the bracket",
-        ));
-    }
-    for _ in 0..options.max_iterations {
-        let mid = 0.5 * (lo + hi);
-        let f_mid = f(mid);
-        if f_mid.abs() <= options.f_tolerance || (hi - lo) * 0.5 < options.x_tolerance {
-            return Ok(mid);
-        }
-        if f_lo * f_mid < 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-            f_lo = f_mid;
-        }
-    }
-    Err(NumError::NoConvergence {
-        method: "bisection",
-        iterations: options.max_iterations,
-        residual: hi - lo,
-    })
-}
-
-/// Finds a root of `f` in `[a, b]` with Brent's method.
-///
-/// Brent's method combines bisection, the secant method and inverse quadratic
-/// interpolation; it converges superlinearly on smooth problems while keeping
-/// the robustness of bisection.
-///
-/// # Errors
-///
-/// Returns an error if the bracket is invalid, if `f(a)` and `f(b)` have the
-/// same sign, or on iteration exhaustion.
-///
-/// # Example
-///
-/// ```
-/// use mfu_num::rootfind::{brent, SolverOptions};
-///
-/// let root = brent(|x| x.cos() - x, 0.0, 1.0, &SolverOptions::default())?;
-/// assert!((root - 0.7390851332151607).abs() < 1e-10);
-/// # Ok::<(), mfu_num::NumError>(())
-/// ```
-pub fn brent<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    options: &SolverOptions,
-) -> Result<f64> {
-    validate_bracket(a, b)?;
-    let (mut a, mut b) = (a, b);
-    let (mut fa, mut fb) = (f(a), f(b));
-    if fa.abs() <= options.f_tolerance {
-        return Ok(a);
-    }
-    if fb.abs() <= options.f_tolerance {
-        return Ok(b);
-    }
-    if fa * fb > 0.0 {
-        return Err(NumError::invalid_argument(
-            "brent requires a sign change over the bracket",
-        ));
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut mflag = true;
-
-    for _ in 0..options.max_iterations {
-        if fb.abs() <= options.f_tolerance || (b - a).abs() < options.x_tolerance {
-            return Ok(b);
-        }
-        let mut s = if fa != fc && fb != fc {
-            // inverse quadratic interpolation
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // secant
-            b - fb * (b - a) / (fb - fa)
-        };
-
-        let lower = (3.0 * a + b) / 4.0;
-        let cond1 = !((lower.min(b) < s) && (s < lower.max(b)));
-        let cond2 = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond3 = !mflag && (s - b).abs() >= (c - d).abs() / 2.0;
-        let cond4 = mflag && (b - c).abs() < options.x_tolerance;
-        let cond5 = !mflag && (c - d).abs() < options.x_tolerance;
-        if cond1 || cond2 || cond3 || cond4 || cond5 {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-
-        let fs = f(s);
-        d = c;
-        c = b;
-        fc = fb;
-        if fa * fs < 0.0 {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Err(NumError::NoConvergence {
-        method: "brent",
-        iterations: options.max_iterations,
-        residual: fb.abs(),
-    })
 }
 
 /// Minimises a unimodal function on `[a, b]` by golden-section search.
@@ -293,42 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisection_finds_sqrt_two() {
-        let root = bisection(|x| x * x - 2.0, 0.0, 2.0, &SolverOptions::default()).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-8);
-    }
-
-    #[test]
-    fn bisection_rejects_same_sign_bracket() {
-        let res = bisection(|x| x * x + 1.0, -1.0, 1.0, &SolverOptions::default());
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn bisection_accepts_root_at_endpoint() {
-        let root = bisection(|x| x, 0.0, 1.0, &SolverOptions::default()).unwrap();
-        assert_eq!(root, 0.0);
-    }
-
-    #[test]
-    fn brent_matches_known_fixed_point() {
-        let root = brent(|x| x.cos() - x, 0.0, 1.0, &SolverOptions::default()).unwrap();
-        assert!((root - 0.739_085_133_215_160_7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn brent_handles_polynomial_with_flat_region() {
-        let root = brent(|x| (x - 1.0).powi(3), 0.0, 2.5, &SolverOptions::default()).unwrap();
-        assert!((root - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn brent_rejects_invalid_bracket() {
-        assert!(brent(|x| x, 1.0, 0.0, &SolverOptions::default()).is_err());
-        assert!(brent(|x| x * x + 1.0, -1.0, 1.0, &SolverOptions::default()).is_err());
-    }
-
-    #[test]
     fn golden_section_finds_parabola_minimum() {
         let (x, fx) = golden_section_min(
             |x| (x - 3.0).powi(2) + 1.0,
@@ -358,7 +161,6 @@ mod tests {
         let options = SolverOptions {
             max_iterations: 2,
             x_tolerance: 1e-12,
-            ..Default::default()
         };
         let res = golden_section_min(|x| x * x, -1.0, 1.0, &options);
         assert!(matches!(res, Err(NumError::NoConvergence { .. })));

@@ -2,7 +2,7 @@
 
 use mfu_num::geometry::{convex_hull, Point2};
 use mfu_num::ode::{Dopri45, FnSystem, Integrator, Rk4, Trajectory};
-use mfu_num::rootfind::{bisection, golden_section_min, SolverOptions};
+use mfu_num::rootfind::{golden_section_min, SolverOptions};
 use mfu_num::StateVec;
 use proptest::prelude::*;
 
@@ -74,14 +74,6 @@ proptest! {
             .final_state(&system, 0.0, StateVec::from([x0]), 2.0)
             .unwrap();
         prop_assert!((fine[0] - adaptive[0]).abs() < 1e-5);
-    }
-
-    /// Bisection finds a point where an increasing cubic vanishes.
-    #[test]
-    fn bisection_finds_roots_of_shifted_cubics(shift in -5.0..5.0f64) {
-        let f = |x: f64| (x - shift).powi(3) + (x - shift);
-        let root = bisection(f, shift - 10.0, shift + 10.0, &SolverOptions::default()).unwrap();
-        prop_assert!((root - shift).abs() < 1e-6);
     }
 
     /// Golden-section search locates the vertex of a random parabola.

@@ -49,6 +49,10 @@ pub enum Counter {
     CoreRk4Steps,
     /// Finite-difference Jacobian evaluations in the backward sweep.
     CoreJacobianEvals,
+    /// Backward-sweep intervals whose costate Jacobian was zeroed (a
+    /// non-finite finite-difference entry, or `‖J‖∞·h` above the
+    /// costate-step stability cap of 2.5), so the costate did not move.
+    CoreCostateGateTrips,
     /// Forward–backward Pontryagin sweep iterations.
     CorePontryaginSweeps,
     /// Pontryagin multi-start restarts launched.
@@ -78,7 +82,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot rendering order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 25] = [
         Counter::SimEventsFired,
         Counter::SimPropensityEvals,
         Counter::SimPropensitySkips,
@@ -92,6 +96,7 @@ impl Counter {
         Counter::SimRuns,
         Counter::CoreRk4Steps,
         Counter::CoreJacobianEvals,
+        Counter::CoreCostateGateTrips,
         Counter::CorePontryaginSweeps,
         Counter::CorePontryaginRestarts,
         Counter::CorePontryaginEscalations,
@@ -122,6 +127,7 @@ impl Counter {
             Counter::SimRuns => "sim_runs",
             Counter::CoreRk4Steps => "core_rk4_steps",
             Counter::CoreJacobianEvals => "core_jacobian_evals",
+            Counter::CoreCostateGateTrips => "core_costate_gate_trips",
             Counter::CorePontryaginSweeps => "core_pontryagin_sweeps",
             Counter::CorePontryaginRestarts => "core_pontryagin_restarts",
             Counter::CorePontryaginEscalations => "core_pontryagin_escalations",

@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let robust = RobustOptions {
         coarse_grid: 10,
         design_tolerance: 0.05,
-        ..Default::default()
     };
     let best = minimize_worst_case(1.0, 16.0, &robust, |phi1| {
         worst_case_backlog(phi1, horizon)

@@ -6,15 +6,23 @@
 //! point all either complete, truncate gracefully, or fail with a typed
 //! error. Panics and hangs are the only forbidden outcomes, and `proptest`
 //! sweeps the input space so nobody has to hand-pick the nasty values.
+//! Illegal integration steps (zero, negative, NaN, infinite) get a typed
+//! error from every analysis that takes one.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use mean_field_uncertain::core::birkhoff::{birkhoff_centre_2d, BirkhoffOptions};
+use mean_field_uncertain::core::drift::ImpreciseDrift;
 use mean_field_uncertain::core::hull::{DifferentialHull, HullOptions};
 use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
+use mean_field_uncertain::core::uncertain::UncertainAnalysis;
+use mean_field_uncertain::core::CoreError;
 use mean_field_uncertain::guard::{Outcome, RunBudget, TruncationReason};
 use mean_field_uncertain::lang::{compile, CompiledModel};
+use mean_field_uncertain::num::ode::{equilibrium, EquilibriumOptions, FnSystem};
+use mean_field_uncertain::num::{NumError, StateVec};
 use mean_field_uncertain::sim::gillespie::{SimulationAlgorithm, SimulationOptions, Simulator};
 use mean_field_uncertain::sim::policy::ConstantPolicy;
 use mean_field_uncertain::sim::steady::SteadyStateOptions;
@@ -214,5 +222,65 @@ fn steady_state_try_new_rejects_bad_inputs_with_typed_errors() {
             ),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
+    }
+}
+
+/// Every analysis that takes a fixed RK4 step from its caller rejects a
+/// zero, negative, NaN or infinite step with a typed error, instead of
+/// panicking inside the integrator or silently stepping at another size.
+#[test]
+fn bad_integration_steps_are_typed_errors_in_every_analysis() {
+    let model = sir(1.0, 5.0);
+    let drift = model.reduced_drift();
+    let x0 = model.reduced_initial_state();
+    let theta = model.params().midpoint();
+    let system = FnSystem::new(drift.dim(), |_t, x: &StateVec, dx: &mut StateVec| {
+        drift.drift_into(x, &theta, dx)
+    });
+    for step in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let hull = DifferentialHull::new(
+            &drift,
+            HullOptions {
+                step,
+                ..Default::default()
+            },
+        );
+        assert!(
+            matches!(hull.bounds(&x0, 1.0), Err(CoreError::InvalidInput { .. })),
+            "hull at step {step}"
+        );
+        let birkhoff = birkhoff_centre_2d(
+            &drift,
+            &x0,
+            &BirkhoffOptions {
+                step,
+                ..Default::default()
+            },
+        );
+        assert!(
+            matches!(birkhoff, Err(CoreError::InvalidInput { .. })),
+            "Birkhoff centre at step {step}"
+        );
+        let envelope = UncertainAnalysis {
+            step,
+            ..Default::default()
+        }
+        .envelope(&drift, &x0, 1.0);
+        assert!(
+            matches!(envelope, Err(CoreError::InvalidInput { .. })),
+            "uncertain envelope at step {step}"
+        );
+        let fixed_point = equilibrium(
+            &system,
+            x0.clone(),
+            &EquilibriumOptions {
+                step,
+                ..Default::default()
+            },
+        );
+        assert!(
+            matches!(fixed_point, Err(NumError::InvalidArgument { .. })),
+            "equilibrium at step {step}"
+        );
     }
 }

@@ -16,7 +16,8 @@
 //!   where the midpoint sweep settles on a local extremal the escalation
 //!   ladder recovers it;
 //! * one wall-clock deadline bounds a whole Pontryagin solve, escalated
-//!   vertex starts included.
+//!   vertex starts included, and cuts a pass between two intervals rather
+//!   than at its end.
 
 use std::time::{Duration, Instant};
 
@@ -394,15 +395,25 @@ fn single_start_escalates_on_a_local_extremal_and_matches_the_multi_start_bound(
     );
 }
 
-/// A drift whose per-lane-Θ batches — the escalation ladder's vertex
-/// probes, the only per-lane batches a Pontryagin solve evaluates — sleep
-/// until `until`. Every other evaluation is the wrapped drift's.
-struct SlowProbes<D> {
-    inner: D,
-    until: Instant,
+/// Which batches a [`SlowBatches`] drift slows down.
+enum Slowdown {
+    /// Per-lane-Θ batches — the escalation ladder's vertex probes, the only
+    /// per-lane batches a Pontryagin solve evaluates — sleep until the
+    /// instant.
+    ProbesUntil(Instant),
+    /// Shared-Θ batches — the backward pass's finite-difference Jacobian
+    /// stencils, one per interval — each sleep for the duration.
+    JacobiansFor(Duration),
 }
 
-impl<D: ImpreciseDrift> ImpreciseDrift for SlowProbes<D> {
+/// A drift that sleeps before the batches its [`Slowdown`] names. Every
+/// evaluation is the wrapped drift's.
+struct SlowBatches<D> {
+    inner: D,
+    slowdown: Slowdown,
+}
+
+impl<D: ImpreciseDrift> ImpreciseDrift for SlowBatches<D> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
@@ -416,8 +427,12 @@ impl<D: ImpreciseDrift> ImpreciseDrift for SlowProbes<D> {
     }
 
     fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
-        if matches!(theta, BatchTheta::PerLane(_)) {
-            std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
+        match (&self.slowdown, theta) {
+            (Slowdown::ProbesUntil(until), BatchTheta::PerLane(_)) => {
+                std::thread::sleep(until.saturating_duration_since(Instant::now()));
+            }
+            (Slowdown::JacobiansFor(pause), BatchTheta::Shared(_)) => std::thread::sleep(*pause),
+            _ => {}
         }
         self.inner.drift_batch_into(x, theta, out);
     }
@@ -443,9 +458,9 @@ fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
         budget: RunBudget::unlimited().wall_clock(budget),
     })
     .with_obs(obs.clone());
-    let drift = SlowProbes {
+    let drift = SlowBatches {
         inner: model.reduced_drift(),
-        until: Instant::now() + budget + Duration::from_millis(100),
+        slowdown: Slowdown::ProbesUntil(Instant::now() + budget + Duration::from_millis(100)),
     };
     let solution = solver.minimize_coordinate(&drift, &x0, horizon, 1).unwrap();
     let snapshot = obs.metrics.snapshot().unwrap();
@@ -456,6 +471,49 @@ fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
     );
     assert!(!solution.converged());
     assert_eq!(solution.iterations(), 0, "an escalated start swept");
+}
+
+#[test]
+fn the_deadline_cuts_a_backward_pass_between_intervals() {
+    // Each of the 200 backward intervals sleeps 1 ms, so the first backward
+    // pass alone takes over 200 ms. The 20 ms deadline must stop it between
+    // two intervals instead of letting it run to its end.
+    let registry = ScenarioRegistry::with_builtins();
+    let scenario = registry.get("sir").unwrap();
+    let model = scenario.compile().unwrap();
+    let obs = Obs::with_metrics();
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 200,
+        multi_start: false,
+        budget: RunBudget::unlimited().wall_clock(Duration::from_millis(20)),
+    })
+    .with_obs(obs.clone());
+    let drift = SlowBatches {
+        inner: model.reduced_drift(),
+        slowdown: Slowdown::JacobiansFor(Duration::from_millis(1)),
+    };
+    let solution = solver
+        .maximize_coordinate(
+            &drift,
+            &model.reduced_initial_state(),
+            scenario.horizon(),
+            1,
+        )
+        .unwrap();
+    assert!(solution.truncated());
+    assert!(!solution.converged());
+    assert_eq!(solution.iterations(), 0, "a backward pass completed");
+    // every backward interval evaluates one Jacobian; sleeps never end
+    // early, so at most 21 intervals fit the budget
+    let jacobians = obs
+        .metrics
+        .snapshot()
+        .unwrap()
+        .counter(Counter::CoreJacobianEvals);
+    assert!(
+        jacobians <= 21,
+        "{jacobians} of 200 backward intervals ran on a 20 ms budget"
+    );
 }
 
 /// Scenario horizons, clamped so that debug-mode suites stay quick: the

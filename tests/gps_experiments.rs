@@ -108,7 +108,6 @@ fn robust_weight_search_dominates_a_coarse_sweep() {
     let robust = RobustOptions {
         coarse_grid: 6,
         design_tolerance: 0.1,
-        ..Default::default()
     };
     let best = minimize_worst_case(1.0, 12.0, &robust, worst_case).unwrap();
     for phi1 in [1.0, 3.0, 6.0, 9.0, 12.0] {

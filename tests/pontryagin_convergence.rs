@@ -7,9 +7,15 @@
 //! workload — with the service's drift rule: the reduced drift for every
 //! coordinate except a conservative model's last species, which needs the
 //! full drift. Both extremes of every coordinate are checked.
+//!
+//! A second test pins how often the costate gate zeroes a backward-pass
+//! Jacobian (`core_costate_gate_trips`): never on the smooth `sir`, and a
+//! fixed count on `bike_city_4`, whose `when` guards make finite-difference
+//! stencils straddle rate discontinuities.
 
-use mean_field_uncertain::core::pontryagin::PontryaginSolver;
+use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mean_field_uncertain::lang::ScenarioRegistry;
+use mean_field_uncertain::obs::{Counter, Obs};
 use mean_field_uncertain::serve::ServiceOptions;
 
 /// Scenarios past this dimension are left out: `ring_48` (96 extremes)
@@ -87,4 +93,48 @@ fn every_served_extreme_converges_and_reaches_its_accuracy_floor() {
         botnet_max >= 0.186,
         "`botnet` objective maximum {botnet_max}"
     );
+}
+
+/// `core_costate_gate_trips` summed over both extremes of every coordinate
+/// of `name` (single start, declared horizon, the service's drift rule) on
+/// a grid of `grid` intervals.
+fn costate_gate_trips(name: &str, grid: usize) -> u64 {
+    let registry = ScenarioRegistry::with_builtins();
+    let scenario = registry.get(name).unwrap();
+    let model = scenario.compile().unwrap();
+    let reduced = model.reduced_drift();
+    let full = model.drift();
+    let reduced_x0 = model.reduced_initial_state();
+    let full_x0 = model.initial_state();
+    let obs = Obs::with_metrics();
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: grid,
+        ..Default::default()
+    })
+    .with_obs(obs.clone());
+    for coordinate in 0..model.dim() {
+        let (drift, x0) = if coordinate < reduced_x0.dim() {
+            (&reduced, &reduced_x0)
+        } else {
+            (&full, &full_x0)
+        };
+        let horizon = scenario.horizon();
+        solver
+            .minimize_coordinate(drift, x0, horizon, coordinate)
+            .unwrap();
+        solver
+            .maximize_coordinate(drift, x0, horizon, coordinate)
+            .unwrap();
+    }
+    obs.metrics
+        .snapshot()
+        .unwrap()
+        .counter(Counter::CoreCostateGateTrips)
+}
+
+#[test]
+fn costate_gate_trips_are_counted_on_guarded_drifts_only() {
+    assert_eq!(costate_gate_trips("sir", 400), 0);
+    // 1 to 5 zeroed intervals in each of the 16 extremes
+    assert_eq!(costate_gate_trips("bike_city_4", 400), 28);
 }

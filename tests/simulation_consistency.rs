@@ -109,7 +109,6 @@ fn stationary_samples_concentrate_on_the_birkhoff_centre() {
             step: 2e-3,
             settle_time: 25.0,
             boundary_samples: 80,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -139,7 +139,6 @@ fn figure3_birkhoff_centre_contains_fixed_point_curve() {
         step: 2e-3,
         settle_time: 25.0,
         boundary_samples: 80,
-        ..Default::default()
     };
     let centre = birkhoff_centre_2d(&drift, &x0, &options).unwrap();
     assert!(
