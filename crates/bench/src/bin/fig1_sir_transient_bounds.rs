@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
 
-    // Headline numbers used in EXPERIMENTS.md.
+    // Headline numbers (see the *Figures* section of `docs/ARCHITECTURE.md`).
     let last = tube.times().len() - 1;
     let gap_imprecise = tube.upper()[last] - tube.lower()[last];
     let gap_uncertain = envelope.upper()[time_points][1] - envelope.lower()[time_points][1];

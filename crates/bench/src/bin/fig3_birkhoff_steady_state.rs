@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print_row(&[vertex.x, vertex.y]);
     }
 
-    // Containment / strictness checks reported in EXPERIMENTS.md.
+    // Containment / strictness checks (see the *Figures* section of
+    // `docs/ARCHITECTURE.md`).
     let all_inside = fixed_points.iter().all(|fp| {
         centre
             .polygon()

@@ -126,34 +126,6 @@ fn measure_rate_set(groups: &[RuleGroup], x: &StateVec) -> (f64, f64, usize, usi
     (tree_ns, vm_ns, n_rules, fast_path)
 }
 
-/// `--check` mode: compare two already-written reports, print a verdict
-/// table, and return whether the guard passed.
-fn run_check(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<bool, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let current = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("cannot read current report `{current_path}`: {e}"))?;
-    let comparison = regression::compare(&baseline, &current, tolerance)?;
-    println!(
-        "bench-regression guard: {} shared timing metrics within {:.0}% of `{baseline_path}`",
-        comparison.passed,
-        tolerance * 100.0
-    );
-    for path in &comparison.unmatched {
-        println!("  (unmatched, ignored) {path}");
-    }
-    for regression in &comparison.regressions {
-        println!(
-            "  REGRESSION {}: {:.2} ns -> {:.2} ns ({:+.0}%)",
-            regression.path,
-            regression.baseline,
-            regression.current,
-            (regression.current / regression.baseline - 1.0) * 100.0
-        );
-    }
-    Ok(comparison.regressions.is_empty())
-}
-
 /// Parsed command line: measurement mode (default) or check mode.
 enum Mode {
     Measure {
@@ -243,7 +215,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             current,
             tolerance,
         } => {
-            if run_check(&baseline, &current, tolerance)? {
+            if regression::check_reports("bench-regression guard", &baseline, &current, tolerance)?
+            {
                 return Ok(());
             }
             eprintln!("bench-regression guard failed");

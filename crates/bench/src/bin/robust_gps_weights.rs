@@ -9,7 +9,8 @@
 //! optimum depends on it. This binary therefore sweeps `φ_1` for the default
 //! capacity (`C` equal to the per-class population) and for a congested
 //! configuration (a quarter of that capacity) and reports the robust optimum
-//! for both; `EXPERIMENTS.md` discusses the comparison with the paper.
+//! for both; the *Figures* section of `docs/ARCHITECTURE.md` discusses the
+//! comparison with the paper.
 //!
 //! Run with `cargo run --release -p mfu-bench --bin robust_gps_weights`.
 

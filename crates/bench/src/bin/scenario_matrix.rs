@@ -55,6 +55,8 @@ use mfu_bench::regression;
 use mfu_core::hull::{DifferentialHull, HullOptions};
 use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mfu_lang::scenarios::ScenarioRegistry;
+use mfu_lang::{CompiledModel, DslDrift};
+use mfu_num::StateVec;
 use mfu_sim::ensemble::{run_ensemble, EnsembleOptions};
 use mfu_sim::gillespie::{SimulationAlgorithm, SimulationOptions, Simulator};
 use mfu_sim::policy::ConstantPolicy;
@@ -111,23 +113,16 @@ fn median_wall_ns<T, F: FnMut() -> T>(samples: usize, mut f: F) -> (f64, T) {
     (timings[timings.len() / 2], result.expect("samples >= 1"))
 }
 
-/// Sweeps one scenario through the three methods.
-fn measure_row(scenario: &mfu_lang::scenarios::Scenario) -> Result<Row, String> {
-    let model = scenario
-        .compile()
-        .map_err(|e| format!("`{}` failed to compile: {e}", scenario.name()))?;
+/// Sweeps one scenario through the three methods, bounding its objective
+/// on `drift` from `x0`.
+fn measure_row(
+    scenario: &mfu_lang::scenarios::Scenario,
+    model: &CompiledModel,
+    drift: &DslDrift,
+    x0: &StateVec,
+) -> Result<Row, String> {
     let horizon = scenario.horizon();
     let objective = scenario.objective_coordinate();
-
-    // Conservative models analyse in reduced coordinates (the last species
-    // is eliminated); bounding that species needs the full drift. Same
-    // selection rule as the CLI's `run --bound`.
-    let reduced_dim = model.reduced_initial_state().dim();
-    let (drift, x0) = if objective < reduced_dim {
-        (model.reduced_drift(), model.reduced_initial_state())
-    } else {
-        (model.drift(), model.initial_state())
-    };
 
     // Clamped to [0, 1] as the density interpretation demands (the same
     // choice as the steady-state figure): for wide parameter boxes the raw
@@ -136,14 +131,14 @@ fn measure_row(scenario: &mfu_lang::scenarios::Scenario) -> Result<Row, String> 
     // information about an occupancy measure anyway.
     let (hull_wall, hull_bounds) = median_wall_ns(3, || {
         DifferentialHull::new(
-            &drift,
+            drift,
             HullOptions {
                 step: 1e-2,
                 clamp: Some((0.0, 1.0)),
                 ..HullOptions::default()
             },
         )
-        .bounds(&x0, horizon)
+        .bounds(x0, horizon)
     });
     let bounds = hull_bounds.map_err(|e| format!("`{}` hull failed: {e}", scenario.name()))?;
     let (hull_lo, hull_hi) = bounds.final_bounds();
@@ -154,7 +149,7 @@ fn measure_row(scenario: &mfu_lang::scenarios::Scenario) -> Result<Row, String> 
 
     let (pmp_wall, pmp_extremes) = median_wall_ns(3, || {
         PontryaginSolver::new(PontryaginOptions::default())
-            .coordinate_extremes(&drift, &x0, horizon, objective)
+            .coordinate_extremes(drift, x0, horizon, objective)
     });
     let (pmp_lo, pmp_hi) =
         pmp_extremes.map_err(|e| format!("`{}` Pontryagin failed: {e}", scenario.name()))?;
@@ -368,33 +363,6 @@ fn extract_block(doc: &str) -> Result<&str, String> {
     Ok(doc[start..start + end].trim_matches('\n'))
 }
 
-/// `--check` mode: compare the `wall_ns` leaves of two written reports.
-fn run_check(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<bool, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-    let current = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("cannot read current report `{current_path}`: {e}"))?;
-    let comparison = regression::compare(&baseline, &current, tolerance)?;
-    println!(
-        "scenario-matrix guard: {} shared timing metrics within {:.0}% of `{baseline_path}`",
-        comparison.passed,
-        tolerance * 100.0
-    );
-    for path in &comparison.unmatched {
-        println!("  (unmatched, ignored) {path}");
-    }
-    for regression in &comparison.regressions {
-        println!(
-            "  REGRESSION {}: {:.0} ns -> {:.0} ns ({:+.0}%)",
-            regression.path,
-            regression.baseline,
-            regression.current,
-            (regression.current / regression.baseline - 1.0) * 100.0
-        );
-    }
-    Ok(comparison.regressions.is_empty())
-}
-
 /// Parsed command line.
 enum Mode {
     /// Sweep the registry and (over)write the report.
@@ -480,7 +448,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             current,
             tolerance,
         } => {
-            if run_check(&baseline, &current, tolerance)? {
+            if regression::check_reports("scenario-matrix guard", &baseline, &current, tolerance)? {
                 return Ok(());
             }
             eprintln!("scenario-matrix regression guard failed");
@@ -521,12 +489,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut skipped = Vec::new();
     for scenario in scenarios {
         let model = scenario.compile()?;
-        let reduced_dim = model.reduced_initial_state().dim();
-        let analysed_dim = if scenario.objective_coordinate() < reduced_dim {
-            reduced_dim
-        } else {
-            model.dim()
-        };
+        // Conservative models analyse in reduced coordinates (the last
+        // species is eliminated); bounding that species needs the full
+        // drift. Same selection rule as the CLI's `run --bound`.
+        let (drift, x0) = model.bounding_drift(scenario.objective_coordinate());
+        let analysed_dim = x0.dim();
         if analysed_dim > MAX_MATRIX_DIM {
             eprintln!(
                 "skipping `{}`: analysed drift is {analysed_dim}-dimensional \
@@ -537,7 +504,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         eprintln!("measuring `{}` ...", scenario.name());
-        rows.push(measure_row(scenario)?);
+        rows.push(measure_row(scenario, &model, &drift, &x0)?);
     }
 
     let json = render_json(&rows, &skipped);

@@ -2,9 +2,9 @@
 //!
 //! Every figure of the paper's evaluation section has a dedicated binary in
 //! `src/bin/` that prints the corresponding data series as aligned
-//! tab-separated columns (one row per plotted abscissa). `EXPERIMENTS.md` at
-//! the repository root records the qualitative comparison between these
-//! series and the published figures.
+//! tab-separated columns (one row per plotted abscissa). The *Figures*
+//! section of `docs/ARCHITECTURE.md` records the qualitative comparison
+//! between these series and the published figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -114,6 +114,44 @@ pub mod regression {
             .regressions
             .sort_by(|a, b| (b.current / b.baseline).total_cmp(&(a.current / a.baseline)));
         Ok(comparison)
+    }
+
+    /// Reads the reports at `baseline_path` and `current_path`, runs
+    /// [`compare`] on them and prints the verdict table under `label`.
+    /// Returns whether no metric regressed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if either report cannot be read or parsed.
+    pub fn check_reports(
+        label: &str,
+        baseline_path: &str,
+        current_path: &str,
+        tolerance: f64,
+    ) -> Result<bool, String> {
+        let baseline = std::fs::read_to_string(baseline_path)
+            .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
+        let current = std::fs::read_to_string(current_path)
+            .map_err(|e| format!("cannot read current report `{current_path}`: {e}"))?;
+        let comparison = compare(&baseline, &current, tolerance)?;
+        println!(
+            "{label}: {} shared timing metrics within {:.0}% of `{baseline_path}`",
+            comparison.passed,
+            tolerance * 100.0
+        );
+        for path in &comparison.unmatched {
+            println!("  (unmatched, ignored) {path}");
+        }
+        for regression in &comparison.regressions {
+            println!(
+                "  REGRESSION {}: {:.2} ns -> {:.2} ns ({:+.0}%)",
+                regression.path,
+                regression.baseline,
+                regression.current,
+                (regression.current / regression.baseline - 1.0) * 100.0
+            );
+        }
+        Ok(comparison.regressions.is_empty())
     }
 }
 

@@ -702,12 +702,7 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
     // conservative models analyse in reduced coordinates, where the last
     // declared species is eliminated; bounding that species needs the
     // full-dimensional drift
-    let reduced_dim = model.reduced_initial_state().dim();
-    let (drift, x0) = if coordinate < reduced_dim {
-        (model.reduced_drift(), model.reduced_initial_state())
-    } else {
-        (model.drift(), model.initial_state())
-    };
+    let (drift, x0) = model.bounding_drift(coordinate);
     let species = &model.species()[coordinate.min(model.dim() - 1)];
 
     // `--timeout`/`--max-events` map onto one RunBudget; the Pontryagin

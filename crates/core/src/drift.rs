@@ -5,8 +5,8 @@
 //! is `F(x) = {f(x, ϑ) : ϑ ∈ Θ}`, kept here in *parametrised* form. Every
 //! algorithm of Section IV (differential hulls, Pontryagin sweeps, Birkhoff
 //! expansion) reduces to optimising `f` — or a linear functional of `f` —
-//! over `Θ`, which [`extremal_theta`] performs by vertex enumeration with an
-//! optional grid refinement for drifts that are not affine in `ϑ`. The scan
+//! over `Θ`, which [`extremal_theta`] performs by vertex enumeration — exact
+//! for drifts affine in `ϑ`, the case of every model in the paper. The scan
 //! is a free function over the trait rather than a trait method, so every
 //! optimiser — the scalar [`extremal_theta`] and the differential hull's
 //! batched reduction alike — visits the same [`theta_candidates`] in the
@@ -61,32 +61,17 @@ pub trait ImpreciseDrift {
             out.set_lane(l, lane_out.as_slice());
         }
     }
-
-    /// Number of additional interior grid points per parameter axis used when
-    /// optimising over `Θ`. The default (0) restricts the search to the
-    /// vertices of the box, which is exact for drifts affine in `ϑ` — the
-    /// case of every model in the paper. Override for drifts with non-affine
-    /// parameter dependence.
-    fn theta_refinement(&self) -> usize {
-        0
-    }
 }
 
 /// The parameter vectors examined when optimising over `Θ`: the vertices of
-/// the box followed, when [`ImpreciseDrift::theta_refinement`] is positive,
-/// by a regular grid of the box.
+/// the box, in [`ParamSpace::vertices`] order.
 ///
 /// [`extremal_theta`] scans exactly this list in exactly this order; batched
 /// optimisers (the differential-hull construction) reuse it so that a
 /// lane-parallel scan visits candidates in the same sequence and reproduces
 /// the scalar argmax bit for bit.
 pub fn theta_candidates<D: ImpreciseDrift + ?Sized>(drift: &D) -> Vec<Vec<f64>> {
-    let mut candidates = drift.params().vertices();
-    let refinement = drift.theta_refinement();
-    if refinement > 0 {
-        candidates.extend(drift.params().grid(refinement + 1));
-    }
-    candidates
+    drift.params().vertices()
 }
 
 /// Returns the parameter in `Θ` maximising the scalar functional
@@ -152,10 +137,6 @@ impl<D: ImpreciseDrift + ?Sized> ImpreciseDrift for &D {
     fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
         (**self).drift_batch_into(x, theta, out)
     }
-
-    fn theta_refinement(&self) -> usize {
-        (**self).theta_refinement()
-    }
 }
 
 /// An imprecise drift defined by a closure.
@@ -183,7 +164,6 @@ pub struct FnDrift<F> {
     dim: usize,
     params: ParamSpace,
     f: F,
-    refinement: usize,
 }
 
 impl<F> FnDrift<F>
@@ -192,21 +172,7 @@ where
 {
     /// Creates a drift from a closure writing `f(x, ϑ)` into its third argument.
     pub fn new(dim: usize, params: ParamSpace, f: F) -> Self {
-        FnDrift {
-            dim,
-            params,
-            f,
-            refinement: 0,
-        }
-    }
-
-    /// Enables grid refinement when optimising over `Θ` (for drifts that are
-    /// not affine in `ϑ`): `points` interior samples per axis are added to
-    /// the vertex search.
-    #[must_use]
-    pub fn with_theta_refinement(mut self, points: usize) -> Self {
-        self.refinement = points;
-        self
+        FnDrift { dim, params, f }
     }
 }
 
@@ -225,10 +191,6 @@ where
     fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
         out.fill_zero();
         (self.f)(x, theta, out);
-    }
-
-    fn theta_refinement(&self) -> usize {
-        self.refinement
     }
 }
 
@@ -310,32 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn refinement_helps_non_affine_drifts() {
-        // drift quadratic in ϑ with an interior maximum at ϑ = 0.5
-        let params = ParamSpace::single("theta", 0.0, 1.0).unwrap();
-        let make = |refinement: usize| {
-            FnDrift::new(
-                1,
-                params.clone(),
-                |_x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                    dx[0] = th[0] * (1.0 - th[0]);
-                },
-            )
-            .with_theta_refinement(refinement)
-        };
-        let x = StateVec::from([0.0]);
-        let direction = StateVec::from([1.0]);
-        let (_, vertex_only) = extremal_theta(&make(0), &x, &direction);
-        let (theta, refined) = extremal_theta(&make(20), &x, &direction);
-        assert!(
-            vertex_only.abs() < 1e-12,
-            "vertices alone miss the interior optimum"
-        );
-        assert!((refined - 0.25).abs() < 5e-3);
-        assert!((theta[0] - 0.5).abs() < 0.1);
-    }
-
-    #[test]
     fn default_drift_batch_into_matches_scalar_per_lane() {
         let d = linear_drift();
         let states = [[2.0, 3.0], [0.5, -1.0], [0.0, 7.5]];
@@ -366,23 +302,33 @@ mod tests {
     #[test]
     fn theta_candidates_drive_the_extremal_scan() {
         let d = linear_drift();
+        assert_eq!(theta_candidates(&d), d.params().vertices());
+        // three parameters give eight candidates; `b = ±1` tie, so the scan
+        // must keep the first strict maximum in candidate order
+        let params = ParamSpace::new(vec![
+            ("a", Interval::new(1.0, 2.0).unwrap()),
+            ("b", Interval::new(-1.0, 1.0).unwrap()),
+            ("c", Interval::new(0.0, 0.5).unwrap()),
+        ])
+        .unwrap();
+        let d = FnDrift::new(1, params, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * x[0] - th[1] * th[1] + th[2];
+        });
         let candidates = theta_candidates(&d);
         assert_eq!(candidates, d.params().vertices());
-        let refined = FnDrift::new(
-            1,
-            ParamSpace::single("theta", 0.0, 1.0).unwrap(),
-            |_x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                dx[0] = th[0] * (1.0 - th[0]);
-            },
-        )
-        .with_theta_refinement(3);
-        let candidates = theta_candidates(&refined);
-        let vertices = refined.params().vertices();
-        assert_eq!(&candidates[..vertices.len()], &vertices[..]);
-        assert_eq!(
-            candidates.len(),
-            vertices.len() + refined.params().grid(4).len()
-        );
+        assert_eq!(candidates.len(), 8);
+        let x = StateVec::from([1.0]);
+        let mut expected = (Vec::new(), f64::NEG_INFINITY);
+        let mut ties = 0;
+        for candidate in &candidates {
+            let value = d.drift(&x, candidate)[0];
+            if value > expected.1 {
+                expected = (candidate.clone(), value);
+            }
+            ties += usize::from(value == 1.5);
+        }
+        assert_eq!(ties, 2);
+        assert_eq!(extremal_theta(&d, &x, &StateVec::from([1.0])), expected);
     }
 
     #[test]

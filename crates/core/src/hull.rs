@@ -804,13 +804,17 @@ mod tests {
         let below_one = 1.0f64.next_down();
 
         // the coupled 2-d drift exercises midpoint refinement and a
-        // non-trivial rectangle enumeration; a refined Θ adds grid candidates
-        let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
+        // non-trivial rectangle enumeration; two parameters give four Θ
+        // candidates per scan
+        let theta = ParamSpace::new(vec![
+            ("coupling", Interval::new(0.5, 2.0).unwrap()),
+            ("decay", Interval::new(0.75, 1.25).unwrap()),
+        ])
+        .unwrap();
         let coupled = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
             dx[0] = th[0] * (x[1] - x[0]);
-            dx[1] = x[0] * x[1] - th[0] * th[0] * x[1];
-        })
-        .with_theta_refinement(2);
+            dx[1] = x[0] * x[1] - th[0] * th[1] * x[1];
+        });
         assert_faces_match_the_scalar_scan(
             &coupled,
             &[
@@ -833,22 +837,22 @@ mod tests {
             &[vec![1.0, 1.0], vec![0.25, 0.75], vec![1.0, above_one]],
         );
 
-        // a 4-dim drift with two parameters and a refined Θ; `signum` tells
+        // a 4-dim drift with three parameters (eight Θ candidates); `signum` tells
         // −0.0 from +0.0, so the zero-signed boxes check which bits each
         // face pins (`f_1` and `f_3` read their own coordinate's sign) and
         // which a free coordinate takes (`f_0` and `f_2` read `x_3`'s)
         let params = ParamSpace::new(vec![
             ("a", Interval::new(0.5, 1.5).unwrap()),
             ("b", Interval::new(-1.0, 1.0).unwrap()),
+            ("c", Interval::new(0.05, 0.15).unwrap()),
         ])
         .unwrap();
         let mixed = FnDrift::new(4, params, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
             dx[0] = th[0] * x[1] * x[2] - x[0] * x[3].signum();
-            dx[1] = th[1] * th[1] * x[0] - 0.1 * x[1].signum();
+            dx[1] = th[1] * th[1] * x[0] - th[2] * x[1].signum();
             dx[2] = x[3].signum() * th[0] - x[2] / (1.0 + x[0] * x[0]);
             dx[3] = th[1] * x[0] * x[1] * x[2] - th[0] * x[3].signum();
-        })
-        .with_theta_refinement(1);
+        });
         assert_faces_match_the_scalar_scan(
             &mixed,
             &[

@@ -8,7 +8,8 @@
 //! and `ϑ(t) ∈ argmax_ϑ  p(t)·f(x(t), ϑ)` — which this module solves with a
 //! monotone forward–backward sweep:
 //!
-//! 1. integrate the state forward under the start control (once);
+//! 1. integrate the state forward under the start's constant control (the
+//!    start's one first pass);
 //! 2. integrate the costate backward along the current state;
 //! 3. rank the intervals where switching the control to the Hamiltonian
 //!    maximiser `θ*` gains (exact vertex selection for drifts affine in
@@ -31,11 +32,12 @@
 //!
 //! The sweep's numerical settings are fixed constants, not options: at most
 //! 200 sweeps per start and a `1e-6` finite-difference Jacobian step. A
-//! single-start solve always runs the Θ-vertex escalation ladder (see
+//! single-start solve always runs the Θ-vertex escalation ladder, whose
+//! vertex probes are the vertex starts' first passes (see
 //! [`PontryaginSolver::solve`]). State and costate share one time grid and
 //! step with the workspace's one scalar RK4 step, [`Rk4::step_into`]; a
-//! wall-clock budget is checked before every interval of a backward or
-//! trial pass (see [`PontryaginOptions::budget`]).
+//! wall-clock budget is checked before every interval of every pass but the
+//! midpoint start's first (see [`PontryaginOptions::budget`]).
 
 use std::time::Instant;
 
@@ -146,16 +148,19 @@ pub struct PontryaginOptions {
     /// principle is only a necessary condition; multi-start protects against
     /// local extremals on higher-dimensional models (e.g. the 4-D GPS MAP
     /// drift) at a cost proportional to the number of vertices. When
-    /// `false`, the escalation ladder of [`PontryaginSolver::solve`] reruns
-    /// the vertex starts only when a constant-control probe beats the sweep.
+    /// `false`, the escalation ladder of [`PontryaginSolver::solve`] runs
+    /// the vertex starts only when one's first pass, probed in vertex
+    /// order, beats the sweep.
     pub multi_start: bool,
     /// Run budget for the solve. Only `wall_clock` applies: one deadline
-    /// starts with [`PontryaginSolver::solve`] and is shared by every
-    /// restart and escalated vertex start, which check it before every
-    /// interval of each backward pass and each trial forward pass (each
-    /// start's first forward pass always completes: without it there is no
-    /// bound). A tripped deadline discards the trial pass it cuts and ends
-    /// the sweeps early with `converged() == false` and
+    /// starts with [`PontryaginSolver::solve`] and every pass of the solve
+    /// checks it before each interval — each backward and trial pass of
+    /// every start, each vertex probe and each vertex start's first pass.
+    /// Only the midpoint start's first pass ignores it: without that pass
+    /// there is no bound. A tripped deadline discards the pass it cuts, so
+    /// an expired solve starts nothing new, while a vertex probe it finished
+    /// still starts its escalated vertex start. The solve then returns the
+    /// best start so far with `converged() == false` and
     /// `truncated() == true` instead of erroring — every adopted control is
     /// a feasible selection of the inclusion, so the bound so far is
     /// valid, merely not extremal.
@@ -225,8 +230,9 @@ impl ExtremalSolution {
         self.iterations
     }
 
-    /// Whether the wall-clock budget stopped any sweep of the solve —
-    /// the reported start, another restart or an escalated vertex start.
+    /// Whether the wall-clock budget cut any pass of the solve — of the
+    /// reported start, another restart, a vertex probe or an escalated
+    /// vertex start.
     /// The value is then a feasible bound, but possibly not the extremal
     /// one the untimed solve would find.
     pub fn truncated(&self) -> bool {
@@ -364,26 +370,29 @@ impl PontryaginSolver {
 
     /// Runs the forward–backward sweep for an arbitrary linear objective.
     ///
-    /// With [`PontryaginOptions::multi_start`] enabled the sweep is restarted
-    /// from every vertex of `Θ` and the best extremal is returned. The
-    /// restarts are independent, so they run in parallel across threads
-    /// (reusing the scoped-thread pattern of `mfu-sim`'s ensembles); the
-    /// result is selected in initialization order with strict improvement,
-    /// exactly as the sequential loop did, so the outcome is deterministic
-    /// regardless of thread scheduling.
+    /// Every start of the sweep is one forward pass under a constant
+    /// control — the midpoint of `Θ` first — followed by its sweeps. With
+    /// [`PontryaginOptions::multi_start`] enabled every vertex of `Θ` is a
+    /// start too and the best extremal is returned. The starts are
+    /// independent, so they run in parallel across threads (reusing the
+    /// scoped-thread pattern of `mfu-sim`'s ensembles); the result is
+    /// selected in start order with strict improvement, so the outcome is
+    /// deterministic regardless of thread scheduling.
     ///
     /// A single-start solve runs the escalation ladder afterwards: it probes
-    /// every vertex of `Θ` with a cheap constant-control forward
-    /// integration, and if any probe beats the sweep's extremal by more than
-    /// `1e-6` — a sure sign the sweep settled on a local extremal — it
-    /// reruns the sweep from every vertex and keeps the best result, exactly
-    /// as `multi_start` would have. A sweep never lowers the objective of
-    /// its start, so an escalated vertex start ends at least at the probe
-    /// that beat the midpoint sweep.
+    /// the vertices of `Θ` in order, each probe being that vertex start's
+    /// first forward pass, and stops at the first probe that beats the
+    /// midpoint sweep's extremal by more than `1e-6` — a sure sign the sweep
+    /// settled on a local extremal. It then sweeps from every vertex, each
+    /// probed vertex from its probe rather than from a second pass, and
+    /// keeps the best result exactly as `multi_start` would have. A sweep
+    /// never lowers the objective of its start, so an escalated vertex start
+    /// ends at least at the probe that beat the midpoint sweep.
     ///
-    /// The wall-clock budget starts here, once: the midpoint start, the
-    /// restarts and the escalated vertex starts all stop at the same
-    /// deadline.
+    /// The wall-clock budget starts here, once, and every pass of the solve
+    /// but the midpoint start's first checks it before each interval: an
+    /// expired solve starts nothing new, and a probe it finished still
+    /// starts its vertex sweep.
     ///
     /// # Errors
     ///
@@ -403,80 +412,120 @@ impl PontryaginSolver {
             .budget
             .wall_clock
             .and_then(|limit| Instant::now().checked_add(limit));
-        let mut initializations = vec![drift.params().midpoint()];
-        if self.options.multi_start {
-            initializations.extend(drift.params().vertices());
+        let dim = drift.dim();
+        if x0.dim() != dim {
+            return Err(CoreError::invalid_input(
+                "initial condition dimension mismatch",
+            ));
         }
-        let outcomes = self.sweep_all(drift, x0, horizon, &objective, initializations, deadline);
-
-        // Deterministic selection: walk candidates in initialization order,
-        // keeping the strictly better one — the sequential semantics.
+        if objective.weights().dim() != dim {
+            return Err(CoreError::invalid_input(
+                "objective weight dimension mismatch",
+            ));
+        }
+        if horizon <= 0.0 || !horizon.is_finite() {
+            return Err(CoreError::invalid_input(
+                "horizon must be positive and finite",
+            ));
+        }
+        let grid = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1))?;
         let sign = if objective.is_maximization() {
             1.0
         } else {
             -1.0
         };
-        let mut restarts = 0u64;
-        let mut truncated = false;
-        let mut best: Option<ExtremalSolution> = None;
-        let mut best_index = 0usize;
-        for (index, outcome) in outcomes {
-            restarts += 1;
-            let candidate = outcome?;
-            truncated |= candidate.truncated;
-            let better = match &best {
-                None => true,
-                Some(current) => {
-                    sign * candidate.objective_value() > sign * current.objective_value()
-                }
-            };
-            if better {
-                best = Some(candidate);
-                best_index = index;
+
+        // Every start's first pass runs here, so a vertex probe of the
+        // ladder can be its vertex start's first pass. Only the midpoint
+        // start's ignores the deadline: without it there is no bound.
+        let mut rk4_steps = 0u64;
+        let mut rk4 = Rk4Scratch::new(dim);
+        let mut first_pass = |control: Vec<f64>, deadline| {
+            let control = vec![control; grid.intervals() + 1];
+            let mut state = vec![x0.clone(); control.len()];
+            let outcome = forward_pass(
+                drift,
+                &grid,
+                &control,
+                &mut state,
+                &mut rk4,
+                deadline,
+                &mut rk4_steps,
+            );
+            FirstPass {
+                control,
+                state,
+                outcome,
+            }
+        };
+        let mut starts = vec![first_pass(drift.params().midpoint(), None)];
+        if self.options.multi_start {
+            for vertex in drift.params().vertices() {
+                starts.push(first_pass(vertex, deadline));
             }
         }
-        let mut best = best.expect("at least one initialization is always attempted");
+        let mut outcomes = self.sweep_all(drift, &grid, &objective, &starts, deadline);
 
         // ---- escalation ladder ---------------------------------------------
         // Pontryagin's principle is only necessary: a single-start sweep can
-        // settle on a local extremal. Probe every vertex of Θ with a cheap
-        // constant-control forward integration; any probe beating the sweep's
-        // extremal proves the sweep is not globally extremal, so escalate to
-        // the full multi-start procedure and keep the best result.
+        // settle on a local extremal. Every constant control is a feasible
+        // selection of the inclusion, so a vertex probe beating the sweep's
+        // extremal proves the sweep is not globally extremal: escalate to
+        // the vertex starts and keep the best result. A probe that failed
+        // never beats; a finite one is compared even past the divergence
+        // cap, and its vertex start then reports the divergence.
         let mut escalated = false;
-        if !self.options.multi_start {
+        let mut truncated = false;
+        let midpoint_value = match &outcomes[0] {
+            Ok(Some(midpoint)) if !self.options.multi_start => Some(midpoint.objective_value()),
+            _ => None,
+        };
+        if let Some(midpoint_value) = midpoint_value {
             let ascent = objective.ascent_weights();
-            let threshold = sign * best.objective_value() + ESCALATION_MARGIN;
-            // One lockstep integration evaluates every vertex probe. The
-            // RK4-step tally counts the probes up to the first one that
-            // beats the sweep, as a probe-by-probe scan would.
+            let threshold = sign * midpoint_value + ESCALATION_MARGIN;
             let vertices = drift.params().vertices();
-            let values = self.probe_constant_controls(drift, x0, horizon, &vertices, &ascent);
-            let beaten_by = values
-                .iter()
-                .position(|value| value.is_some_and(|v| v > threshold));
-            let probed = beaten_by.map_or(values.len(), |v| v + 1);
-            self.obs.metrics.add(
-                Counter::CoreRk4Steps,
-                (probed * self.options.grid_intervals.max(1)) as u64,
-            );
-            if beaten_by.is_some() {
-                let offset = usize::try_from(restarts).unwrap_or(usize::MAX);
-                let vertex_outcomes =
-                    self.sweep_all(drift, x0, horizon, &objective, vertices, deadline);
-                for (index, outcome) in vertex_outcomes {
-                    restarts += 1;
-                    let candidate = outcome?;
-                    truncated |= candidate.truncated;
-                    if sign * candidate.objective_value() > sign * best.objective_value() {
-                        best = candidate;
-                        best_index = offset + index;
-                    }
+            let mut probes = Vec::with_capacity(vertices.len());
+            // probe in vertex order until one beats or the deadline cuts one
+            for vertex in &vertices {
+                let probe = first_pass(vertex.clone(), deadline);
+                truncated = matches!(probe.outcome, Ok(false));
+                escalated = matches!(probe.outcome, Ok(true))
+                    && ascent.dot(&probe.state[grid.intervals()]) > threshold;
+                probes.push(probe);
+                if truncated || escalated {
+                    break;
                 }
-                escalated = true;
+            }
+            if escalated {
+                for vertex in &vertices[probes.len()..] {
+                    probes.push(first_pass(vertex.clone(), deadline));
+                }
                 self.obs.metrics.add(Counter::CorePontryaginEscalations, 1);
+                outcomes.extend(self.sweep_all(drift, &grid, &objective, &probes, deadline));
             }
         }
+        self.obs.metrics.add(Counter::CoreRk4Steps, rk4_steps);
+
+        // Deterministic selection: walk the starts in order, keeping the
+        // strictly better one.
+        let mut restarts = 0u64;
+        let mut best: Option<(usize, ExtremalSolution)> = None;
+        for (index, outcome) in outcomes.into_iter().enumerate() {
+            restarts += 1;
+            let Some(candidate) = outcome? else {
+                // the deadline cut this start's first pass: it has no bound
+                truncated = true;
+                continue;
+            };
+            truncated |= candidate.truncated;
+            let better = best.as_ref().is_none_or(|(_, current)| {
+                sign * candidate.objective_value() > sign * current.objective_value()
+            });
+            if better {
+                best = Some((index, candidate));
+            }
+        }
+        let (best_index, mut best) = best.expect("the midpoint start always has a bound");
         best.truncated = truncated;
 
         self.obs
@@ -502,58 +551,37 @@ impl PontryaginSolver {
         Ok(best)
     }
 
-    /// Runs one sweep per initialization (in parallel when possible) and
-    /// returns the outcomes sorted by initialization index. Every sweep
-    /// stops at the solve's shared `deadline`.
+    /// Runs one sweep per start (in parallel when possible) and returns the
+    /// outcomes in start order. Every sweep stops at the solve's shared
+    /// `deadline`.
     fn sweep_all<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
-        x0: &StateVec,
-        horizon: f64,
+        grid: &TimeGrid,
         objective: &LinearObjective,
-        initializations: Vec<Vec<f64>>,
+        starts: &[FirstPass],
         deadline: Option<Instant>,
-    ) -> Vec<(usize, Result<ExtremalSolution>)> {
-        let n = initializations.len();
+    ) -> Vec<Result<Option<ExtremalSolution>>> {
+        let sweep = |start| self.solve_from(drift, grid, objective, start, deadline);
+        let n = starts.len();
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1)
             .min(n);
-        let mut outcomes: Vec<(usize, Result<ExtremalSolution>)> = if threads <= 1 {
-            initializations
-                .into_iter()
-                .enumerate()
-                .map(|(i, initial)| {
-                    (
-                        i,
-                        self.solve_from(drift, x0, horizon, objective.clone(), initial, deadline),
-                    )
-                })
-                .collect()
-        } else {
-            let initializations = &initializations;
-            let objective_ref = objective;
+        if threads <= 1 {
+            return starts.iter().map(sweep).collect();
+        }
+        let sweep = &sweep;
+        let mut outcomes: Vec<(usize, Result<Option<ExtremalSolution>>)> =
             std::thread::scope(|scope| {
+                // worker `w` sweeps starts `w`, `w + threads`, … in order
                 let handles: Vec<_> = (0..threads)
                     .map(|worker| {
                         scope.spawn(move || {
-                            let mut local = Vec::new();
-                            let mut index = worker;
-                            while index < n {
-                                local.push((
-                                    index,
-                                    self.solve_from(
-                                        drift,
-                                        x0,
-                                        horizon,
-                                        objective_ref.clone(),
-                                        initializations[index].clone(),
-                                        deadline,
-                                    ),
-                                ));
-                                index += threads;
-                            }
-                            local
+                            (worker..n)
+                                .step_by(threads)
+                                .map(|index| (index, sweep(&starts[index])))
+                                .collect::<Vec<_>>()
                         })
                     })
                     .collect();
@@ -566,159 +594,43 @@ impl PontryaginSolver {
                             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                     })
                     .collect()
-            })
-        };
+            });
         outcomes.sort_by_key(|(index, _)| *index);
-        outcomes
+        outcomes.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
-    /// Terminal ascent values of the constant-control trajectories
-    /// `ϑ ≡ vertices[v]`, the cheap feasibility probes of the escalation
-    /// ladder. Every constant control is a feasible selection of the
-    /// inclusion, so its terminal value is a certified lower bound on the
-    /// (ascent) extremal value.
-    ///
-    /// The probes integrate in lockstep, one lane per vertex, with a single
-    /// [`ImpreciseDrift::drift_batch_into`] call per RK4 stage. Each lane
-    /// performs exactly the arithmetic of the sweep's scalar step
-    /// [`Rk4::step_into`] (stage states `x + c·h·k`, weighted final sum),
-    /// then a left-fold terminal dot product; a lane whose step goes
-    /// non-finite reports `None`.
-    fn probe_constant_controls<D: ImpreciseDrift>(
-        &self,
-        drift: &D,
-        x0: &StateVec,
-        horizon: f64,
-        vertices: &[Vec<f64>],
-        ascent: &StateVec,
-    ) -> Vec<Option<f64>> {
-        let lanes = vertices.len();
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let Ok(grid) = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1)) else {
-            return vec![None; lanes];
-        };
-        let h = grid.step();
-        let dim = drift.dim();
-
-        let thetas = SoaBatch::from_lanes(vertices);
-        let theta = BatchTheta::PerLane(&thetas);
-        let mut x = SoaBatch::zeros(dim, lanes);
-        for lane in 0..lanes {
-            x.set_lane(lane, x0.as_slice());
-        }
-        let mut next = SoaBatch::zeros(dim, lanes);
-        let mut stage = SoaBatch::zeros(dim, lanes);
-        let mut k1 = SoaBatch::default();
-        let mut k2 = SoaBatch::default();
-        let mut k3 = SoaBatch::default();
-        let mut k4 = SoaBatch::default();
-        let mut alive = vec![true; lanes];
-
-        // `stage[i] = x[i] + scale · k[i]` per lane, the batched replay of
-        // `copy_from` + `add_scaled`
-        fn stage_from(stage: &mut SoaBatch, x: &SoaBatch, scale: f64, k: &SoaBatch) {
-            for i in 0..x.rows() {
-                let row = stage.row_mut(i);
-                row.copy_from_slice(x.row(i));
-                for (s, &ki) in row.iter_mut().zip(k.row(i).iter()) {
-                    *s += scale * ki;
-                }
-            }
-        }
-
-        for _ in 0..grid.intervals() {
-            drift.drift_batch_into(&x, &theta, &mut k1);
-            stage_from(&mut stage, &x, 0.5 * h, &k1);
-            drift.drift_batch_into(&stage, &theta, &mut k2);
-            stage_from(&mut stage, &x, 0.5 * h, &k2);
-            drift.drift_batch_into(&stage, &theta, &mut k3);
-            stage_from(&mut stage, &x, h, &k3);
-            drift.drift_batch_into(&stage, &theta, &mut k4);
-            for i in 0..dim {
-                let row = next.row_mut(i);
-                row.copy_from_slice(x.row(i));
-                for ((((o, &a), &b), &c), &d) in row
-                    .iter_mut()
-                    .zip(k1.row(i).iter())
-                    .zip(k2.row(i).iter())
-                    .zip(k3.row(i).iter())
-                    .zip(k4.row(i).iter())
-                {
-                    // the four sequential `add_scaled` updates of the scalar
-                    // RK4 step, in the same order
-                    *o += (h / 6.0) * a;
-                    *o += (h / 3.0) * b;
-                    *o += (h / 3.0) * c;
-                    *o += (h / 6.0) * d;
-                }
-            }
-            for (lane, lane_alive) in alive.iter_mut().enumerate() {
-                if *lane_alive && !(0..dim).all(|i| next.get(i, lane).is_finite()) {
-                    *lane_alive = false;
-                }
-            }
-            std::mem::swap(&mut x, &mut next);
-        }
-
-        (0..lanes)
-            .map(|lane| {
-                if !alive[lane] {
-                    return None;
-                }
-                // `ascent · x` as a left fold from +0.0; the value is only
-                // compared with the sweep's, where the sign of a zero is moot
-                let mut acc = 0.0;
-                for i in 0..dim {
-                    acc += ascent[i] * x.get(i, lane);
-                }
-                Some(acc)
-            })
-            .collect()
-    }
-
-    /// One monotone forward–backward sweep started from a constant control
-    /// `initial_control`, stopping at `deadline`.
+    /// One monotone forward–backward sweep from the first pass `start`,
+    /// stopping at `deadline`. `Ok(None)` when the deadline cut that pass:
+    /// the start then has no bound.
     fn solve_from<D: ImpreciseDrift>(
         &self,
         drift: &D,
-        x0: &StateVec,
-        horizon: f64,
-        objective: LinearObjective,
-        initial_control: Vec<f64>,
+        grid: &TimeGrid,
+        objective: &LinearObjective,
+        start: &FirstPass,
         deadline: Option<Instant>,
-    ) -> Result<ExtremalSolution> {
+    ) -> Result<Option<ExtremalSolution>> {
+        if !start.outcome.clone()? {
+            return Ok(None);
+        }
         let dim = drift.dim();
-        if x0.dim() != dim {
-            return Err(CoreError::invalid_input(
-                "initial condition dimension mismatch",
-            ));
-        }
-        if objective.weights().dim() != dim {
-            return Err(CoreError::invalid_input(
-                "objective weight dimension mismatch",
-            ));
-        }
-        if horizon <= 0.0 || !horizon.is_finite() {
-            return Err(CoreError::invalid_input(
-                "horizon must be positive and finite",
-            ));
-        }
-
-        let grid = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1))?;
         let n = grid.intervals();
         let h = grid.step();
         let ascent = objective.ascent_weights();
-
-        if initial_control.len() != drift.params().dim() {
-            return Err(CoreError::invalid_input(
-                "initial control dimension mismatch",
-            ));
-        }
         // control per interval (value at node k applies on [t_k, t_{k+1}))
-        let mut control: Vec<Vec<f64>> = vec![initial_control; n + 1];
-        let mut state: Vec<StateVec> = vec![x0.clone(); n + 1];
+        let mut control = start.control.clone();
+        let mut state = start.state.clone();
+        check_diverged(&state[n], grid)?;
+        let mut value = ascent.dot(&state[n]);
+
+        // Observability tallies, accumulated in plain locals and flushed
+        // once per start (multi-start sweeps run on scoped threads; the
+        // metrics handle's atomics make the flush thread-safe).
+        let mut rk4_steps = 0u64;
+        let mut jacobian_evals = 0u64;
+        let mut gate_trips = 0u64;
+        let mut rejected_steps = 0u64;
+
         let mut costate: Vec<StateVec> = vec![StateVec::zeros(dim); n + 1];
         // The step search's trial control and state; an accepted trial swaps
         // places with the adopted pair.
@@ -740,18 +652,6 @@ impl PontryaginSolver {
         let mut converged = false;
         let mut truncated = false;
         let mut iterations = 0;
-        // Observability tallies, accumulated in plain locals and flushed
-        // once per solve (multi-start sweeps run on scoped threads; the
-        // metrics handle's atomics make the flush thread-safe).
-        let mut rk4_steps = 0u64;
-        let mut jacobian_evals = 0u64;
-        let mut gate_trips = 0u64;
-        let mut rejected_steps = 0u64;
-
-        // The start pass ignores the deadline: without it there is no bound.
-        forward_pass(drift, &grid, &control, &mut state, &mut rk4, None)?;
-        rk4_steps += n as u64;
-        let mut value = ascent.dot(&state[n]);
 
         // A tripped deadline ends the sweep gracefully, between two
         // intervals of a pass: the adopted control is a feasible selection,
@@ -841,20 +741,21 @@ impl PontryaginSolver {
                 }
                 let (intervals, last) = trial_control.split_at_mut(n);
                 last[0].clone_from(&intervals[n - 1]);
-                let steps = forward_pass(
+                let finished = forward_pass(
                     drift,
-                    &grid,
+                    grid,
                     &trial_control,
                     &mut trial_state,
                     &mut rk4,
                     deadline,
+                    &mut rk4_steps,
                 )?;
-                rk4_steps += steps as u64;
-                if steps < n {
+                if !finished {
                     // the deadline cut the trial short: discard it
                     truncated = true;
                     break 'sweeps;
                 }
+                check_diverged(&trial_state[n], grid)?;
                 let trial_value = ascent.dot(&trial_state[n]);
                 if trial_value > value {
                     std::mem::swap(&mut control, &mut trial_control);
@@ -883,17 +784,28 @@ impl PontryaginSolver {
         }
 
         let control_values: Vec<StateVec> = control.into_iter().map(StateVec::from).collect();
-        Ok(ExtremalSolution {
-            objective,
+        Ok(Some(ExtremalSolution {
+            objective: objective.clone(),
             objective_value,
             state: GridSignal::new(grid.clone(), state)?,
             costate: GridSignal::new(grid.clone(), costate)?,
-            control: GridSignal::new(grid, control_values)?,
+            control: GridSignal::new(grid.clone(), control_values)?,
             converged,
             iterations,
             truncated,
-        })
+        }))
     }
+}
+
+/// A start's first forward pass: the state under a constant control.
+struct FirstPass {
+    /// The constant control, one copy per grid node.
+    control: Vec<Vec<f64>>,
+    state: Vec<StateVec>,
+    /// Whether the pass reached the horizon (`Ok(false)`: the deadline cut
+    /// it), or the error of a step that left the finite numbers. The
+    /// divergence cap is not checked yet.
+    outcome: Result<bool>,
 }
 
 /// Whether the solve's shared deadline has passed (never, without one).
@@ -904,9 +816,9 @@ fn expired(deadline: Option<Instant>) -> bool {
 /// Integrates the state forward over `grid` under a piecewise-constant
 /// control: `state[k + 1]` from `state[k]` under `control[k]`, with
 /// `state[0]` the initial condition. Checks `deadline` before every
-/// interval and returns the number of intervals integrated: fewer than
-/// `grid.intervals()` only when the deadline cut the pass short. Fails on a
-/// non-finite RK4 step or a terminal state past the divergence cap.
+/// interval, counts every RK4 step into `rk4_steps` and returns whether the
+/// pass reached the horizon: `false` only when the deadline cut it short.
+/// Fails on a non-finite RK4 step.
 fn forward_pass<D: ImpreciseDrift>(
     drift: &D,
     grid: &TimeGrid,
@@ -914,11 +826,12 @@ fn forward_pass<D: ImpreciseDrift>(
     state: &mut [StateVec],
     rk4: &mut Rk4Scratch,
     deadline: Option<Instant>,
-) -> Result<usize> {
-    let (n, h) = (grid.intervals(), grid.step());
-    for k in 0..n {
+    rk4_steps: &mut u64,
+) -> Result<bool> {
+    let h = grid.step();
+    for k in 0..grid.intervals() {
         if expired(deadline) {
-            return Ok(k);
+            return Ok(false);
         }
         let theta = &control[k];
         let (head, tail) = state.split_at_mut(k + 1);
@@ -930,15 +843,22 @@ fn forward_pass<D: ImpreciseDrift>(
             &mut tail[0],
             rk4,
         );
+        *rk4_steps += 1;
         check_finite(&tail[0])?;
     }
-    if mfu_guard::state_diverged(state[n].as_slice(), DIVERGENCE_CAP) {
+    Ok(true)
+}
+
+/// The sweep's error for a forward pass whose terminal state is past the
+/// divergence cap.
+fn check_diverged(terminal: &StateVec, grid: &TimeGrid) -> Result<()> {
+    if mfu_guard::state_diverged(terminal.as_slice(), DIVERGENCE_CAP) {
         return Err(CoreError::Diverged {
             analysis: "pontryagin sweep",
             time: grid.end(),
         });
     }
-    Ok(n)
+    Ok(())
 }
 
 /// The sweep's error for an RK4 step that left the finite numbers.
@@ -1256,50 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_probes_match_scalar_constant_control_integration() {
-        // the switching problem's vertices probe genuinely different
-        // trajectories; each lane must equal the sweep's scalar RK4
-        let theta = ParamSpace::new(vec![
-            ("a", Interval::new(0.5, 3.0).unwrap()),
-            ("b", Interval::new(0.5, 1.5).unwrap()),
-        ])
-        .unwrap();
-        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-            dx[0] = th[0] * (1.0 - x[0]);
-            dx[1] = th[0] * x[0] - th[1] * x[1];
-        });
-        let x0 = StateVec::from([0.1, 0.0]);
-        let ascent = StateVec::from([0.5, -1.0]);
-        let solver = PontryaginSolver::new(PontryaginOptions {
-            grid_intervals: 60,
-            ..Default::default()
-        });
-        let vertices = drift.params().vertices();
-        let probes = solver.probe_constant_controls(&drift, &x0, 2.0, &vertices, &ascent);
-        assert_eq!(probes.len(), vertices.len());
-        let h = 2.0 / 60.0;
-        for (vertex, probe) in vertices.iter().zip(&probes) {
-            let mut rk4 = Rk4Scratch::new(2);
-            let mut x = x0.clone();
-            let mut next = StateVec::zeros(2);
-            for _ in 0..60 {
-                Rk4::step_into(
-                    &mut |_t: f64, x: &StateVec, dx: &mut StateVec| drift.drift_into(x, vertex, dx),
-                    0.0,
-                    &x,
-                    h,
-                    &mut next,
-                    &mut rk4,
-                );
-                std::mem::swap(&mut x, &mut next);
-            }
-            // equal as numbers: bit for bit unless both are zeros, whose
-            // sign the probe's +0.0 fold and `dot`'s −0.0 start may differ in
-            assert_eq!(*probe, Some(ascent.dot(&x)), "vertex {vertex:?}");
-        }
-    }
-
-    #[test]
     fn solve_counters_satisfy_the_sweep_accounting() {
         // Per solve_from call over a grid of n intervals: one forward pass
         // under the start control (n RK4 steps), then every sweep does a
@@ -1339,28 +1215,32 @@ mod tests {
         assert!(winner < restarts);
     }
 
+    /// ẋ = (ϑ, ϑ·x₀) from the origin with ϑ ∈ [−1, 1], maximising x₁(1):
+    /// a local extremal at ϑ ≡ 0, where every Hamiltonian gain is 0, while
+    /// either vertex reaches x₁(1) = 1/2.
+    fn local_extremal_drift() -> FnDrift<impl Fn(&StateVec, &[f64], &mut StateVec)> {
+        let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
+        FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0];
+            dx[1] = th[0] * x[0];
+        })
+    }
+
     #[test]
     fn single_start_escalates_to_multi_start_on_suspicious_convergence() {
-        // A deliberately stunted sweep (an expired deadline, so no sweep
-        // runs) keeps the midpoint control ϑ ≡ 0 and reports x(1) = 0; the
-        // vertex probe ϑ ≡ 1 reaches 1.0, exposing the local extremal and
-        // forcing the ladder to escalate to the multi-start procedure.
-        let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
-        let drift = FnDrift::new(1, theta, |_x: &StateVec, th: &[f64], dx: &mut StateVec| {
-            dx[0] = th[0]
-        });
-        let x0 = StateVec::from([0.0]);
+        // The midpoint sweep stops at x₁(1) = 0 after one backward pass; the
+        // first vertex probe ϑ ≡ −1 reaches 1/2, exposing the local
+        // extremal and forcing the ladder to escalate to the vertex starts.
         let obs = Obs::with_metrics();
-        let stunted = PontryaginOptions {
+        let solution = PontryaginSolver::new(PontryaginOptions {
             grid_intervals: 50,
-            budget: RunBudget::unlimited().wall_clock(std::time::Duration::ZERO),
             ..Default::default()
-        };
-        let solution = PontryaginSolver::new(stunted)
-            .with_obs(obs.clone())
-            .maximize_coordinate(&drift, &x0, 1.0, 0)
-            .unwrap();
-        assert!((solution.objective_value() - 1.0).abs() < 1e-9);
+        })
+        .with_obs(obs.clone())
+        .maximize_coordinate(&local_extremal_drift(), &StateVec::zeros(2), 1.0, 1)
+        .unwrap();
+        assert!((solution.objective_value() - 0.5).abs() < 1e-9);
+        assert!(solution.converged());
         let snapshot = obs.metrics.snapshot().unwrap();
         assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 1);
         // midpoint start plus the two escalated vertex restarts
@@ -1390,14 +1270,20 @@ mod tests {
             budget: RunBudget::unlimited().wall_clock(std::time::Duration::ZERO),
             ..Default::default()
         });
-        let solution = s.maximize_coordinate(&drift, &x0, 1.0, 0).unwrap();
-        // No sweep ran. The midpoint start's forward pass ϑ ≡ 1.5 loses to
-        // the vertex probe ϑ ≡ 1, so the ladder escalates and the vertex
-        // start's forward pass wins.
+        let obs = Obs::with_metrics();
+        let solution = s
+            .with_obs(obs.clone())
+            .maximize_coordinate(&drift, &x0, 1.0, 0)
+            .unwrap();
+        // Only the midpoint start's forward pass ϑ ≡ 1.5 ran: no sweep, and
+        // no vertex probe, so the ladder cannot escalate.
         assert_eq!(solution.iterations(), 0);
         assert!(!solution.converged());
         assert!(solution.truncated());
-        assert!((solution.objective_value() - (-1.0f64).exp()).abs() < 1e-4);
+        assert!((solution.objective_value() - (-1.5f64).exp()).abs() < 1e-4);
+        let snapshot = obs.metrics.snapshot().unwrap();
+        assert_eq!(snapshot.counter(Counter::CoreRk4Steps), 50);
+        assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 0);
 
         // a deadline that never trips leaves the solve untruncated
         let s = PontryaginSolver::new(PontryaginOptions {
@@ -1424,12 +1310,31 @@ mod tests {
         let mut state = vec![StateVec::from([1.0]); 201];
         let mut rk4 = Rk4Scratch::new(1);
         let deadline = Instant::now() + std::time::Duration::from_millis(20);
-        let steps =
-            forward_pass(&slow, &grid, &control, &mut state, &mut rk4, Some(deadline)).unwrap();
+        let mut steps = 0;
+        let finished = forward_pass(
+            &slow,
+            &grid,
+            &control,
+            &mut state,
+            &mut rk4,
+            Some(deadline),
+            &mut steps,
+        );
+        assert!(!finished.unwrap());
         assert!(steps <= 5, "{steps} of 200 intervals ran on a 20 ms budget");
         // without a deadline the pass runs to its end
-        let steps = forward_pass(&decay_drift(), &grid, &control, &mut state, &mut rk4, None);
-        assert_eq!(steps.unwrap(), 200);
+        let mut steps = 0;
+        let finished = forward_pass(
+            &decay_drift(),
+            &grid,
+            &control,
+            &mut state,
+            &mut rk4,
+            None,
+            &mut steps,
+        );
+        assert!(finished.unwrap());
+        assert_eq!(steps, 200);
     }
 
     #[test]

@@ -170,13 +170,15 @@ impl UncertainAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns an error if the seed has the wrong dimension or *no* parameter
-    /// produced a fixed point.
+    /// Returns [`CoreError::InvalidInput`] for a step that is not positive
+    /// and finite or a seed of the wrong dimension, and an error if *no*
+    /// parameter produced a fixed point.
     pub fn fixed_points<D: ImpreciseDrift>(
         &self,
         drift: &D,
         seed: &StateVec,
     ) -> Result<Vec<FixedPoint>> {
+        CoreError::check_step(self.step)?;
         if seed.dim() != drift.dim() {
             return Err(CoreError::invalid_input("seed dimension mismatch"));
         }

@@ -72,6 +72,27 @@ impl CompiledModel {
         &self.resolved.param_space
     }
 
+    /// The same model over another parameter box, e.g. a query's narrowed
+    /// or widened override: its drifts and population model evaluate the
+    /// same rates, and the analyses' Θ scans enumerate `params`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LangError::Backend`] unless `params` names the model's
+    /// parameters in declaration order.
+    pub fn with_params(&self, params: ParamSpace) -> Result<CompiledModel, LangError> {
+        if params.names() != self.params().names() {
+            return Err(LangError::Backend(format!(
+                "parameter box names {:?}, the model declares {:?}",
+                params.names(),
+                self.params().names()
+            )));
+        }
+        let mut model = self.clone();
+        model.resolved.param_space = params;
+        Ok(model)
+    }
+
     /// Named constants with their folded values.
     pub fn consts(&self) -> &[(String, f64)] {
         &self.resolved.consts
@@ -154,6 +175,21 @@ impl CompiledModel {
             ));
         }
         Ok(builder.build()?)
+    }
+
+    /// The drift and start state that bound `coordinate` of the full state:
+    /// the reduced ones ([`CompiledModel::reduced_drift`]), unless the
+    /// coordinate is a conservative model's eliminated last species, which
+    /// only the full drift carries. The reduced drift serves every
+    /// coordinate below its dimension, so bounding all coordinates needs
+    /// at most two drifts.
+    pub fn bounding_drift(&self, coordinate: usize) -> (DslDrift, StateVec) {
+        let x0 = self.reduced_initial_state();
+        if coordinate < x0.dim() {
+            (self.reduced_drift(), x0)
+        } else {
+            (self.drift(), self.initial_state())
+        }
     }
 
     /// The full-dimensional mean-field drift backend.
@@ -390,6 +426,39 @@ init S = 0.7, I = 0.3, R = 0;
             assert!((a[0] - b[0]).abs() < 1e-15);
             assert!((a[1] - b[1]).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn bounding_drifts_switch_only_for_the_eliminated_species() {
+        let model = compile(SIR).unwrap();
+        for coordinate in 0..2 {
+            let (drift, x0) = model.bounding_drift(coordinate);
+            assert!(drift.is_reduced());
+            assert_eq!(x0, model.reduced_initial_state());
+        }
+        let (drift, x0) = model.bounding_drift(2);
+        assert!(!drift.is_reduced());
+        assert_eq!(drift.dim(), 3);
+        assert_eq!(x0, model.initial_state());
+    }
+
+    #[test]
+    fn a_parameter_box_override_rides_on_the_model() {
+        let model = compile(SIR).unwrap();
+        let narrow = ParamSpace::single("contact", 2.0, 3.0).unwrap();
+        let (drift, _) = model.with_params(narrow.clone()).unwrap().bounding_drift(0);
+        assert_eq!(drift.params(), &narrow);
+        // the rates are the model's own
+        let x = StateVec::from([0.6, 0.3]);
+        assert_eq!(
+            drift.drift(&x, &[2.5]),
+            model.reduced_drift().drift(&x, &[2.5])
+        );
+        let renamed = ParamSpace::single("beta", 2.0, 3.0).unwrap();
+        assert!(matches!(
+            model.with_params(renamed),
+            Err(LangError::Backend(_))
+        ));
     }
 
     #[test]

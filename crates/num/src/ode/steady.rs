@@ -42,8 +42,9 @@ impl Default for EquilibriumOptions {
 ///
 /// # Errors
 ///
-/// Returns [`NumError::InvalidArgument`] unless the step is positive and
-/// finite and the tolerance positive, an error if integration fails, and
+/// Returns [`NumError::InvalidArgument`] unless the step and the tolerance
+/// are positive and finite and `max_time` is non-negative (not NaN), an
+/// error if integration fails, and
 /// [`NumError::NoConvergence`] if the drift has not fallen below the
 /// tolerance after `max_time` time units.
 ///
@@ -64,9 +65,16 @@ pub fn equilibrium(
     x0: StateVec,
     options: &EquilibriumOptions,
 ) -> Result<StateVec> {
-    if options.step <= 0.0 || !options.step.is_finite() || options.drift_tolerance <= 0.0 {
+    let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+    // a NaN `max_time` is never reached, so the search would not end
+    if !positive_finite(options.step)
+        || !positive_finite(options.drift_tolerance)
+        || options.max_time.is_nan()
+        || options.max_time < 0.0
+    {
         return Err(NumError::invalid_argument(
-            "equilibrium options must have a positive finite step and a positive tolerance",
+            "equilibrium options must have a positive finite step and tolerance \
+             and a non-negative max_time",
         ));
     }
     let solver = Rk4::with_step(options.step);
@@ -136,12 +144,34 @@ mod tests {
 
     #[test]
     fn rejects_invalid_options() {
-        let sys = FnSystem::new(1, |_t, _x: &StateVec, dx: &mut StateVec| dx[0] = 0.0);
-        let options = EquilibriumOptions {
+        // a system that settles, so a missed check answers rather than hangs
+        let sys = FnSystem::new(1, |_t, x: &StateVec, dx: &mut StateVec| dx[0] = -x[0]);
+        let defaults = EquilibriumOptions::default();
+        let mut invalid = vec![EquilibriumOptions {
             step: -1.0,
-            ..EquilibriumOptions::default()
-        };
-        assert!(equilibrium(&sys, StateVec::from([0.0]), &options).is_err());
+            ..defaults
+        }];
+        for max_time in [f64::NAN, -1.0] {
+            invalid.push(EquilibriumOptions {
+                max_time,
+                ..defaults
+            });
+        }
+        for drift_tolerance in [f64::NAN, 0.0, -1e-9, f64::INFINITY] {
+            invalid.push(EquilibriumOptions {
+                drift_tolerance,
+                ..defaults
+            });
+        }
+        for options in invalid {
+            assert!(
+                matches!(
+                    equilibrium(&sys, StateVec::from([1.0]), &options),
+                    Err(NumError::InvalidArgument { .. })
+                ),
+                "{options:?}"
+            );
+        }
     }
 
     #[test]

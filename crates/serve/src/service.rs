@@ -20,7 +20,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mfu_core::artifact::{ArtifactCost, BoundArtifact, BoundMethod, ParamRange};
-use mfu_core::drift::ImpreciseDrift;
 use mfu_core::hull::{DifferentialHull, HullOptions};
 use mfu_core::json::Json;
 use mfu_core::pontryagin::{PontryaginOptions, PontryaginSolver};
@@ -29,8 +28,6 @@ use mfu_lang::cache::LruCache;
 use mfu_lang::hash::ModelInterner;
 use mfu_lang::scenarios::ScenarioRegistry;
 use mfu_lang::CompiledModel;
-use mfu_num::batch::{BatchTheta, SoaBatch};
-use mfu_num::StateVec;
 use mfu_obs::{Counter, Metrics, Obs, Tracer};
 
 use crate::protocol::{bound_response, error_response, BoundRequest, Request};
@@ -63,36 +60,6 @@ impl Default for ServiceOptions {
                 ..Default::default()
             },
         }
-    }
-}
-
-/// A drift with its parameter box replaced (narrowed or widened) by a
-/// request override. Delegates evaluation verbatim; the Θ scans
-/// (`mfu_core::drift::theta_candidates`) then enumerate the *override* box.
-struct WithBox<D> {
-    inner: D,
-    params: ParamSpace,
-}
-
-impl<D: ImpreciseDrift> ImpreciseDrift for WithBox<D> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn params(&self) -> &ParamSpace {
-        &self.params
-    }
-
-    fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
-        self.inner.drift_into(x, theta, out);
-    }
-
-    fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
-        self.inner.drift_batch_into(x, theta, out);
-    }
-
-    fn theta_refinement(&self) -> usize {
-        self.inner.theta_refinement()
     }
 }
 
@@ -259,13 +226,13 @@ impl QueryService {
         }
         self.metrics.add(Counter::ServeArtifactMisses, 1);
 
-        // Cold: compute outside the lock.
+        // Cold: compute outside the lock, on the model over the effective
+        // box, so the engines' Θ scans enumerate the override.
+        let model = model.with_params(params).map_err(|e| e.to_string())?;
         let artifact = Arc::new(match request.method {
-            BoundMethod::Hull => {
-                self.compute_hull(&model, &params, horizon, &display_name, hash)?
-            }
+            BoundMethod::Hull => self.compute_hull(&model, horizon, &display_name, hash)?,
             BoundMethod::Pontryagin => {
-                self.compute_pontryagin(&model, &params, horizon, &display_name, hash)?
+                self.compute_pontryagin(&model, horizon, &display_name, hash)?
             }
         });
         if !artifact.truncated {
@@ -288,7 +255,6 @@ impl QueryService {
     fn compute_hull(
         &self,
         model: &CompiledModel,
-        params: &ParamSpace,
         horizon: f64,
         display_name: &str,
         hash: mfu_lang::ModelHash,
@@ -296,12 +262,8 @@ impl QueryService {
         // A fresh recorder per computation: the snapshot then *is* the
         // cost of this query, immune to concurrent queries' counters.
         let metrics = Metrics::enabled();
-        let drift = WithBox {
-            inner: model.drift(),
-            params: params.clone(),
-        };
         let started = Instant::now();
-        let bounds = DifferentialHull::new(&drift, self.options.hull)
+        let bounds = DifferentialHull::new(model.drift(), self.options.hull)
             .with_obs(Obs {
                 metrics: metrics.clone(),
                 tracer: Tracer::disabled(),
@@ -314,7 +276,7 @@ impl QueryService {
             display_name,
             hash.to_string(),
             model.species().to_vec(),
-            param_ranges(params),
+            param_ranges(model.params()),
             horizon,
             &bounds,
             cost,
@@ -324,7 +286,6 @@ impl QueryService {
     fn compute_pontryagin(
         &self,
         model: &CompiledModel,
-        params: &ParamSpace,
         horizon: f64,
         display_name: &str,
         hash: mfu_lang::ModelHash,
@@ -334,20 +295,9 @@ impl QueryService {
             metrics: metrics.clone(),
             tracer: Tracer::disabled(),
         });
-        // Conservative models analyse in reduced coordinates, where the
-        // last declared species is eliminated; bounding that species needs
-        // the full-dimensional drift (the CLI's selection rule).
-        let reduced_x0 = model.reduced_initial_state();
-        let full_x0 = model.initial_state();
-        let reduced_dim = reduced_x0.dim();
-        let reduced_drift = WithBox {
-            inner: model.reduced_drift(),
-            params: params.clone(),
-        };
-        let full_drift = WithBox {
-            inner: model.drift(),
-            params: params.clone(),
-        };
+        // Each coordinate is bounded on `CompiledModel::bounding_drift`'s
+        // drift; the reduced one serves every coordinate it carries.
+        let mut bounding = model.bounding_drift(0);
         let started = Instant::now();
         let mut lower = Vec::with_capacity(model.dim());
         let mut upper = Vec::with_capacity(model.dim());
@@ -356,11 +306,10 @@ impl QueryService {
         let mut truncated = false;
         let failed = |e| format!("Pontryagin bound failed on `{display_name}`: {e}");
         for coordinate in 0..model.dim() {
-            let (drift, x0) = if coordinate < reduced_dim {
-                (&reduced_drift, &reduced_x0)
-            } else {
-                (&full_drift, &full_x0)
-            };
+            if coordinate == bounding.1.dim() {
+                bounding = model.bounding_drift(coordinate);
+            }
+            let (drift, x0) = (&bounding.0, &bounding.1);
             let lo = solver
                 .minimize_coordinate(drift, x0, horizon, coordinate)
                 .map_err(failed)?;
@@ -378,7 +327,7 @@ impl QueryService {
             model_hash: hash.to_string(),
             method: BoundMethod::Pontryagin,
             horizon,
-            param_box: param_ranges(params),
+            param_box: param_ranges(model.params()),
             species: model.species().to_vec(),
             lower,
             upper,

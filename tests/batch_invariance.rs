@@ -183,10 +183,6 @@ impl<D: ImpreciseDrift> ImpreciseDrift for ScalarLanes<D> {
     fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
         self.0.drift_into(x, theta, out);
     }
-
-    fn theta_refinement(&self) -> usize {
-        self.0.theta_refinement()
-    }
 }
 
 /// The hull's rectangle-point enumeration is exponential in the dimension,

@@ -270,6 +270,16 @@ fn bad_integration_steps_are_typed_errors_in_every_analysis() {
             matches!(envelope, Err(CoreError::InvalidInput { .. })),
             "uncertain envelope at step {step}"
         );
+        let fixed_points = UncertainAnalysis {
+            step,
+            grid_per_axis: 2,
+            ..Default::default()
+        }
+        .fixed_points(&drift, &x0);
+        assert!(
+            matches!(fixed_points, Err(CoreError::InvalidInput { .. })),
+            "uncertain fixed points at step {step}"
+        );
         let fixed_point = equilibrium(
             &system,
             x0.clone(),

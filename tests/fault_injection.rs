@@ -19,9 +19,10 @@
 //!   vertex starts included, and cuts a pass between two intervals rather
 //!   than at its end.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use mean_field_uncertain::core::drift::ImpreciseDrift;
+use mean_field_uncertain::core::drift::{FnDrift, ImpreciseDrift};
 use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mean_field_uncertain::ctmc::params::ParamSpace;
 use mean_field_uncertain::guard::{FaultKind, FaultPlan, Outcome, RunBudget};
@@ -395,22 +396,34 @@ fn single_start_escalates_on_a_local_extremal_and_matches_the_multi_start_bound(
     );
 }
 
-/// Which batches a [`SlowBatches`] drift slows down.
+/// How a [`SlowBatches`] drift slows the backward pass's finite-difference
+/// Jacobian stencils: shared-Θ batches, one per interval, and the only
+/// batches a Pontryagin solve evaluates.
 enum Slowdown {
-    /// Per-lane-Θ batches — the escalation ladder's vertex probes, the only
-    /// per-lane batches a Pontryagin solve evaluates — sleep until the
-    /// instant.
-    ProbesUntil(Instant),
-    /// Shared-Θ batches — the backward pass's finite-difference Jacobian
-    /// stencils, one per interval — each sleep for the duration.
-    JacobiansFor(Duration),
+    /// Every stencil after the first `n` sleeps until the instant.
+    StencilsAfter(usize, Instant),
+    /// Each stencil sleeps for the duration.
+    StencilsFor(Duration),
 }
 
-/// A drift that sleeps before the batches its [`Slowdown`] names. Every
+/// A drift that sleeps before the stencils its [`Slowdown`] names. Every
 /// evaluation is the wrapped drift's.
 struct SlowBatches<D> {
     inner: D,
     slowdown: Slowdown,
+    /// Stencils evaluated so far, counted atomically because escalated
+    /// vertex starts may run on worker threads.
+    stencils: AtomicUsize,
+}
+
+impl<D> SlowBatches<D> {
+    fn new(inner: D, slowdown: Slowdown) -> Self {
+        SlowBatches {
+            inner,
+            slowdown,
+            stencils: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl<D: ImpreciseDrift> ImpreciseDrift for SlowBatches<D> {
@@ -427,42 +440,51 @@ impl<D: ImpreciseDrift> ImpreciseDrift for SlowBatches<D> {
     }
 
     fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
-        match (&self.slowdown, theta) {
-            (Slowdown::ProbesUntil(until), BatchTheta::PerLane(_)) => {
-                std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        if let BatchTheta::Shared(_) = theta {
+            let seen = self.stencils.fetch_add(1, Ordering::SeqCst);
+            match self.slowdown {
+                Slowdown::StencilsAfter(n, until) if seen >= n => {
+                    std::thread::sleep(until.saturating_duration_since(Instant::now()));
+                }
+                Slowdown::StencilsFor(pause) => std::thread::sleep(pause),
+                Slowdown::StencilsAfter(..) => {}
             }
-            (Slowdown::JacobiansFor(pause), BatchTheta::Shared(_)) => std::thread::sleep(*pause),
-            _ => {}
         }
         self.inner.drift_batch_into(x, theta, out);
-    }
-
-    fn theta_refinement(&self) -> usize {
-        self.inner.theta_refinement()
     }
 }
 
 #[test]
 fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
-    // The midpoint sweep ends well inside the budget; the vertex probes then
-    // sleep past the deadline. The escalated vertex starts must find the
-    // solve's deadline spent and stop before their first sweep, rather than
-    // each starting a fresh budget of their own.
-    let (model, horizon) = pod_choices_d2();
-    let x0 = model.reduced_initial_state();
-    let budget = Duration::from_secs(3);
+    // ẋ = (ϑ, ϑ·x₀) from the origin with ϑ ∈ [−1, 1], maximising x₁(1):
+    // at ϑ ≡ 0 every Hamiltonian gain is 0, so the midpoint sweep stops at
+    // 0 after one backward pass of exactly `n` stencils, well inside the
+    // budget, and the first vertex probe ϑ ≡ −1 reaches 1/2 and escalates.
+    // From stencil n + 1 on — the first of an escalated start — every
+    // stencil sleeps past the deadline. The escalated starts must find the
+    // solve's deadline spent and stop before their first sweep completes,
+    // rather than each starting a fresh budget of their own.
+    let n = 50;
+    let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
+    let local_extremal = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+        dx[0] = th[0];
+        dx[1] = th[0] * x[0];
+    });
+    let budget = Duration::from_secs(1);
     let obs = Obs::with_metrics();
     let solver = PontryaginSolver::new(PontryaginOptions {
-        grid_intervals: 120,
+        grid_intervals: n,
         multi_start: false,
         budget: RunBudget::unlimited().wall_clock(budget),
     })
     .with_obs(obs.clone());
-    let drift = SlowBatches {
-        inner: model.reduced_drift(),
-        slowdown: Slowdown::ProbesUntil(Instant::now() + budget + Duration::from_millis(100)),
-    };
-    let solution = solver.minimize_coordinate(&drift, &x0, horizon, 1).unwrap();
+    let drift = SlowBatches::new(
+        local_extremal,
+        Slowdown::StencilsAfter(n, Instant::now() + budget + Duration::from_millis(100)),
+    );
+    let solution = solver
+        .maximize_coordinate(&drift, &StateVec::zeros(2), 1.0, 1)
+        .unwrap();
     let snapshot = obs.metrics.snapshot().unwrap();
     assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 1);
     assert!(
@@ -471,6 +493,8 @@ fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
     );
     assert!(!solution.converged());
     assert_eq!(solution.iterations(), 0, "an escalated start swept");
+    // the probe that escalated, kept as its vertex start's bound
+    assert!((solution.objective_value() - 0.5).abs() < 1e-9);
 }
 
 #[test]
@@ -488,10 +512,10 @@ fn the_deadline_cuts_a_backward_pass_between_intervals() {
         budget: RunBudget::unlimited().wall_clock(Duration::from_millis(20)),
     })
     .with_obs(obs.clone());
-    let drift = SlowBatches {
-        inner: model.reduced_drift(),
-        slowdown: Slowdown::JacobiansFor(Duration::from_millis(1)),
-    };
+    let drift = SlowBatches::new(
+        model.reduced_drift(),
+        Slowdown::StencilsFor(Duration::from_millis(1)),
+    );
     let solution = solver
         .maximize_coordinate(
             &drift,

@@ -4,9 +4,10 @@
 //! The sweep runs at the service's default options (grid 120, single start
 //! with the Θ-vertex escalation ladder) over every analysable registry
 //! scenario — the 15 Pontryagin cells of the `pontryagin_cold` benchmark
-//! workload — with the service's drift rule: the reduced drift for every
-//! coordinate except a conservative model's last species, which needs the
-//! full drift. Both extremes of every coordinate are checked.
+//! workload — with the service's drift rule, `CompiledModel::bounding_drift`:
+//! the reduced drift for every coordinate except a conservative model's
+//! last species, which needs the full drift. Both extremes of every
+//! coordinate are checked.
 //!
 //! A second test pins how often the costate gate zeroes a backward-pass
 //! Jacobian (`core_costate_gate_trips`): never on the smooth `sir`, and a
@@ -42,22 +43,14 @@ fn every_served_extreme_converges_and_reaches_its_accuracy_floor() {
         if model.dim() > MAX_DIM {
             continue;
         }
-        let reduced = model.reduced_drift();
-        let full = model.drift();
-        let reduced_x0 = model.reduced_initial_state();
-        let full_x0 = model.initial_state();
         let horizon = scenario.horizon();
         for coordinate in 0..model.dim() {
-            let (drift, x0) = if coordinate < reduced_x0.dim() {
-                (&reduced, &reduced_x0)
-            } else {
-                (&full, &full_x0)
-            };
+            let (drift, x0) = model.bounding_drift(coordinate);
             let lo = solver
-                .minimize_coordinate(drift, x0, horizon, coordinate)
+                .minimize_coordinate(&drift, &x0, horizon, coordinate)
                 .unwrap_or_else(|e| panic!("`{name}` x{coordinate} min: {e}"));
             let hi = solver
-                .maximize_coordinate(drift, x0, horizon, coordinate)
+                .maximize_coordinate(&drift, &x0, horizon, coordinate)
                 .unwrap_or_else(|e| panic!("`{name}` x{coordinate} max: {e}"));
             for (which, solution) in [("min", &lo), ("max", &hi)] {
                 extremes += 1;
@@ -102,10 +95,6 @@ fn costate_gate_trips(name: &str, grid: usize) -> u64 {
     let registry = ScenarioRegistry::with_builtins();
     let scenario = registry.get(name).unwrap();
     let model = scenario.compile().unwrap();
-    let reduced = model.reduced_drift();
-    let full = model.drift();
-    let reduced_x0 = model.reduced_initial_state();
-    let full_x0 = model.initial_state();
     let obs = Obs::with_metrics();
     let solver = PontryaginSolver::new(PontryaginOptions {
         grid_intervals: grid,
@@ -113,17 +102,13 @@ fn costate_gate_trips(name: &str, grid: usize) -> u64 {
     })
     .with_obs(obs.clone());
     for coordinate in 0..model.dim() {
-        let (drift, x0) = if coordinate < reduced_x0.dim() {
-            (&reduced, &reduced_x0)
-        } else {
-            (&full, &full_x0)
-        };
+        let (drift, x0) = model.bounding_drift(coordinate);
         let horizon = scenario.horizon();
         solver
-            .minimize_coordinate(drift, x0, horizon, coordinate)
+            .minimize_coordinate(&drift, &x0, horizon, coordinate)
             .unwrap();
         solver
-            .maximize_coordinate(drift, x0, horizon, coordinate)
+            .maximize_coordinate(&drift, &x0, horizon, coordinate)
             .unwrap();
     }
     obs.metrics
