@@ -1,5 +1,6 @@
 //! Emits `BENCH_rate_engine.json`: the perf trajectory of the rate engine
-//! (interpreted tree vs bytecode VM, scalar vs batched SoA evaluation), of
+//! (interpreted tree vs bytecode VM, scalar vs batched SoA evaluation, the
+//! bytecode kernel at the hull's batch widths), of
 //! the exact Gillespie engine's per-event cost, of the τ-leap engine vs the
 //! exact SSA at large population scales, and of the `mfu serve` artifact
 //! cache (cold vs hot query latency).
@@ -327,6 +328,66 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let batch_width1_overhead = batched_entries[0].1 / batch_scalar_ns;
 
+    // ---- bytecode kernel at the hull's batch widths ----------------------
+    // Every ring rate above is a mass-action fast path, so those rows never
+    // time the bytecode interpreter. `pod_choices_d2`'s full drift (four
+    // bytecode arrival rates, four mass-action service rates) is the
+    // hull's costliest cell: per-lane cost of `ProgramSet::eval_batch_into`
+    // over lane-varying states with per-lane Θ vertices, at widths 16, 64
+    // and 484 (its 242 grid points × 2 Θ vertices, one hull right-hand
+    // side), against one scalar `eval_into` per lane.
+    let pod = registry
+        .get("pod_choices_d2")
+        .expect("registered")
+        .compile()?;
+    let pod_drift = pod.drift();
+    let pod_programs = pod_drift.programs();
+    let pod_vertices = pod.params().vertices();
+    let pod_lanes: Vec<StateVec> = (0..484)
+        .map(|lane| {
+            let scale = 1.0 + 1e-3 * lane as f64;
+            pod.initial_state().iter().map(|v| v * scale).collect()
+        })
+        .collect();
+    let pod_thetas: Vec<&Vec<f64>> = (0..pod_lanes.len())
+        .map(|lane| &pod_vertices[lane % pod_vertices.len()])
+        .collect();
+    let lane_target = 100_000usize;
+    let mut rates = vec![0.0; pod_programs.len()];
+    let scalar_iters = lane_target / pod_lanes.len();
+    let pod_scalar_ns = min_ns(25, || {
+        let mut acc = 0.0;
+        for _ in 0..scalar_iters {
+            for (state, theta) in pod_lanes.iter().zip(&pod_thetas) {
+                pod_programs.eval_into(black_box(state), theta, &mut rates);
+                acc += rates[0];
+            }
+        }
+        acc
+    }) / (scalar_iters * pod_lanes.len()) as f64;
+    let mut bytecode_entries = Vec::new();
+    for width in [16usize, 64, 484] {
+        let lanes: Vec<&[f64]> = pod_lanes[..width].iter().map(StateVec::as_slice).collect();
+        let x = SoaBatch::from_lanes(&lanes);
+        let thetas = SoaBatch::from_lanes(&pod_thetas[..width]);
+        let mut out = vec![0.0; pod_programs.len() * width];
+        let iters = lane_target / width;
+        let lane_ns = min_ns(25, || {
+            let mut acc = 0.0;
+            for _ in 0..iters {
+                pod_programs.eval_batch_into(black_box(&x), BatchTheta::PerLane(&thetas), &mut out);
+                acc += out[width - 1];
+            }
+            acc
+        }) / (iters * width) as f64;
+        bytecode_entries.push((width, lane_ns, pod_scalar_ns / lane_ns));
+    }
+    let pod_bytecode_rules = pod_programs
+        .programs()
+        .iter()
+        .filter(|program| !program.is_fast_path())
+        .count();
+
     // ---- SSA: per-event cost of the exact engine -------------------------
     // Dependency-graph rate updates with the linear scan (both models have
     // at most 64 rules).
@@ -577,6 +638,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  \"batched_eval\": {{\n    \"scope\": \"ring_K200 rules, shared theta, lane-varying states (eval_batch_into)\",\n    \"rules\": {},\n    \"scalar_eval_ns\": {batch_scalar_ns:.2},\n    \"width1_overhead_ratio\": {batch_width1_overhead:.3},\n{}\n  }},\n",
         ring_programs.len(),
         batched_lines.join(",\n")
+    ));
+    let bytecode_lines: Vec<String> = bytecode_entries
+        .iter()
+        .map(|(width, lane_ns, speedup)| {
+            format!(
+                "    \"width_{width}\": {{\"batch_lane_ns\": {lane_ns:.2}, \
+                 \"speedup_vs_scalar\": {speedup:.2}}}"
+            )
+        })
+        .collect();
+    json.push_str(&format!(
+        "  \"bytecode_batch\": {{\n    \"scope\": \"pod_choices_d2 full-drift rules, per-lane theta, lane-varying states, ns per lane for every rule (ProgramSet::eval_batch_into vs eval_into)\",\n    \"rules\": {},\n    \"bytecode_rules\": {pod_bytecode_rules},\n    \"scalar_lane_ns\": {pod_scalar_ns:.2},\n{}\n  }},\n",
+        pod_programs.len(),
+        bytecode_lines.join(",\n")
     ));
     let ssa_blocks: Vec<String> = ssa_entries
         .iter()

@@ -103,10 +103,10 @@ pub fn extremal_theta<D: ImpreciseDrift + ?Sized>(
 /// The functional `direction · f(x, ϑ)` that [`extremal_theta`] maximises,
 /// with `buffer` receiving `f(x, ϑ)`.
 ///
-/// It is a left fold from +0.0, the fold the hull's batched reduction runs
-/// too (`Iterator::sum`, and so `StateVec::dot`, starts from −0.0 and can
-/// differ in the sign of a zero), so a control scored here compares
-/// exactly with the scan's candidates.
+/// It is a left fold from +0.0 (`Iterator::sum`, and so `StateVec::dot`,
+/// starts from −0.0 and can differ in the sign of a zero), so a control
+/// scored here compares exactly with the scan's candidates; the hull's
+/// batched reduction reproduces this fold for the directions `±e_i`.
 pub(crate) fn hamiltonian<D: ImpreciseDrift + ?Sized>(
     drift: &D,
     x: &StateVec,

@@ -20,7 +20,13 @@
 //! every grid point on a face, times every Θ candidate, in a single
 //! [`ImpreciseDrift::drift_batch_into`] call: `3^d − 1` points (the
 //! all-midpoint centre lies on no face), where a face-by-face enumeration
-//! would take `2d · 3^(d−1)`. Each face then reduces over its own lanes.
+//! would take `2d · 3^(d−1)`. Each face then reduces over its own lanes,
+//! reading only the drift row of the coordinate it pins. Which points lie
+//! on a face, and in which order each face visits them, depends only on
+//! whether each coordinate is collapsed and whether its midpoint rounds
+//! onto an endpoint; the right-hand side keeps that structure, and the Θ
+//! lanes with it, until one of those changes, and otherwise only writes
+//! the box's new values into the batch.
 //! The grid grows as `3^d`, so [`DifferentialHull::bounds`] refuses a
 //! drift whose batch could exceed [`MAX_HULL_LANES`]. The paper (Figures
 //! 4 and 5) shows that this method is cheap and accurate for small
@@ -311,27 +317,22 @@ struct HullOde<'a, D> {
 }
 
 /// Reusable buffers of [`HullOde`]'s right-hand side, so that a call
-/// allocates nothing once the first one has sized them.
+/// allocates nothing unless the grid's structure changes.
 #[derive(Default)]
 struct HullScratch {
     /// Per coordinate: the values its grid axis takes.
     axes: Vec<Axis>,
-    /// Per coordinate: its stride in the linear grid index (coordinate 0
-    /// varies fastest).
-    strides: Vec<usize>,
-    /// Grid index → evaluated point, or [`OFF_FACE`].
-    point_of: Vec<usize>,
-    /// Evaluated points in grid order, point-major (`point · dim + i`).
-    points: Vec<f64>,
-    /// Multi-index of the grid walk and of each face walk.
-    digits: Vec<usize>,
+    /// The structure of the last box's grid.
+    grid: Grid,
+    /// The evaluated states: lane `p·C + c` holds point `p` of the grid.
     x: SoaBatch,
+    /// Lane `p·C + c` holds Θ candidate `c`; set up with `grid`.
     thetas: SoaBatch,
     drifts: SoaBatch,
+    /// Per lane: how many drift coordinates are ±∞ or NaN (at most the
+    /// dimension, which [`MAX_HULL_LANES`] keeps below 11).
+    non_finite: Vec<u8>,
 }
-
-/// [`HullScratch::point_of`] entry of a grid point that lies on no face.
-const OFF_FACE: usize = usize::MAX;
 
 /// One coordinate's grid axis, built from the box bounds `lo ≤ hi`.
 #[derive(Clone, Copy)]
@@ -372,6 +373,88 @@ impl Axis {
             upper_pin,
         }
     }
+
+    /// What the grid's structure depends on: all of the axis but its
+    /// values.
+    fn shape(&self) -> [usize; 3] {
+        [self.free, self.len, self.upper_pin]
+    }
+}
+
+/// Which points of a box's grid lie on a face, and the order each face
+/// visits them in. It depends only on each axis' [`Axis::shape`], which
+/// changes only when a coordinate collapses or a midpoint rounds onto an
+/// endpoint (or stops doing so), so a right-hand side rebuilds it then and
+/// otherwise only writes the new coordinate values.
+#[derive(Default)]
+struct Grid {
+    /// The axis shapes the structure was built for.
+    shapes: Vec<[usize; 3]>,
+    /// Number of points on a face.
+    points: usize,
+    /// Per coordinate `i`, per point: the index of the value coordinate
+    /// `i` takes there in its axis' `values`.
+    value_index: Vec<Vec<u8>>,
+    /// Entry `2i` lists the points of coordinate `i`'s lower face and
+    /// entry `2i + 1` those of its upper face, lowest free coordinate
+    /// varying fastest: the order of a face-by-face enumeration.
+    faces: Vec<Vec<usize>>,
+}
+
+impl Grid {
+    /// Whether the structure was built for axes of these shapes.
+    fn fits(&self, axes: &[Axis]) -> bool {
+        self.shapes.iter().copied().eq(axes.iter().map(Axis::shape))
+    }
+
+    /// Walks the grid, coordinate 0 varying fastest, and keeps the points
+    /// that lie on a face: those taking at most one pin-only value and, if
+    /// none, with at least one coordinate at its lower or upper pin. That
+    /// leaves out only the all-midpoint centre. A face pinning coordinate
+    /// `i` visits, in walk order, the points with `i` at its pin and every
+    /// other coordinate at one of its free values.
+    fn build(axes: &[Axis]) -> Grid {
+        let dim = axes.len();
+        let mut faces = vec![Vec::new(); 2 * dim];
+        let (mut points, mut value_index) = (0, vec![Vec::new(); dim]);
+        let mut digits = vec![0; dim];
+        for _ in 0..axes.iter().map(|axis| axis.len).product::<usize>() {
+            let steps = axes.iter().zip(&digits);
+            let pin_only = steps.clone().filter(|(axis, &k)| k >= axis.free).count();
+            let on_pin = steps
+                .clone()
+                .any(|(axis, &k)| k < axis.free && (k == 0 || k == axis.upper_pin));
+            if pin_only == 1 || (pin_only == 0 && on_pin) {
+                for (i, (axis, &k)) in steps.enumerate() {
+                    if pin_only == usize::from(k >= axis.free) {
+                        if k == 0 {
+                            faces[2 * i].push(points);
+                        }
+                        if k == axis.upper_pin {
+                            faces[2 * i + 1].push(points);
+                        }
+                    }
+                }
+                points += 1;
+                for (indices, &k) in value_index.iter_mut().zip(&digits) {
+                    indices.push(k as u8);
+                }
+            }
+            for (axis, k) in axes.iter().zip(digits.iter_mut()) {
+                *k += 1;
+                if *k < axis.len {
+                    break;
+                }
+                *k = 0;
+            }
+        }
+        Grid {
+            shapes: axes.iter().map(Axis::shape).collect(),
+            points,
+            value_index,
+            faces,
+        }
+    }
 }
 
 impl<D: ImpreciseDrift> HullOde<'_, D> {
@@ -383,135 +466,86 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
         let scratch = &mut *self.scratch.borrow_mut();
         self.evaluate_grid(bounds, scratch);
         for i in 0..self.dim {
-            let upper_pin = scratch.axes[i].upper_pin;
-            out[i] = self.face_extreme(scratch, i, 0, false);
-            out[self.dim + i] = self.face_extreme(scratch, i, upper_pin, true);
+            out[i] = self.face_extreme(scratch, i, false);
+            out[self.dim + i] = self.face_extreme(scratch, i, true);
         }
     }
 
-    /// Builds the box's grid in `scratch` and evaluates the drift at every
-    /// grid point that lies on a face × every Θ candidate in one
-    /// [`ImpreciseDrift::drift_batch_into`] call; lane `p·C + c` holds
-    /// point `p` with candidate `c`.
-    ///
-    /// A point is on a face when it takes at most one pin-only value and,
-    /// if none, at least one coordinate sits at its lower or upper pin —
-    /// that leaves out only the all-midpoint centre.
+    /// Evaluates the drift at every grid point of the box that lies on a
+    /// face × every Θ candidate in one
+    /// [`ImpreciseDrift::drift_batch_into`] call, and counts each lane's
+    /// non-finite drift coordinates.
     fn evaluate_grid(&self, bounds: impl Iterator<Item = (f64, f64)>, scratch: &mut HullScratch) {
-        let dim = self.dim;
+        let n_cands = self.theta_candidates.len();
         scratch.axes.clear();
-        scratch.strides.clear();
-        let mut grid_len = 1;
-        for (lo, hi) in bounds {
-            let axis = Axis::new(lo, hi);
-            scratch.strides.push(grid_len);
-            grid_len *= axis.len;
-            scratch.axes.push(axis);
+        scratch
+            .axes
+            .extend(bounds.map(|(lo, hi)| Axis::new(lo, hi)));
+        if !scratch.grid.fits(&scratch.axes) {
+            scratch.grid = Grid::build(&scratch.axes);
+            let width = scratch.grid.points * n_cands;
+            scratch.x.reset(self.dim, width);
+            scratch.thetas.reset(self.drift.params().dim(), width);
+            for p in 0..scratch.grid.points {
+                for (c, candidate) in self.theta_candidates.iter().enumerate() {
+                    scratch.thetas.set_lane(p * n_cands + c, candidate);
+                }
+            }
         }
-
-        scratch.point_of.clear();
-        scratch.points.clear();
-        scratch.digits.clear();
-        scratch.digits.resize(dim, 0);
-        let mut n_points = 0;
-        for _ in 0..grid_len {
-            let (mut pin_only, mut on_pin) = (0, false);
-            for (axis, &k) in scratch.axes.iter().zip(&scratch.digits) {
-                if k >= axis.free {
-                    pin_only += 1;
-                } else if k == 0 || k == axis.upper_pin {
-                    on_pin = true;
-                }
-            }
-            if pin_only == 1 || (pin_only == 0 && on_pin) {
-                scratch.point_of.push(n_points);
-                n_points += 1;
-                let axes = scratch.axes.iter().zip(&scratch.digits);
-                let point = axes.map(|(axis, &k)| axis.values[k]);
-                scratch.points.extend(point);
-            } else {
-                scratch.point_of.push(OFF_FACE);
-            }
-            for (axis, k) in scratch.axes.iter().zip(scratch.digits.iter_mut()) {
-                *k += 1;
-                if *k < axis.len {
-                    break;
-                }
-                *k = 0;
+        for (i, axis) in scratch.axes.iter().enumerate() {
+            let lanes = scratch.x.row_mut(i).chunks_exact_mut(n_cands);
+            for (point_lanes, &k) in lanes.zip(&scratch.grid.value_index[i]) {
+                point_lanes.fill(axis.values[usize::from(k)]);
             }
         }
         self.vertex_evals
-            .set(self.vertex_evals.get() + n_points as u64);
+            .set(self.vertex_evals.get() + scratch.grid.points as u64);
 
-        let n_cands = self.theta_candidates.len();
-        let width = n_points * n_cands;
-        scratch.x.reset(dim, width);
-        scratch.thetas.reset(self.drift.params().dim(), width);
-        for p in 0..n_points {
-            let point = &scratch.points[p * dim..(p + 1) * dim];
-            for (c, candidate) in self.theta_candidates.iter().enumerate() {
-                scratch.x.set_lane(p * n_cands + c, point);
-                scratch.thetas.set_lane(p * n_cands + c, candidate);
-            }
-        }
         self.drift.drift_batch_into(
             &scratch.x,
             &BatchTheta::PerLane(&scratch.thetas),
             &mut scratch.drifts,
         );
+        scratch.non_finite.clear();
+        scratch.non_finite.resize(scratch.drifts.width(), 0);
+        for i in 0..self.dim {
+            let row = scratch.drifts.row(i);
+            for (count, f) in scratch.non_finite.iter_mut().zip(row) {
+                *count += u8::from(!f.is_finite());
+            }
+        }
     }
 
-    /// The extreme of drift coordinate `pin` over one face of the grid
-    /// [`HullOde::evaluate_grid`] evaluated: coordinate `pin` at grid index
-    /// `pin_index`, every other coordinate through its free values.
+    /// The extreme of drift coordinate `pin` over its lower face
+    /// (`want_max == false`) or upper face of the grid
+    /// [`HullOde::evaluate_grid`] evaluated.
     ///
-    /// The face's points are visited with the lowest free coordinate
-    /// varying fastest, the order of a face-by-face enumeration. Per point,
-    /// the reduction runs the [`extremal_theta`](crate::drift::extremal_theta)
-    /// scan with direction `+e_pin` for an upper bound or `−e_pin` for a
-    /// lower one — same candidate order, same strict comparisons, same
-    /// left-to-right dot-product fold — so the result is bit for bit what
-    /// the scalar scan gives on each point.
-    fn face_extreme(
-        &self,
-        scratch: &mut HullScratch,
-        pin: usize,
-        pin_index: usize,
-        want_max: bool,
-    ) -> f64 {
-        let dim = self.dim;
+    /// Per point, the reduction runs the
+    /// [`extremal_theta`](crate::drift::extremal_theta) scan with direction
+    /// `+e_pin` for an upper bound or `−e_pin` for a lower one — same
+    /// candidate order, same strict comparisons — so the result is bit for
+    /// bit what the scalar scan gives on each point. That scan scores a
+    /// candidate by a left fold from +0.0 over every drift coordinate, zero
+    /// terms included. When every other coordinate is finite their terms
+    /// are ±0.0 and the fold is `0.0 + f_pin · sign`; when one is ±∞ or
+    /// NaN its term is NaN, and so is the fold, which no strict comparison
+    /// takes. The reduction therefore reads the pinned row alone and skips
+    /// the lanes with a non-finite coordinate other than `pin`.
+    fn face_extreme(&self, scratch: &HullScratch, pin: usize, want_max: bool) -> f64 {
         let n_cands = self.theta_candidates.len();
-        let drifts = scratch.drifts.as_slice();
-        let width = scratch.drifts.width();
-
-        // the extremal scan's direction is `sign · e_pin`: `+e_pin` finds the
-        // maximum, `−e_pin` minus the minimum. The dot product with it is
-        // `extremal_theta`'s left fold from +0.0 over every coordinate, zero
-        // terms included, so even the sign of a zero result matches.
+        let row = scratch.drifts.row(pin);
         let sign = if want_max { 1.0 } else { -1.0 };
-        let dot_pin = |lane: usize| -> f64 {
-            let mut acc = 0.0;
-            for i in 0..dim {
-                let dir = if i == pin { sign } else { 0.0 };
-                acc += drifts[i * width + lane] * dir;
-            }
-            acc
-        };
-
         let mut best = if want_max {
             f64::NEG_INFINITY
         } else {
             f64::INFINITY
         };
-        let digits = &mut scratch.digits;
-        digits.fill(0);
-        let mut g = pin_index * scratch.strides[pin];
-        loop {
-            let p = scratch.point_of[g];
+        for &p in &scratch.grid.faces[2 * pin + usize::from(want_max)] {
+            let lanes = p * n_cands..(p + 1) * n_cands;
             let mut extreme = f64::NEG_INFINITY;
-            for c in 0..n_cands {
-                let value = dot_pin(p * n_cands + c);
-                if value > extreme {
+            for (&f, &count) in row[lanes.clone()].iter().zip(&scratch.non_finite[lanes]) {
+                let value = 0.0 + f * sign;
+                if count == u8::from(!f.is_finite()) && value > extreme {
                     extreme = value;
                 }
             }
@@ -519,25 +553,8 @@ impl<D: ImpreciseDrift> HullOde<'_, D> {
             if (want_max && value > best) || (!want_max && value < best) {
                 best = value;
             }
-            // advance the free coordinates' multi-index
-            let mut j = 0;
-            loop {
-                if j == dim {
-                    return best;
-                }
-                if j != pin {
-                    let stride = scratch.strides[j];
-                    digits[j] += 1;
-                    g += stride;
-                    if digits[j] < scratch.axes[j].free {
-                        break;
-                    }
-                    g -= digits[j] * stride;
-                    digits[j] = 0;
-                }
-                j += 1;
-            }
         }
+        best
     }
 }
 
@@ -827,6 +844,49 @@ mod tests {
                 vec![1.0, below_one, above_one, 1.0],
                 // NaN bounds keep two candidates
                 vec![f64::NAN, 0.1, 0.2, f64::NAN],
+            ],
+        );
+        // one right-hand side after another on one cached grid structure:
+        // new values on the same axis shapes, then coordinate 1 collapses
+        // (identical bits, then +0.0 below −0.0, which keeps a pin-only
+        // value), its midpoint rounds onto its upper bound — the same grid
+        // length as the signed-zero collapse, but another free set — and the
+        // box turns proper again
+        assert_faces_match_the_scalar_scan(
+            &coupled,
+            &[
+                vec![0.2, -0.5, 0.9, 0.4],
+                vec![0.1, -0.4, 0.8, 0.6],
+                vec![0.1, 0.25, 0.8, 0.25],
+                vec![0.1, 0.0, 0.8, -0.0],
+                vec![0.1, below_one, 0.8, 1.0],
+                vec![0.3, -0.2, 0.7, 0.5],
+            ],
+        );
+
+        // a drift whose other coordinates are ±∞ or NaN on part of the
+        // grid: `f_1` at `x_1 = ±0`, `f_2` at `x_2 = ±0`. The scalar scan's
+        // fold is NaN there and skips the point, and those are the points
+        // where `f_0` peaks
+        let params = ParamSpace::new(vec![
+            ("a", Interval::new(1.0, 2.0).unwrap()),
+            ("b", Interval::new(0.5, 1.5).unwrap()),
+        ])
+        .unwrap();
+        let singular = FnDrift::new(3, params, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] - x[1] * x[1] - x[2] * x[2];
+            dx[1] = 1.0 / x[1];
+            dx[2] = th[1] * x[2] / x[2];
+        });
+        assert_faces_match_the_scalar_scan(
+            &singular,
+            &[
+                // 0 is the midpoint of the `x_1` and `x_2` axes
+                vec![0.0, -1.0, -2.0, 1.0, 1.0, 2.0],
+                // 0 is the lower bound of the `x_1` axis
+                vec![0.0, 0.0, 0.5, 1.0, 2.0, 1.5],
+                // `x_1` collapsed onto −0.0 and +0.0: −∞ and +∞
+                vec![0.5, -0.0, -1.0, 1.0, 0.0, 1.0],
             ],
         );
 

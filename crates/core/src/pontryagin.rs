@@ -104,6 +104,10 @@ impl LinearObjective {
     }
 
     /// Maximises coordinate `i` of `x(T)` in a `dim`-dimensional system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= dim`.
     pub fn maximize_coordinate(dim: usize, i: usize) -> Self {
         let mut weights = StateVec::zeros(dim);
         weights[i] = 1.0;
@@ -111,6 +115,10 @@ impl LinearObjective {
     }
 
     /// Minimises coordinate `i` of `x(T)` in a `dim`-dimensional system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= dim`.
     pub fn minimize_coordinate(dim: usize, i: usize) -> Self {
         let mut weights = StateVec::zeros(dim);
         weights[i] = 1.0;
@@ -315,7 +323,9 @@ impl PontryaginSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PontryaginSolver::solve`].
+    /// Same conditions as [`PontryaginSolver::solve`], and
+    /// [`CoreError::InvalidInput`] when `coordinate` is not below the
+    /// drift's dimension.
     pub fn maximize_coordinate<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
@@ -323,6 +333,7 @@ impl PontryaginSolver {
         horizon: f64,
         coordinate: usize,
     ) -> Result<ExtremalSolution> {
+        check_coordinate(drift.dim(), coordinate)?;
         self.solve(
             drift,
             x0,
@@ -335,7 +346,7 @@ impl PontryaginSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PontryaginSolver::solve`].
+    /// Same conditions as [`PontryaginSolver::maximize_coordinate`].
     pub fn minimize_coordinate<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
@@ -343,6 +354,7 @@ impl PontryaginSolver {
         horizon: f64,
         coordinate: usize,
     ) -> Result<ExtremalSolution> {
+        check_coordinate(drift.dim(), coordinate)?;
         self.solve(
             drift,
             x0,
@@ -355,7 +367,7 @@ impl PontryaginSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PontryaginSolver::solve`].
+    /// Same conditions as [`PontryaginSolver::maximize_coordinate`].
     pub fn coordinate_extremes<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
@@ -806,6 +818,18 @@ struct FirstPass {
     /// it), or the error of a step that left the finite numbers. The
     /// divergence cap is not checked yet.
     outcome: Result<bool>,
+}
+
+/// The error for a coordinate objective on a coordinate the drift lacks,
+/// checked before [`LinearObjective::maximize_coordinate`] would panic.
+fn check_coordinate(dim: usize, coordinate: usize) -> Result<()> {
+    if coordinate < dim {
+        Ok(())
+    } else {
+        Err(CoreError::invalid_input(format!(
+            "coordinate {coordinate} is out of range for a {dim}-dimensional drift"
+        )))
+    }
 }
 
 /// Whether the solve's shared deadline has passed (never, without one).

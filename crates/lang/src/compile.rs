@@ -326,7 +326,10 @@ impl ImpreciseDrift for DslDrift {
         // (rule-major rows), then the jump accumulation runs per lane in rule
         // order with the same `r != 0` guard as the scalar path, so each
         // output coordinate sees the identical sequence of `+= r * c`
-        // additions as a scalar `drift_into` on that lane.
+        // additions as a scalar `drift_into` on that lane. The guard is a
+        // select rather than a branch so the lane loop vectorises; zero
+        // entries of `change` still add `r · 0`, which turns a non-finite
+        // rate into NaN exactly as the scalar path does.
         let mut rates = vec![0.0_f64; self.rules.len() * width];
         self.programs.eval_batch_into(x, *theta, &mut rates);
         for (k, rule) in self.rules.iter().enumerate() {
@@ -334,9 +337,7 @@ impl ImpreciseDrift for DslDrift {
             for (i, &c) in rule.change.iter().enumerate() {
                 let out_row = out.row_mut(i);
                 for (o, &r) in out_row.iter_mut().zip(row.iter()) {
-                    if r != 0.0 {
-                        *o += r * c;
-                    }
+                    *o = if r != 0.0 { *o + r * c } else { *o };
                 }
             }
         }

@@ -49,13 +49,20 @@
 //! (register `r` of lane `l` lives at `r·width + l`), tiered like the
 //! scalar file; the constant, mass-action and affine-product fast paths get
 //! row-at-a-time variants; `Op::Cmp`/`Op::Select` stay branch-free per
-//! lane. Because every lane executes exactly the scalar instruction
-//! sequence on its own data — same operations, same order, lanes merely
-//! advance together — a batched lane is **bit-identical** to a scalar
-//! [`RateProgram::eval`] on that lane's `(x, ϑ)`, NaN payloads included.
-//! The property suite in `tests/vm_equivalence.rs` pins this across random
-//! expressions × widths; the hull, Pontryagin and lockstep-ensemble call
-//! sites rely on it to batch freely without perturbing results.
+//! lane. Each instruction is one lane loop over chunks of 8 lanes: the
+//! operands are copied into local arrays, computed and stored, which the
+//! compiler turns into vector instructions, and the lanes past the last
+//! full chunk — every lane of a batch narrower than 8 — run one by one.
+//! The operator, the constant or row source of a fused leaf operand and a
+//! `PowInt` exponent are resolved before the loop, so each combination is
+//! a loop of its own. Because every lane executes exactly the scalar
+//! instruction sequence on its own data — same operations, same order,
+//! lanes merely advance together — a batched lane is **bit-identical** to
+//! a scalar [`RateProgram::eval`] on that lane's `(x, ϑ)`, NaN payloads
+//! included. The property suite in `tests/vm_equivalence.rs` pins this
+//! across random expressions × widths; the hull, Pontryagin and
+//! lockstep-ensemble call sites rely on it to batch freely without
+//! perturbing results.
 
 use mfu_ctmc::transition::CompiledRate;
 use mfu_num::batch::{BatchTheta, SoaBatch};
@@ -311,9 +318,14 @@ impl ByteProgram {
     /// `out`. Per lane this executes exactly the instruction sequence of
     /// [`ByteProgram::run`] on that lane's values, so each lane's result is
     /// bit-identical to a scalar evaluation.
+    ///
+    /// Every arithmetic instruction runs the chunked lane loop of
+    /// [`lanes3`], with its operator and its operand sources resolved here,
+    /// outside the loop, so each combination is a loop of its own.
     fn run_batch(&self, x: &SoaBatch, theta: &BatchTheta<'_>, regs: &mut [f64], out: &mut [f64]) {
         let w = x.width();
         debug_assert!(regs.len() >= self.registers * w);
+        let reg = |r: u16| Reg(r as usize * w);
         for op in &self.ops {
             match *op {
                 Op::Const { dst, idx } => {
@@ -328,24 +340,29 @@ impl ByteProgram {
                         regs[dst as usize * w..][..w].copy_from_slice(b.row(idx as usize));
                     }
                 },
-                Op::Neg { dst, a } => lanes_unary(regs, w, dst, a, |v| -v),
-                Op::Add { dst, a, b } => lanes_binary(regs, w, dst, a, b, |x, y| x + y),
-                Op::Sub { dst, a, b } => lanes_binary(regs, w, dst, a, b, |x, y| x - y),
-                Op::Mul { dst, a, b } => lanes_binary(regs, w, dst, a, b, |x, y| x * y),
-                Op::Div { dst, a, b } => lanes_binary(regs, w, dst, a, b, |x, y| x / y),
-                Op::Pow { dst, a, b } => lanes_binary(regs, w, dst, a, b, f64::powf),
+                Op::Neg { dst, a } => lanes1(regs, w, reg(dst), reg(a), |v| -v),
+                Op::Add { dst, a, b } => arith(regs, w, reg(dst), reg(a), reg(b), ArithOp::Add),
+                Op::Sub { dst, a, b } => arith(regs, w, reg(dst), reg(a), reg(b), ArithOp::Sub),
+                Op::Mul { dst, a, b } => arith(regs, w, reg(dst), reg(a), reg(b), ArithOp::Mul),
+                Op::Div { dst, a, b } => arith(regs, w, reg(dst), reg(a), reg(b), ArithOp::Div),
+                Op::Pow { dst, a, b } => lanes2(regs, w, reg(dst), reg(a), reg(b), f64::powf),
                 Op::PowInt { dst, a, n } => {
-                    let (d, a) = (dst as usize * w, a as usize * w);
-                    for l in 0..w {
-                        regs[d + l] = unrolled_pow(regs[a + l], n);
+                    // a constant exponent per arm unrolls `unrolled_pow`'s
+                    // left-to-right product
+                    let (dst, a) = (reg(dst), reg(a));
+                    match n {
+                        2 => lanes1(regs, w, dst, a, |v| unrolled_pow(v, 2)),
+                        3 => lanes1(regs, w, dst, a, |v| unrolled_pow(v, 3)),
+                        4 => lanes1(regs, w, dst, a, |v| unrolled_pow(v, 4)),
+                        _ => lanes1(regs, w, dst, a, |v| unrolled_pow(v, n)),
                     }
                 }
-                Op::Min { dst, a, b } => lanes_binary(regs, w, dst, a, b, f64::min),
-                Op::Max { dst, a, b } => lanes_binary(regs, w, dst, a, b, f64::max),
-                Op::Abs { dst, a } => lanes_unary(regs, w, dst, a, f64::abs),
-                Op::Exp { dst, a } => lanes_unary(regs, w, dst, a, f64::exp),
-                Op::Log { dst, a } => lanes_unary(regs, w, dst, a, f64::ln),
-                Op::Sqrt { dst, a } => lanes_unary(regs, w, dst, a, f64::sqrt),
+                Op::Min { dst, a, b } => lanes2(regs, w, reg(dst), reg(a), reg(b), f64::min),
+                Op::Max { dst, a, b } => lanes2(regs, w, reg(dst), reg(a), reg(b), f64::max),
+                Op::Abs { dst, a } => lanes1(regs, w, reg(dst), reg(a), f64::abs),
+                Op::Exp { dst, a } => lanes1(regs, w, reg(dst), reg(a), f64::exp),
+                Op::Log { dst, a } => lanes1(regs, w, reg(dst), reg(a), f64::ln),
+                Op::Sqrt { dst, a } => lanes1(regs, w, reg(dst), reg(a), f64::sqrt),
                 Op::BinLeaf {
                     op,
                     leaf,
@@ -353,10 +370,10 @@ impl ByteProgram {
                     a,
                     idx,
                 } => {
-                    let src = self.leaf_row(leaf, idx, x, theta);
-                    let (d, a) = (dst as usize * w, a as usize * w);
-                    for l in 0..w {
-                        regs[d + l] = op.apply(regs[a + l], src.get(l));
+                    let (dst, a) = (reg(dst), reg(a));
+                    match self.leaf_row(leaf, idx, x, theta) {
+                        LaneSrc::Splat(b) => arith(regs, w, dst, a, Splat(b), op),
+                        LaneSrc::Row(b) => arith(regs, w, dst, a, Row(b), op),
                     }
                 }
                 Op::BinLeafLeaf {
@@ -367,35 +384,42 @@ impl ByteProgram {
                     b_idx,
                     dst,
                 } => {
-                    let src_a = self.leaf_row(leaf_a, a_idx, x, theta);
-                    let src_b = self.leaf_row(leaf_b, b_idx, x, theta);
-                    let d = dst as usize * w;
-                    for l in 0..w {
-                        regs[d + l] = op.apply(src_a.get(l), src_b.get(l));
+                    let dst = reg(dst);
+                    let a = self.leaf_row(leaf_a, a_idx, x, theta);
+                    let b = self.leaf_row(leaf_b, b_idx, x, theta);
+                    match (a, b) {
+                        (LaneSrc::Splat(a), LaneSrc::Splat(b)) => {
+                            arith(regs, w, dst, Splat(a), Splat(b), op);
+                        }
+                        (LaneSrc::Splat(a), LaneSrc::Row(b)) => {
+                            arith(regs, w, dst, Splat(a), Row(b), op);
+                        }
+                        (LaneSrc::Row(a), LaneSrc::Splat(b)) => {
+                            arith(regs, w, dst, Row(a), Splat(b), op);
+                        }
+                        (LaneSrc::Row(a), LaneSrc::Row(b)) => {
+                            arith(regs, w, dst, Row(a), Row(b), op)
+                        }
                     }
                 }
                 Op::Cmp { op, dst, a, b } => {
-                    let (d, a, b) = (dst as usize * w, a as usize * w, b as usize * w);
-                    for l in 0..w {
-                        regs[d + l] = f64::from(op.holds(regs[a + l], regs[b + l]));
+                    let (dst, a, b) = (reg(dst), reg(a), reg(b));
+                    let holds = |op: CmpOp| move |x, y| f64::from(op.holds(x, y));
+                    match op {
+                        CmpOp::Lt => lanes2(regs, w, dst, a, b, holds(CmpOp::Lt)),
+                        CmpOp::Le => lanes2(regs, w, dst, a, b, holds(CmpOp::Le)),
+                        CmpOp::Gt => lanes2(regs, w, dst, a, b, holds(CmpOp::Gt)),
+                        CmpOp::Ge => lanes2(regs, w, dst, a, b, holds(CmpOp::Ge)),
+                        CmpOp::Eq => lanes2(regs, w, dst, a, b, holds(CmpOp::Eq)),
+                        CmpOp::Ne => lanes2(regs, w, dst, a, b, holds(CmpOp::Ne)),
                     }
                 }
                 Op::Select { dst, cond, a, b } => {
                     // branch-free per lane, exactly like the scalar arm: both
                     // values load unconditionally, the pick is a conditional
                     // move carrying the chosen bit pattern through untouched
-                    let (d, c, a, b) = (
-                        dst as usize * w,
-                        cond as usize * w,
-                        a as usize * w,
-                        b as usize * w,
-                    );
-                    for l in 0..w {
-                        let take = regs[c + l] != 0.0;
-                        let va = regs[a + l];
-                        let vb = regs[b + l];
-                        regs[d + l] = if take { va } else { vb };
-                    }
+                    let pick = |c: f64, va: f64, vb: f64| if c != 0.0 { va } else { vb };
+                    lanes3(regs, w, reg(dst), reg(cond), reg(a), reg(b), pick);
                 }
             }
         }
@@ -441,7 +465,7 @@ impl ByteProgram {
     }
 }
 
-/// A fused-leaf operand as the batched interpreter sees it: one scalar
+/// A fused-leaf operand as the batched interpreter resolves it: one scalar
 /// broadcast to every lane (constants, shared parameters) or a contiguous
 /// per-lane row (species, per-lane parameters).
 enum LaneSrc<'a> {
@@ -449,36 +473,126 @@ enum LaneSrc<'a> {
     Row(&'a [f64]),
 }
 
-impl LaneSrc<'_> {
+/// Lanes per chunk of the batched kernels. A chunk of local arrays is what
+/// the compiler turns into vector instructions; 8 lanes fill two 256-bit or
+/// four 128-bit registers.
+const LANES: usize = 8;
+
+/// A lane-wise operand of [`lanes3`].
+trait Lanes: Copy {
+    /// Lanes `l..l + LANES`, copied out before the chunk is stored.
+    fn chunk(self, regs: &[f64], l: usize) -> [f64; LANES];
+    /// Lane `l`.
+    fn lane(self, regs: &[f64], l: usize) -> f64;
+}
+
+/// A register row of the slab, by its offset `register · width`.
+#[derive(Clone, Copy)]
+struct Reg(usize);
+
+/// One value broadcast to every lane.
+#[derive(Clone, Copy)]
+struct Splat(f64);
+
+/// A per-lane row outside the slab (a species or per-lane parameter row).
+#[derive(Clone, Copy)]
+struct Row<'a>(&'a [f64]);
+
+impl Lanes for Reg {
     #[inline(always)]
-    fn get(&self, lane: usize) -> f64 {
-        match self {
-            LaneSrc::Splat(v) => *v,
-            LaneSrc::Row(row) => row[lane],
-        }
+    fn chunk(self, regs: &[f64], l: usize) -> [f64; LANES] {
+        regs[self.0 + l..][..LANES]
+            .try_into()
+            .expect("a slice of LANES lanes")
+    }
+
+    #[inline(always)]
+    fn lane(self, regs: &[f64], l: usize) -> f64 {
+        regs[self.0 + l]
     }
 }
 
-/// `r[dst][l] = f(r[a][l])` for every lane `l` of a `width`-strided slab.
-#[inline(always)]
-fn lanes_unary(regs: &mut [f64], w: usize, dst: u16, a: u16, f: impl Fn(f64) -> f64) {
-    let (d, a) = (dst as usize * w, a as usize * w);
-    for l in 0..w {
-        let v = regs[a + l];
-        regs[d + l] = f(v);
+impl Lanes for Splat {
+    #[inline(always)]
+    fn chunk(self, _: &[f64], _: usize) -> [f64; LANES] {
+        [self.0; LANES]
+    }
+
+    #[inline(always)]
+    fn lane(self, _: &[f64], _: usize) -> f64 {
+        self.0
     }
 }
 
-/// `r[dst][l] = f(r[a][l], r[b][l])` for every lane `l`. Plain indexing
-/// rather than row slices because `dst` routinely aliases `a` (the lowering
-/// reuses the destination register as its left operand).
+impl Lanes for Row<'_> {
+    #[inline(always)]
+    fn chunk(self, _: &[f64], l: usize) -> [f64; LANES] {
+        self.0[l..][..LANES]
+            .try_into()
+            .expect("a slice of LANES lanes")
+    }
+
+    #[inline(always)]
+    fn lane(self, _: &[f64], l: usize) -> f64 {
+        self.0[l]
+    }
+}
+
+/// `r[dst][l] = f(a[l], b[l], c[l])` for every lane `l` of a
+/// `width`-strided slab: the one lane loop of the batched interpreter.
+/// Full chunks of [`LANES`] lanes are copied into local arrays, computed
+/// and stored, so the compiler vectorises them and an operand row that
+/// aliases `dst` (the lowering reuses the destination register as its left
+/// operand) is read before it is overwritten; the remaining lanes, all of
+/// them in a batch narrower than one chunk, run one by one.
 #[inline(always)]
-fn lanes_binary(regs: &mut [f64], w: usize, dst: u16, a: u16, b: u16, f: impl Fn(f64, f64) -> f64) {
-    let (d, a, b) = (dst as usize * w, a as usize * w, b as usize * w);
-    for l in 0..w {
-        let va = regs[a + l];
-        let vb = regs[b + l];
-        regs[d + l] = f(va, vb);
+fn lanes3<A: Lanes, B: Lanes, C: Lanes>(
+    regs: &mut [f64],
+    w: usize,
+    dst: Reg,
+    a: A,
+    b: B,
+    c: C,
+    f: impl Fn(f64, f64, f64) -> f64,
+) {
+    let full = w - w % LANES;
+    for l in (0..full).step_by(LANES) {
+        let (va, vb, vc) = (a.chunk(regs, l), b.chunk(regs, l), c.chunk(regs, l));
+        let chunk: [f64; LANES] = std::array::from_fn(|k| f(va[k], vb[k], vc[k]));
+        regs[dst.0 + l..][..LANES].copy_from_slice(&chunk);
+    }
+    for l in full..w {
+        regs[dst.0 + l] = f(a.lane(regs, l), b.lane(regs, l), c.lane(regs, l));
+    }
+}
+
+/// [`lanes3`] for a binary operation.
+#[inline(always)]
+fn lanes2(
+    regs: &mut [f64],
+    w: usize,
+    dst: Reg,
+    a: impl Lanes,
+    b: impl Lanes,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    lanes3(regs, w, dst, a, b, Splat(0.0), |x, y, _| f(x, y));
+}
+
+/// [`lanes3`] for a unary operation.
+#[inline(always)]
+fn lanes1(regs: &mut [f64], w: usize, dst: Reg, a: impl Lanes, f: impl Fn(f64) -> f64) {
+    lanes3(regs, w, dst, a, Splat(0.0), Splat(0.0), |x, _, _| f(x));
+}
+
+/// `r[dst] = a ⊕ b` lane by lane, one loop per operator.
+#[inline(always)]
+fn arith(regs: &mut [f64], w: usize, dst: Reg, a: impl Lanes, b: impl Lanes, op: ArithOp) {
+    match op {
+        ArithOp::Add => lanes2(regs, w, dst, a, b, |x, y| x + y),
+        ArithOp::Sub => lanes2(regs, w, dst, a, b, |x, y| x - y),
+        ArithOp::Mul => lanes2(regs, w, dst, a, b, |x, y| x * y),
+        ArithOp::Div => lanes2(regs, w, dst, a, b, |x, y| x / y),
     }
 }
 

@@ -31,8 +31,10 @@ use rand::{Rng, SeedableRng};
 
 /// Batch widths exercised by the batched-vs-scalar property suite: 1 (the
 /// overhead-gated degenerate batch), small odd widths that defeat any
-/// accidental power-of-two assumptions, and one slab-tier-crossing width.
-const BATCH_WIDTHS: [usize; 5] = [1, 2, 3, 7, 64];
+/// accidental power-of-two assumptions, one slab-tier-crossing width, and
+/// the chunk boundaries of the VM's 8-lane kernels: 7 runs only the
+/// per-lane tail, 8 one full chunk, 9 and 17 full chunks then a tail.
+const BATCH_WIDTHS: [usize; 8] = [1, 2, 3, 7, 8, 9, 17, 64];
 
 const DIM: usize = 3;
 const PARAMS: usize = 2;

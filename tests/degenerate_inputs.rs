@@ -225,6 +225,33 @@ fn steady_state_try_new_rejects_bad_inputs_with_typed_errors() {
     }
 }
 
+/// A coordinate objective past the drift's dimension is a typed error from
+/// every coordinate entry point of the Pontryagin solver, not an
+/// out-of-bounds panic while building the objective's weights.
+#[test]
+fn out_of_range_pontryagin_coordinates_are_typed_errors() {
+    let model = sir(1.0, 5.0);
+    let drift = model.reduced_drift();
+    let x0 = model.reduced_initial_state();
+    let coordinate = drift.dim();
+    let solver = PontryaginSolver::new(PontryaginOptions {
+        grid_intervals: 10,
+        ..Default::default()
+    });
+    fn is_invalid<T>(result: Result<T, CoreError>) -> bool {
+        matches!(result, Err(CoreError::InvalidInput { message }) if message.contains("out of range"))
+    }
+    assert!(is_invalid(
+        solver.maximize_coordinate(&drift, &x0, 1.0, coordinate)
+    ));
+    assert!(is_invalid(
+        solver.minimize_coordinate(&drift, &x0, 1.0, coordinate)
+    ));
+    assert!(is_invalid(
+        solver.coordinate_extremes(&drift, &x0, 1.0, coordinate)
+    ));
+}
+
 /// Every analysis that takes a fixed RK4 step from its caller rejects a
 /// zero, negative, NaN or infinite step with a typed error, instead of
 /// panicking inside the integrator or silently stepping at another size.
