@@ -79,6 +79,45 @@ fn min_ns<F: FnMut() -> f64>(samples: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Times `runs` alternatives — `run(r)` executes alternative `r` — round
+/// by round, `rounds` times after one warm-up each, rotating which goes
+/// first, and returns each alternative's samples in nanoseconds. Host
+/// drift then reaches every alternative of a round alike, so a ratio of
+/// one round's samples cancels it where separate timing blocks would not.
+/// One closure dispatching on `r`, rather than a slice of `dyn FnMut`,
+/// keeps each loop inlined into the timing code as [`min_ns`] does.
+fn interleaved_ns<F: FnMut(usize) -> f64>(rounds: usize, runs: usize, mut run: F) -> Vec<Vec<f64>> {
+    for r in 0..runs {
+        black_box(run(r)); // warm-up
+    }
+    let mut samples = vec![Vec::with_capacity(rounds); runs];
+    for round in 0..rounds {
+        for slot in 0..runs {
+            let r = (round + slot) % runs;
+            let start = Instant::now();
+            black_box(run(r));
+            samples[r].push(start.elapsed().as_nanos() as f64);
+        }
+    }
+    samples
+}
+
+/// Median of the per-round ratios `numerator[i] / denominator[i]`.
+fn median_ratio(numerator: &[f64], denominator: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = numerator
+        .iter()
+        .zip(denominator)
+        .map(|(n, d)| n / d)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+/// The fastest of `samples`.
+fn fastest(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 /// Ten parameter points of the given dimension for the evaluation loops
 /// (values sweep 1..10 independent of any declared parameter bounds).
 fn theta_ring(dim: usize) -> Vec<Vec<f64>> {
@@ -294,7 +333,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every configuration gets the same measurement resolution.
     let batch_target_evals = 200_000usize;
     let scalar_iters = (batch_target_evals / (ring_programs.len() * lane_states.len())).max(1);
-    let batch_scalar_ns = min_ns(25, || {
+    let scalar_evals = scalar_iters * ring_programs.len() * lane_states.len();
+    let batch_iters = |width: usize| (batch_target_evals / (ring_programs.len() * width)).max(1);
+    let batch_run = |width: usize| {
+        let batch = SoaBatch::from_lanes(&lanes[..width]);
+        let mut out = vec![0.0; width];
+        let iters = batch_iters(width);
+        let (programs, theta) = (&ring_programs, &ring_theta_mid);
+        move || {
+            let mut acc = 0.0;
+            for _ in 0..iters {
+                for program in programs {
+                    program.eval_batch_into(black_box(&batch), BatchTheta::Shared(theta), &mut out);
+                    acc += out[width - 1];
+                }
+            }
+            acc
+        }
+    };
+    // Width 1 is gated against scalar evaluation, so the two alternate
+    // round by round and the gate reads the median per-round ratio.
+    let mut width1_run = batch_run(1);
+    let samples = interleaved_ns(25, 2, |run| {
+        if run == 1 {
+            return width1_run();
+        }
         let mut acc = 0.0;
         for _ in 0..scalar_iters {
             for program in &ring_programs {
@@ -304,29 +367,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         acc
-    }) / (scalar_iters * ring_programs.len() * lane_states.len()) as f64;
-    let mut batched_entries = Vec::new();
-    for width in [1usize, 4, 16, 64] {
-        let batch = SoaBatch::from_lanes(&lanes[..width]);
-        let mut out = vec![0.0; width];
-        let iters = (batch_target_evals / (ring_programs.len() * width)).max(1);
-        let batch_ns = min_ns(25, || {
-            let mut acc = 0.0;
-            for _ in 0..iters {
-                for program in &ring_programs {
-                    program.eval_batch_into(
-                        black_box(&batch),
-                        BatchTheta::Shared(&ring_theta_mid),
-                        &mut out,
-                    );
-                    acc += out[width - 1];
-                }
-            }
-            acc
-        }) / (iters * ring_programs.len() * width) as f64;
+    });
+    let width1_evals = batch_iters(1) * ring_programs.len();
+    let batch_scalar_ns = fastest(&samples[0]) / scalar_evals as f64;
+    let batch_width1_overhead =
+        median_ratio(&samples[1], &samples[0]) * scalar_evals as f64 / width1_evals as f64;
+    let width1_ns = fastest(&samples[1]) / width1_evals as f64;
+    let mut batched_entries = vec![(1, width1_ns, batch_scalar_ns / width1_ns)];
+    for width in [4usize, 16, 64] {
+        let evals = batch_iters(width) * ring_programs.len() * width;
+        let batch_ns = min_ns(25, batch_run(width)) / evals as f64;
         batched_entries.push((width, batch_ns, batch_scalar_ns / batch_ns));
     }
-    let batch_width1_overhead = batched_entries[0].1 / batch_scalar_ns;
 
     // ---- bytecode kernel at the hull's batch widths ----------------------
     // Every ring rate above is a mass-action fast path, so those rows never
@@ -523,59 +575,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tc = tau_run.counters();
     let tau_halvings_rate = tc.tau_halvings as f64 / tc.tau_leap_steps.max(1) as f64;
 
-    // Metrics must be free when attached: time the ring_K200 hot path with
-    // the bundle off and on (identical seed and options; the trajectories
-    // are bit-identical, so any delta is pure instrumentation cost).
+    // Metrics and an armed budget must be free: time the ring_K200 hot path
+    // with the bundle off, with it on, and with both budget caps armed
+    // generously enough that neither trips (identical seed and options, so
+    // the trajectories are bit-identical and any delta is instrumentation
+    // or guard cost — the tracker's amortised wall-clock check and the
+    // event-count comparison). The three runs alternate round by round and
+    // each gate reads the median of its per-round ratios.
     let plain = Simulator::new(ring_population.clone(), 4800)?;
-    let mut off_events = 0usize;
-    let off_wall = min_ns(9, || {
-        let mut policy = ConstantPolicy::new(ring_theta.clone());
-        let run = plain
-            .simulate(&ring_counts, &mut policy, &ring_options, 11)
-            .expect("simulation failed");
-        off_events = run.events();
-        run.final_counts()[0] as f64
-    });
     let instrumented = Simulator::new(ring_population.clone(), 4800)?.with_obs(Obs::with_metrics());
-    let mut on_events = 0usize;
-    let on_wall = min_ns(9, || {
-        let mut policy = ConstantPolicy::new(ring_theta.clone());
-        let run = instrumented
-            .simulate(&ring_counts, &mut policy, &ring_options, 11)
-            .expect("simulation failed");
-        on_events = run.events();
-        run.final_counts()[0] as f64
-    });
-    assert_eq!(off_events, on_events, "observability changed the run");
-    let metrics_off_step_ns = off_wall / off_events.max(1) as f64;
-    let metrics_on_step_ns = on_wall / on_events.max(1) as f64;
-    let overhead_ratio = metrics_on_step_ns / metrics_off_step_ns;
-
-    // The same zero-cost-when-off contract for the run budget: arm both
-    // caps generously enough that neither trips (identical seed and options,
-    // so the trajectories are bit-identical) and time the delta against the
-    // unbudgeted hot path. The tracker's amortised wall-clock check and the
-    // event-count comparison are all the guarded loop pays.
     let guarded_options = ring_options.budget(
         mfu_guard::RunBudget::unlimited()
             .wall_clock(std::time::Duration::from_secs(3600))
             .max_events(u64::MAX),
     );
-    let mut guarded_events = 0usize;
-    let guarded_wall = min_ns(9, || {
+    let ring_run = |simulator: &Simulator, options: &SimulationOptions, events: &mut usize| {
         let mut policy = ConstantPolicy::new(ring_theta.clone());
-        let run = plain
-            .simulate(&ring_counts, &mut policy, &guarded_options, 11)
+        let run = simulator
+            .simulate(&ring_counts, &mut policy, options, 11)
             .expect("simulation failed");
-        guarded_events = run.events();
+        *events = run.events();
         run.final_counts()[0] as f64
+    };
+    let (mut off_events, mut on_events, mut guarded_events) = (0usize, 0usize, 0usize);
+    let samples = interleaved_ns(9, 3, |run| match run {
+        0 => ring_run(&plain, &ring_options, &mut off_events),
+        1 => ring_run(&instrumented, &ring_options, &mut on_events),
+        _ => ring_run(&plain, &guarded_options, &mut guarded_events),
     });
+    assert_eq!(off_events, on_events, "observability changed the run");
     assert_eq!(
         off_events, guarded_events,
         "an armed budget changed the run"
     );
-    let budget_on_step_ns = guarded_wall / guarded_events.max(1) as f64;
-    let guard_overhead_ratio = budget_on_step_ns / metrics_off_step_ns;
+    let per_event = |samples: &[f64]| fastest(samples) / off_events.max(1) as f64;
+    let metrics_off_step_ns = per_event(&samples[0]);
+    let metrics_on_step_ns = per_event(&samples[1]);
+    let budget_on_step_ns = per_event(&samples[2]);
+    let overhead_ratio = median_ratio(&samples[1], &samples[0]);
+    let guard_overhead_ratio = median_ratio(&samples[2], &samples[0]);
 
     // ---- served queries: artifact-cache cold vs hot latency --------------
     // The `mfu serve` acceptance gauge: a repeated bound query must come

@@ -8,9 +8,11 @@
 //! over `Θ`, which [`extremal_theta`] performs by vertex enumeration — exact
 //! for drifts affine in `ϑ`, the case of every model in the paper. The scan
 //! is a free function over the trait rather than a trait method, so every
-//! optimiser — the scalar [`extremal_theta`] and the differential hull's
-//! batched reduction alike — visits the same [`theta_candidates`] in the
-//! same order and no drift can redefine one without the other.
+//! optimiser — the scalar [`extremal_theta`], the differential hull's
+//! batched reduction and the Pontryagin sweep's batched switch scan alike —
+//! visits the same [`theta_candidates`] in the same order and no drift can
+//! redefine one without the other. The two batched scans are replays of
+//! [`extremal_theta`], checked against it bit for bit.
 
 use mfu_ctmc::params::ParamSpace;
 use mfu_ctmc::population::PopulationModel;
@@ -81,7 +83,8 @@ pub fn theta_candidates<D: ImpreciseDrift + ?Sized>(drift: &D) -> Vec<Vec<f64>> 
 /// strict maximum. For drifts affine in `ϑ` the vertex search is exact,
 /// which is what produces the bang-bang extremal controls of Figure 2.
 /// The differential hull runs this same scan, batched, on every rectangle
-/// point of its bound evaluations.
+/// point of its bound evaluations, and the Pontryagin sweep on every
+/// interval of its switch scan.
 pub fn extremal_theta<D: ImpreciseDrift + ?Sized>(
     drift: &D,
     x: &StateVec,
@@ -106,7 +109,8 @@ pub fn extremal_theta<D: ImpreciseDrift + ?Sized>(
 /// It is a left fold from +0.0 (`Iterator::sum`, and so `StateVec::dot`,
 /// starts from −0.0 and can differ in the sign of a zero), so a control
 /// scored here compares exactly with the scan's candidates; the hull's
-/// batched reduction reproduces this fold for the directions `±e_i`.
+/// batched reduction reproduces this fold for the directions `±e_i`, and
+/// the Pontryagin switch scan for every interval's midpoint costate.
 pub(crate) fn hamiltonian<D: ImpreciseDrift + ?Sized>(
     drift: &D,
     x: &StateVec,

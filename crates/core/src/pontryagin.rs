@@ -27,6 +27,17 @@
 //! of McAsey, Mou and Han (*Convergence of the forward–backward sweep method
 //! in optimal control*, 2012).
 //!
+//! Steps 2 and 3 depend only on the adopted state, control and costate, so
+//! they run in wide drift batches. The backward pass evaluates the
+//! central-difference Jacobian stencils of 16 intervals at a time in one
+//! [`ImpreciseDrift::drift_batch_into`] call ([`JacobianStencils`]), then
+//! runs the costate recursion over those intervals. The switch scan scores
+//! every interval at once: one batch per `Θ` vertex and one for the current
+//! controls, each lane folding its Hamiltonian like
+//! [`extremal_theta`](crate::drift::extremal_theta). Both are bit for bit
+//! the per-interval scalar computations. The forward passes stay sequential
+//! and scalar.
+//!
 //! Arbitrary linear functionals `α·x(T)` are supported, which is what the
 //! paper calls *template* refinement of the reachable set.
 //!
@@ -37,7 +48,8 @@
 //! [`PontryaginSolver::solve`]). State and costate share one time grid and
 //! step with the workspace's one scalar RK4 step, [`Rk4::step_into`]; a
 //! wall-clock budget is checked before every interval of every pass but the
-//! midpoint start's first (see [`PontryaginOptions::budget`]).
+//! midpoint start's first, and before each stencil chunk of a backward pass
+//! (see [`PontryaginOptions::budget`]).
 
 use std::time::Instant;
 
@@ -47,9 +59,9 @@ use mfu_num::grid::{GridSignal, TimeGrid};
 use mfu_num::jacobian::Jacobian;
 use mfu_num::ode::{Rk4, Rk4Scratch, Trajectory};
 use mfu_num::StateVec;
-use mfu_obs::{Counter, Field, Gauge, Obs};
+use mfu_obs::{Counter, Field, Gauge, Metrics, Obs, Timer};
 
-use crate::drift::{extremal_theta, hamiltonian, ImpreciseDrift};
+use crate::drift::{theta_candidates, ImpreciseDrift};
 use crate::signal::GridParamSignal;
 use crate::{CoreError, Result};
 
@@ -78,6 +90,12 @@ const ESCALATION_MARGIN: f64 = 1e-6;
 
 /// Finite-difference step of the costate Jacobian.
 const JACOBIAN_STEP: f64 = 1e-6;
+
+/// Backward intervals whose Jacobian stencils share one drift batch of
+/// `STENCIL_CHUNK · 2·dim` lanes. The deadline is checked before each
+/// chunk's batch and before each interval, so a tripped deadline is noticed
+/// at most one chunk's batch late.
+const STENCIL_CHUNK: usize = 16;
 
 /// A linear terminal objective `weights · x(T)`, maximised or minimised.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,10 +183,13 @@ pub struct PontryaginOptions {
     /// checks it before each interval — each backward and trial pass of
     /// every start, each vertex probe and each vertex start's first pass.
     /// Only the midpoint start's first pass ignores it: without that pass
-    /// there is no bound. A tripped deadline discards the pass it cuts, so
-    /// an expired solve starts nothing new, while a vertex probe it finished
-    /// still starts its escalated vertex start. The solve then returns the
-    /// best start so far with `converged() == false` and
+    /// there is no bound. A backward pass also checks it before each chunk
+    /// of 16 intervals, whose Jacobian stencils it evaluates in one drift
+    /// batch, so a solve overruns its deadline by at most one such batch
+    /// (or one interval of a forward pass). A tripped deadline discards the
+    /// pass it cuts, so an expired solve starts nothing new, while a vertex
+    /// probe it finished still starts its escalated vertex start. The solve
+    /// then returns the best start so far with `converged() == false` and
     /// `truncated() == true` instead of erroring — every adopted control is
     /// a feasible selection of the inclusion, so the bound so far is
     /// valid, merely not extremal.
@@ -305,9 +326,12 @@ impl PontryaginSolver {
     /// Jacobian-evaluation, costate-gate-trip, sweep-iteration,
     /// rejected-step and restart counts into `obs.metrics` (multi-start
     /// restarts run on scoped threads and share the handle's atomics),
-    /// records which restart won as a gauge, and emits a `pontryagin_solve`
-    /// trace event per solve. Results are unaffected — counters are flushed
-    /// after the numerics finish.
+    /// adds the wall-clock time of its forward passes, backward passes and
+    /// switch scans to the `core_pontryagin_{forward,backward,switch}`
+    /// timers (read only while metrics are enabled), records which restart
+    /// won as a gauge, and emits a `pontryagin_solve` trace event per solve.
+    /// Results are unaffected — counters and timers are flushed after the
+    /// numerics finish.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -450,11 +474,13 @@ impl PontryaginSolver {
         // Every start's first pass runs here, so a vertex probe of the
         // ladder can be its vertex start's first pass. Only the midpoint
         // start's ignores the deadline: without it there is no bound.
-        let mut rk4_steps = 0u64;
+        let clock = self.obs.metrics.is_enabled();
+        let mut tally = SweepTally::default();
         let mut rk4 = Rk4Scratch::new(dim);
         let mut first_pass = |control: Vec<f64>, deadline| {
             let control = vec![control; grid.intervals() + 1];
             let mut state = vec![x0.clone(); control.len()];
+            let started = clock.then(Instant::now);
             let outcome = forward_pass(
                 drift,
                 &grid,
@@ -462,8 +488,9 @@ impl PontryaginSolver {
                 &mut state,
                 &mut rk4,
                 deadline,
-                &mut rk4_steps,
+                &mut tally.rk4_steps,
             );
+            tally.forward_ns += elapsed_ns(started);
             FirstPass {
                 control,
                 state,
@@ -516,7 +543,7 @@ impl PontryaginSolver {
                 outcomes.extend(self.sweep_all(drift, &grid, &objective, &probes, deadline));
             }
         }
-        self.obs.metrics.add(Counter::CoreRk4Steps, rk4_steps);
+        tally.flush(&self.obs.metrics);
 
         // Deterministic selection: walk the starts in order, keeping the
         // strictly better one.
@@ -635,13 +662,8 @@ impl PontryaginSolver {
         check_diverged(&state[n], grid)?;
         let mut value = ascent.dot(&state[n]);
 
-        // Observability tallies, accumulated in plain locals and flushed
-        // once per start (multi-start sweeps run on scoped threads; the
-        // metrics handle's atomics make the flush thread-safe).
-        let mut rk4_steps = 0u64;
-        let mut jacobian_evals = 0u64;
-        let mut gate_trips = 0u64;
-        let mut rejected_steps = 0u64;
+        let clock = self.obs.metrics.is_enabled();
+        let mut tally = SweepTally::default();
 
         let mut costate: Vec<StateVec> = vec![StateVec::zeros(dim); n + 1];
         // The step search's trial control and state; an accepted trial swaps
@@ -649,17 +671,15 @@ impl PontryaginSolver {
         let mut trial_control = control.clone();
         let mut trial_state = state.clone();
         // Intervals whose switch to the Hamiltonian maximiser gains, as
-        // (gain, interval, maximiser).
-        let mut switches: Vec<(f64, usize, Vec<f64>)> = Vec::new();
+        // (gain, interval, index of the maximiser in `candidates`).
+        let mut switches: Vec<(f64, usize, usize)> = Vec::new();
 
-        // Preallocated work buffers, reused by every RK4 step and every
-        // finite-difference Jacobian of the sweep: the inner loops below run
-        // thousands of times per solve and allocate nothing.
+        // Per-start scratch, reused by every sweep: the inner loops below
+        // run thousands of times per solve and allocate nothing.
+        let candidates = theta_candidates(drift);
         let mut rk4 = Rk4Scratch::new(dim);
-        let mut jac = Jacobian::zeros(dim, dim);
-        let mut jac_batch = BatchedJacobianScratch::default();
-        let mut midpoint = StateVec::zeros(dim);
-        let mut drift_value = StateVec::zeros(dim);
+        let mut backward = BackwardPass::new(dim);
+        let mut scan = SwitchScan::default();
 
         let mut converged = false;
         let mut truncated = false;
@@ -670,71 +690,35 @@ impl PontryaginSolver {
         // so its value is still a valid (if not extremal) bound, reported
         // with `converged() == false` and `truncated() == true`.
         'sweeps: for iteration in 0..MAX_ITERATIONS {
-            // ---- backward pass ------------------------------------------------
-            costate[n] = ascent.clone();
-            for k in (0..n).rev() {
-                if expired(deadline) {
-                    truncated = true;
-                    break 'sweeps;
-                }
-                let theta = &control[k];
-                // Costate dynamics: -ṗ = Jᵀ p. Integrating backwards in time
-                // with step -h is equivalent to integrating ṗ = Jᵀ p forward
-                // in the reversed time variable. The Jacobian is frozen at
-                // the interval midpoint, so it is evaluated once per
-                // interval and shared by all four RK4 stages; a failed
-                // evaluation zeroes the matrix (no costate motion on that
-                // interval).
-                half_sum_into(&state[k], &state[k + 1], &mut midpoint);
-                let jacobian_ok = batched_jacobian_into(
-                    drift,
-                    theta,
-                    &midpoint,
-                    JACOBIAN_STEP,
-                    &mut jac,
-                    &mut jac_batch,
-                );
-                // A matrix the costate step cannot resolve (see
-                // `MAX_COSTATE_STEP_GROWTH`) counts as a failed evaluation.
-                if !jacobian_ok || jac.inf_norm() * h > MAX_COSTATE_STEP_GROWTH {
-                    jac.fill_zero();
-                    gate_trips += 1;
-                }
-                let jac_ref = &jac;
-                let (head, tail) = costate.split_at_mut(k + 1);
-                Rk4::step_into(
-                    &mut |_t: f64, p: &StateVec, dp: &mut StateVec| {
-                        if jac_ref.transpose_mul_into(p, dp).is_err() {
-                            dp.fill_zero();
-                        }
-                    },
-                    0.0,
-                    &tail[0],
-                    h,
-                    &mut head[k],
-                    &mut rk4,
-                );
-                check_finite(&head[k])?;
-                rk4_steps += 1;
-                jacobian_evals += 1;
+            costate[n].copy_from(&ascent);
+            let started = clock.then(Instant::now);
+            let finished = backward.run(
+                drift,
+                h,
+                &state,
+                &control,
+                &mut costate,
+                &mut rk4,
+                deadline,
+                &mut tally,
+            );
+            tally.backward_ns += elapsed_ns(started);
+            if !finished? {
+                truncated = true;
+                break;
             }
             iterations = iteration + 1;
 
-            // ---- switch set ----------------------------------------------------
-            // The gain of an interval is H(θ*) − H(u) at its start state and
-            // midpoint costate, with u its current control.
-            switches.clear();
-            for k in 0..n {
-                half_sum_into(&costate[k], &costate[k + 1], &mut midpoint);
-                let (theta_star, best) = extremal_theta(drift, &state[k], &midpoint);
-                if theta_star != control[k] {
-                    let gain = best
-                        - hamiltonian(drift, &state[k], &midpoint, &control[k], &mut drift_value);
-                    if gain > 0.0 {
-                        switches.push((gain, k, theta_star));
-                    }
-                }
-            }
+            let started = clock.then(Instant::now);
+            scan.collect(
+                drift,
+                &candidates,
+                &state,
+                &control,
+                &costate,
+                &mut switches,
+            );
+            tally.switch_ns += elapsed_ns(started);
             if switches.is_empty() {
                 // the maximum principle holds on the grid
                 converged = true;
@@ -748,11 +732,12 @@ impl PontryaginSolver {
             let mut size = switches.len();
             loop {
                 trial_control.clone_from(&control);
-                for (_, k, theta_star) in &switches[..size] {
-                    trial_control[*k].clone_from(theta_star);
+                for &(_, k, vertex) in &switches[..size] {
+                    trial_control[k].clone_from(&candidates[vertex]);
                 }
                 let (intervals, last) = trial_control.split_at_mut(n);
                 last[0].clone_from(&intervals[n - 1]);
+                let started = clock.then(Instant::now);
                 let finished = forward_pass(
                     drift,
                     grid,
@@ -760,9 +745,10 @@ impl PontryaginSolver {
                     &mut trial_state,
                     &mut rk4,
                     deadline,
-                    &mut rk4_steps,
-                )?;
-                if !finished {
+                    &mut tally.rk4_steps,
+                );
+                tally.forward_ns += elapsed_ns(started);
+                if !finished? {
                     // the deadline cut the trial short: discard it
                     truncated = true;
                     break 'sweeps;
@@ -775,7 +761,7 @@ impl PontryaginSolver {
                     value = trial_value;
                     break;
                 }
-                rejected_steps += 1;
+                tally.rejected_steps += 1;
                 if size == 1 {
                     // not even the best-ranked switch alone pays
                     converged = true;
@@ -787,13 +773,8 @@ impl PontryaginSolver {
         let objective_value = objective.weights().dot(&state[n]);
 
         let metrics = &self.obs.metrics;
-        if metrics.is_enabled() {
-            metrics.add(Counter::CoreRk4Steps, rk4_steps);
-            metrics.add(Counter::CoreJacobianEvals, jacobian_evals);
-            metrics.add(Counter::CoreCostateGateTrips, gate_trips);
-            metrics.add(Counter::CorePontryaginSweeps, iterations as u64);
-            metrics.add(Counter::CorePontryaginRejectedSteps, rejected_steps);
-        }
+        tally.flush(metrics);
+        metrics.add(Counter::CorePontryaginSweeps, iterations as u64);
 
         let control_values: Vec<StateVec> = control.into_iter().map(StateVec::from).collect();
         Ok(Some(ExtremalSolution {
@@ -807,6 +788,40 @@ impl PontryaginSolver {
             truncated,
         }))
     }
+}
+
+/// A solve's or a start's work counters and layer clocks, kept in plain
+/// locals and flushed once (multi-start sweeps run on scoped threads; the
+/// metrics handle's atomics make the flush thread-safe).
+#[derive(Debug, Default)]
+struct SweepTally {
+    rk4_steps: u64,
+    jacobian_evals: u64,
+    gate_trips: u64,
+    rejected_steps: u64,
+    forward_ns: u64,
+    backward_ns: u64,
+    switch_ns: u64,
+}
+
+impl SweepTally {
+    fn flush(&self, metrics: &Metrics) {
+        metrics.add(Counter::CoreRk4Steps, self.rk4_steps);
+        metrics.add(Counter::CoreJacobianEvals, self.jacobian_evals);
+        metrics.add(Counter::CoreCostateGateTrips, self.gate_trips);
+        metrics.add(Counter::CorePontryaginRejectedSteps, self.rejected_steps);
+        metrics.add_timer_ns(Timer::CorePontryaginForward, self.forward_ns);
+        metrics.add_timer_ns(Timer::CorePontryaginBackward, self.backward_ns);
+        metrics.add_timer_ns(Timer::CorePontryaginSwitch, self.switch_ns);
+    }
+}
+
+/// Nanoseconds since `started`, a layer clock read only while metrics are
+/// enabled (`None`, and so 0, otherwise).
+fn elapsed_ns(started: Option<Instant>) -> u64 {
+    started.map_or(0, |started| {
+        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    })
 }
 
 /// A start's first forward pass: the state under a constant control.
@@ -896,63 +911,282 @@ fn check_finite(x: &StateVec) -> Result<()> {
     }
 }
 
-/// Reusable batch buffers of [`batched_jacobian_into`].
-#[derive(Debug, Default)]
-pub struct BatchedJacobianScratch {
-    points: SoaBatch,
-    drifts: SoaBatch,
-    lane: Vec<f64>,
+/// The backward pass's per-start scratch, reused by every sweep.
+struct BackwardPass {
+    stencils: JacobianStencils,
+    jac: Jacobian,
+    midpoint: StateVec,
 }
 
-/// The central-difference drift Jacobian `∂f/∂x (x, ϑ)` of the costate
-/// sweep, written into `jac`.
-///
-/// All `2·dim` perturbed states of the stencil are evaluated in one
-/// [`ImpreciseDrift::drift_batch_into`] pass (lane `2j` holds `x + h·e_j`,
-/// lane `2j + 1` holds `x − h·e_j`), then the entries are formed with the
-/// `(f⁺ − f⁻) / (2h)` arithmetic of
-/// [`finite_difference_jacobian_into`](mfu_num::jacobian::finite_difference_jacobian_into),
-/// so the matrix is bit for bit that scalar reference's. Returns `false` —
-/// the sweep then zeroes the matrix — exactly when the reference returns an
-/// error: an invalid step or a non-finite entry.
-pub fn batched_jacobian_into<D: ImpreciseDrift + ?Sized>(
-    drift: &D,
-    theta: &[f64],
-    x: &StateVec,
-    h: f64,
-    jac: &mut Jacobian,
-    scratch: &mut BatchedJacobianScratch,
-) -> bool {
-    if h <= 0.0 || !h.is_finite() {
-        return false;
-    }
-    let n = x.dim();
-    scratch.points.reset(n, 2 * n);
-    scratch.lane.clear();
-    scratch.lane.extend_from_slice(x.as_slice());
-    for j in 0..n {
-        let base = x[j];
-        scratch.lane[j] = base + h;
-        scratch.points.set_lane(2 * j, &scratch.lane);
-        scratch.lane[j] = base - h;
-        scratch.points.set_lane(2 * j + 1, &scratch.lane);
-        scratch.lane[j] = base;
-    }
-    drift.drift_batch_into(
-        &scratch.points,
-        &BatchTheta::Shared(theta),
-        &mut scratch.drifts,
-    );
-    for j in 0..n {
-        for i in 0..n {
-            let d = (scratch.drifts.get(i, 2 * j) - scratch.drifts.get(i, 2 * j + 1)) / (2.0 * h);
-            if !d.is_finite() {
-                return false;
-            }
-            jac.set_entry(i, j, d);
+impl BackwardPass {
+    fn new(dim: usize) -> Self {
+        BackwardPass {
+            stencils: JacobianStencils::default(),
+            jac: Jacobian::zeros(dim, dim),
+            midpoint: StateVec::zeros(dim),
         }
     }
-    true
+
+    /// Integrates the costate backward from `costate[n]` along `state`
+    /// under `control`, over chunks of [`STENCIL_CHUNK`] intervals: one drift
+    /// batch evaluates the chunk's Jacobian stencils, then the recursion
+    /// steps through its intervals, last first. Checks `deadline` before
+    /// each chunk's batch and before each interval, and returns whether the
+    /// pass reached `t = 0`: `false` only when the deadline cut it. Fails on
+    /// a non-finite RK4 step.
+    #[allow(clippy::too_many_arguments)]
+    fn run<D: ImpreciseDrift>(
+        &mut self,
+        drift: &D,
+        h: f64,
+        state: &[StateVec],
+        control: &[Vec<f64>],
+        costate: &mut [StateVec],
+        rk4: &mut Rk4Scratch,
+        deadline: Option<Instant>,
+        tally: &mut SweepTally,
+    ) -> Result<bool> {
+        let (dim, params) = (drift.dim(), drift.params().dim());
+        let mut end = costate.len() - 1;
+        while end > 0 {
+            let begin = end.saturating_sub(STENCIL_CHUNK);
+            if expired(deadline) {
+                return Ok(false);
+            }
+            self.stencils.reset(dim, params, end - begin);
+            for k in begin..end {
+                half_sum_into(&state[k], &state[k + 1], &mut self.midpoint);
+                self.stencils
+                    .set(k - begin, self.midpoint.as_slice(), &control[k]);
+            }
+            self.stencils.evaluate(drift);
+            for k in (begin..end).rev() {
+                if expired(deadline) {
+                    return Ok(false);
+                }
+                // Costate dynamics: -ṗ = Jᵀ p. Integrating backwards in time
+                // with step -h is equivalent to integrating ṗ = Jᵀ p forward
+                // in the reversed time variable. The Jacobian is frozen at
+                // the interval midpoint, so it is evaluated once per
+                // interval and shared by all four RK4 stages. A failed
+                // evaluation, or a matrix the costate step cannot resolve
+                // (see `MAX_COSTATE_STEP_GROWTH`), is zeroed: no costate
+                // motion on that interval.
+                let jac = &mut self.jac;
+                if !self.stencils.jacobian_into(k - begin, jac)
+                    || jac.inf_norm() * h > MAX_COSTATE_STEP_GROWTH
+                {
+                    jac.fill_zero();
+                    tally.gate_trips += 1;
+                }
+                let jac = &self.jac;
+                let (head, tail) = costate.split_at_mut(k + 1);
+                Rk4::step_into(
+                    &mut |_t: f64, p: &StateVec, dp: &mut StateVec| {
+                        if jac.transpose_mul_into(p, dp).is_err() {
+                            dp.fill_zero();
+                        }
+                    },
+                    0.0,
+                    &tail[0],
+                    h,
+                    &mut head[k],
+                    rk4,
+                );
+                check_finite(&head[k])?;
+                tally.rk4_steps += 1;
+                tally.jacobian_evals += 1;
+            }
+            end = begin;
+        }
+        Ok(true)
+    }
+}
+
+/// Central-difference Jacobian stencils `∂f/∂x (x_s, ϑ_s)` of several
+/// points, evaluated in one [`ImpreciseDrift::drift_batch_into`] call: the
+/// backward pass's batch of up to 16 intervals.
+///
+/// Stencil `s` of a `dim`-dimensional drift occupies lanes `2·dim·s + 2j`,
+/// holding `x_s + h·e_j`, and `2·dim·s + 2j + 1`, holding `x_s − h·e_j`,
+/// where `h = 1e-6` is the sweep's Jacobian step; each lane carries its
+/// stencil's `ϑ_s` through [`BatchTheta::PerLane`].
+/// [`JacobianStencils::jacobian_into`] forms the entries with the
+/// `(f⁺ − f⁻) / (2h)` arithmetic of
+/// [`finite_difference_jacobian_into`](mfu_num::jacobian::finite_difference_jacobian_into),
+/// so every matrix is bit for bit that scalar reference's at step `h`.
+#[derive(Debug, Default)]
+pub struct JacobianStencils {
+    points: SoaBatch,
+    controls: SoaBatch,
+    drifts: SoaBatch,
+}
+
+impl JacobianStencils {
+    /// Reshapes the batch for `count` stencils of a `dim`-dimensional drift
+    /// over `params` parameters; every stencil must then be
+    /// [`set`](JacobianStencils::set) before the batch is evaluated.
+    pub fn reset(&mut self, dim: usize, params: usize, count: usize) {
+        self.points.reset(dim, 2 * dim * count);
+        self.controls.reset(params, 2 * dim * count);
+    }
+
+    /// Centres stencil `s` at `x` under the control `theta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is past the count of the last
+    /// [`reset`](JacobianStencils::reset), or if `x` or `theta` have the
+    /// wrong length.
+    pub fn set(&mut self, s: usize, x: &[f64], theta: &[f64]) {
+        let lanes = 2 * self.points.rows();
+        assert_eq!(x.len(), self.points.rows(), "stencil dimension mismatch");
+        assert_eq!(
+            theta.len(),
+            self.controls.rows(),
+            "stencil control mismatch"
+        );
+        let base = s * lanes;
+        for (j, &xj) in x.iter().enumerate() {
+            let row = &mut self.points.row_mut(j)[base..base + lanes];
+            row.fill(xj);
+            row[2 * j] = xj + JACOBIAN_STEP;
+            row[2 * j + 1] = xj - JACOBIAN_STEP;
+        }
+        for (p, &tp) in theta.iter().enumerate() {
+            self.controls.row_mut(p)[base..base + lanes].fill(tp);
+        }
+    }
+
+    /// Evaluates every stencil in one drift batch.
+    pub fn evaluate<D: ImpreciseDrift + ?Sized>(&mut self, drift: &D) {
+        drift.drift_batch_into(
+            &self.points,
+            &BatchTheta::PerLane(&self.controls),
+            &mut self.drifts,
+        );
+    }
+
+    /// Writes the Jacobian of stencil `s` into `jac`. Returns `false` — the
+    /// sweep then zeroes the matrix — exactly when the reference returns an
+    /// error at the same step: on a non-finite entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was not evaluated for stencil `s`, or if `jac`
+    /// is not `dim × dim`.
+    pub fn jacobian_into(&self, s: usize, jac: &mut Jacobian) -> bool {
+        let dim = self.points.rows();
+        let base = 2 * dim * s;
+        for i in 0..dim {
+            let lanes = &self.drifts.row(i)[base..base + 2 * dim];
+            for j in 0..dim {
+                let d = (lanes[2 * j] - lanes[2 * j + 1]) / (2.0 * JACOBIAN_STEP);
+                if !d.is_finite() {
+                    return false;
+                }
+                jac.set_entry(i, j, d);
+            }
+        }
+        true
+    }
+}
+
+/// The switch scan's per-start scratch, reused by every sweep: the interval
+/// states, controls and midpoint costates as batches, and the scores.
+#[derive(Debug, Default)]
+struct SwitchScan {
+    states: SoaBatch,
+    controls: SoaBatch,
+    costates: SoaBatch,
+    drifts: SoaBatch,
+    /// One batch's Hamiltonian per interval.
+    values: Vec<f64>,
+    /// Per interval, the best Hamiltonian over the candidates and its
+    /// candidate index, `None` while none scored above −∞.
+    best: Vec<(f64, Option<usize>)>,
+}
+
+impl SwitchScan {
+    /// Fills `switches` with every interval `k` whose switch to the
+    /// Hamiltonian maximiser gains, as `(gain, k, maximiser's index in
+    /// candidates)`, in interval order.
+    ///
+    /// Interval `k` is scored at its start state and midpoint costate,
+    /// every interval at once: one drift batch per candidate, in
+    /// `candidates` order, and one for the current controls. Each lane folds
+    /// its Hamiltonian from +0.0 over the coordinates, keeps the first
+    /// strict maximum and switches only where the maximiser differs from
+    /// its control and `gain > 0` — bit for bit
+    /// [`extremal_theta`](crate::drift::extremal_theta) and the
+    /// `hamiltonian` of the current control per interval. Where no
+    /// candidate scores above −∞ the scalar scan's maximiser is `Θ`'s
+    /// midpoint with gain −∞ or NaN, which never switches.
+    fn collect<D: ImpreciseDrift>(
+        &mut self,
+        drift: &D,
+        candidates: &[Vec<f64>],
+        state: &[StateVec],
+        control: &[Vec<f64>],
+        costate: &[StateVec],
+        switches: &mut Vec<(f64, usize, usize)>,
+    ) {
+        let n = control.len() - 1;
+        let (dim, params) = (drift.dim(), drift.params().dim());
+        self.states.reset(dim, n);
+        self.controls.reset(params, n);
+        self.costates.reset(dim, n);
+        for k in 0..n {
+            self.states.set_lane(k, state[k].as_slice());
+            self.controls.set_lane(k, &control[k]);
+        }
+        for (k, ends) in costate.windows(2).enumerate() {
+            for (i, (&a, &b)) in ends[0].iter().zip(ends[1].iter()).enumerate() {
+                self.costates.row_mut(i)[k] = 0.5 * (a + b);
+            }
+        }
+
+        self.best.clear();
+        self.best.resize(n, (f64::NEG_INFINITY, None));
+        for (index, theta) in candidates.iter().enumerate() {
+            drift.drift_batch_into(&self.states, &BatchTheta::Shared(theta), &mut self.drifts);
+            hamiltonians_into(&self.drifts, &self.costates, &mut self.values);
+            for (best, &value) in self.best.iter_mut().zip(&self.values) {
+                if value > best.0 {
+                    *best = (value, Some(index));
+                }
+            }
+        }
+        drift.drift_batch_into(
+            &self.states,
+            &BatchTheta::PerLane(&self.controls),
+            &mut self.drifts,
+        );
+        hamiltonians_into(&self.drifts, &self.costates, &mut self.values);
+
+        switches.clear();
+        for (k, (&(best, maximiser), &current)) in self.best.iter().zip(&self.values).enumerate() {
+            let Some(index) = maximiser else { continue };
+            if candidates[index] != control[k] {
+                let gain = best - current;
+                if gain > 0.0 {
+                    switches.push((gain, k, index));
+                }
+            }
+        }
+    }
+}
+
+/// Lane `l` of `out` receives `directions[l] · drifts[l]`, folded from +0.0
+/// over the coordinates in order like the scalar `hamiltonian`.
+fn hamiltonians_into(drifts: &SoaBatch, directions: &SoaBatch, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(drifts.width(), 0.0);
+    for i in 0..drifts.rows() {
+        for ((h, &f), &d) in out.iter_mut().zip(drifts.row(i)).zip(directions.row(i)) {
+            *h += f * d;
+        }
+    }
 }
 
 /// `out[i] = 0.5 * (a[i] + b[i])`, the midpoint used by the costate sweep
@@ -1142,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_jacobian_matches_the_finite_difference_reference() {
+    fn jacobian_stencils_match_the_finite_difference_reference() {
         use mfu_num::jacobian::{finite_difference_jacobian_into, JacobianScratch};
 
         let theta = ParamSpace::new(vec![
@@ -1153,49 +1387,125 @@ mod tests {
         let drift = FnDrift::new(3, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
             dx[0] = -th[0] * x[0] * x[1] + th[1] * x[2];
             dx[1] = th[0] * x[0] * x[1] - x[1] / (1.0 + x[2] * x[2]);
-            dx[2] = x[1].max(0.25) - th[1] * x[2];
+            dx[2] = x[1].max(0.25) - th[1] * x[2] + 1e-300 / x[0].abs();
         });
-        let mut batched = Jacobian::zeros(3, 3);
-        let mut reference = Jacobian::zeros(3, 3);
-        let mut batch_scratch = BatchedJacobianScratch::default();
-        let mut scratch = JacobianScratch::new(3, 3);
-        for (x, th) in [
+        // the last point's `1e-300 / |x₀|` overflows the quotient
+        let points = [
             ([0.7, 0.2, 0.1], [0.5, 1.5]),
             ([0.1, 0.25, 0.65], [3.0, 0.5]),
-            ([0.0, 1.0, 0.0], [1.75, 1.0]),
-        ] {
-            let x = StateVec::from(x);
-            for h in [1e-6, 1e-3] {
-                let ok =
-                    batched_jacobian_into(&drift, &th, &x, h, &mut batched, &mut batch_scratch);
+            ([0.3, 1.0, 0.0], [1.75, 1.0]),
+            ([0.0, 0.5, 0.5], [0.5, 0.5]),
+        ];
+        let mut stencils = JacobianStencils::default();
+        let mut batched = Jacobian::zeros(3, 3);
+        let mut reference = Jacobian::zeros(3, 3);
+        let mut scratch = JacobianScratch::new(3, 3);
+        // one batch of all four stencils, then the same scratch reused for
+        // a batch of the last two
+        for first in [0, 2] {
+            stencils.reset(3, 2, points.len() - first);
+            for (s, (x, th)) in points[first..].iter().enumerate() {
+                stencils.set(s, x, th);
+            }
+            stencils.evaluate(&drift);
+            for (s, (x, th)) in points[first..].iter().enumerate() {
+                let x = StateVec::from(*x);
+                let ok = stencils.jacobian_into(s, &mut batched);
                 let reference_ok = finite_difference_jacobian_into(
-                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, &th, dx),
+                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, th, dx),
                     &x,
-                    h,
+                    JACOBIAN_STEP,
                     &mut reference,
                     &mut scratch,
                 )
                 .is_ok();
-                assert!(ok && reference_ok);
+                assert_eq!(ok, reference_ok, "verdict at x = {x}");
+                assert_eq!(ok, x[0] != 0.0, "verdict at x = {x}");
+                if !ok {
+                    continue;
+                }
                 for i in 0..3 {
                     for j in 0..3 {
                         assert_eq!(
                             batched.entry(i, j).to_bits(),
                             reference.entry(i, j).to_bits(),
-                            "entry ({i}, {j}) at x = {x}, h = {h}"
+                            "entry ({i}, {j}) at x = {x}"
                         );
                     }
                 }
             }
-            // both reject an invalid step
-            assert!(!batched_jacobian_into(
+        }
+    }
+
+    #[test]
+    fn the_batched_switch_scan_replays_the_scalar_extremal_scan() {
+        use crate::drift::{extremal_theta, hamiltonian};
+
+        // Four vertices; `b` enters squared, so `b = ±1` tie and the scan
+        // must keep the first strict maximum in candidate order.
+        let theta = ParamSpace::new(vec![
+            ("a", Interval::new(1.0, 2.0).unwrap()),
+            ("b", Interval::new(-1.0, 1.0).unwrap()),
+        ])
+        .unwrap();
+        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * x[0] - th[1] * th[1] * x[1];
+            dx[1] = -x[1] / x[0] + th[1];
+        });
+        let candidates = theta_candidates(&drift);
+        let n = 9;
+        let state: Vec<StateVec> = (0..=n)
+            .map(|k| StateVec::from([0.1 * k as f64, 0.5 - 0.05 * k as f64]))
+            .collect();
+        let mut costate: Vec<StateVec> = (0..=n)
+            .map(|k| StateVec::from([1.0 - 0.3 * k as f64, 0.2 * k as f64 - 0.9]))
+            .collect();
+        // a NaN costate scores every candidate NaN: no maximiser
+        costate[5][1] = f64::NAN;
+        // a zero costate scores every candidate ±0: only the first is kept
+        costate[7] = StateVec::zeros(2);
+        costate[8] = StateVec::zeros(2);
+        let control: Vec<Vec<f64>> = (0..=n)
+            .map(|k| match k % 3 {
+                0 => drift.params().midpoint(),
+                1 => candidates[k % candidates.len()].clone(),
+                _ => candidates[0].clone(),
+            })
+            .collect();
+
+        let mut expected = Vec::new();
+        let mut midpoint = StateVec::zeros(2);
+        let mut buffer = StateVec::zeros(2);
+        for k in 0..n {
+            half_sum_into(&costate[k], &costate[k + 1], &mut midpoint);
+            let (theta_star, best) = extremal_theta(&drift, &state[k], &midpoint);
+            if theta_star != control[k] {
+                let gain =
+                    best - hamiltonian(&drift, &state[k], &midpoint, &control[k], &mut buffer);
+                if gain > 0.0 {
+                    expected.push((gain.to_bits(), k, theta_star));
+                }
+            }
+        }
+        assert!(expected.len() >= 3, "only {} switches", expected.len());
+
+        let mut scan = SwitchScan::default();
+        let mut switches = Vec::new();
+        // twice through the same scratch
+        for _ in 0..2 {
+            scan.collect(
                 &drift,
-                &th,
-                &x,
-                0.0,
-                &mut batched,
-                &mut batch_scratch
-            ));
+                &candidates,
+                &state,
+                &control,
+                &costate,
+                &mut switches,
+            );
+            let batched: Vec<_> = switches
+                .iter()
+                .map(|&(gain, k, index)| (gain.to_bits(), k, candidates[index].clone()))
+                .collect();
+            assert_eq!(batched, expected);
         }
     }
 

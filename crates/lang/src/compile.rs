@@ -16,6 +16,7 @@
 //! coordinate can be eliminated and [`CompiledModel::reduced_drift`]
 //! returns the full-dimensional drift unchanged.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use mfu_core::drift::ImpreciseDrift;
@@ -330,8 +331,13 @@ impl ImpreciseDrift for DslDrift {
         // select rather than a branch so the lane loop vectorises; zero
         // entries of `change` still add `r · 0`, which turns a non-finite
         // rate into NaN exactly as the scalar path does.
-        let mut rates = vec![0.0_f64; self.rules.len() * width];
-        self.programs.eval_batch_into(x, *theta, &mut rates);
+        let len = self.rules.len() * width;
+        let mut buffer = RATE_ROWS.take();
+        if buffer.len() < len {
+            buffer.resize(len, 0.0);
+        }
+        let rates = &mut buffer[..len];
+        self.programs.eval_batch_into(x, *theta, rates);
         for (k, rule) in self.rules.iter().enumerate() {
             let row = &rates[k * width..(k + 1) * width];
             for (i, &c) in rule.change.iter().enumerate() {
@@ -341,7 +347,16 @@ impl ImpreciseDrift for DslDrift {
                 }
             }
         }
+        RATE_ROWS.set(buffer);
     }
+}
+
+thread_local! {
+    /// This thread's rule-rate rows of [`DslDrift::drift_batch_into`], kept
+    /// between calls: the batched VM overwrites every row before it is
+    /// read, so the buffer is only ever grown, never cleared. A nested call
+    /// would find it taken and start an empty one.
+    static RATE_ROWS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 #[cfg(test)]

@@ -64,6 +64,8 @@
 //! lockstep-ensemble call sites rely on it to batch freely without
 //! perturbing results.
 
+use std::cell::Cell;
+
 use mfu_ctmc::transition::CompiledRate;
 use mfu_num::batch::{BatchTheta, SoaBatch};
 use mfu_num::StateVec;
@@ -596,11 +598,19 @@ fn arith(regs: &mut [f64], w: usize, dst: Reg, a: impl Lanes, b: impl Lanes, op:
     }
 }
 
-/// Stack tiers of the batched register slab (`registers · width` slots):
-/// a small tier that stays cheap to zero at width 1 — the overhead-gated
-/// regime — and a larger one before falling back to the heap.
+/// Stack tiers of [`RateProgram::eval_batch_into`]'s register slab
+/// (`registers · width` slots): a small tier that stays cheap to zero at
+/// width 1 — the overhead-gated regime — and a larger one before falling
+/// back to the heap.
 const BATCH_SLAB_SMALL: usize = 64;
 const BATCH_SLAB_LARGE: usize = 2048;
+
+thread_local! {
+    /// This thread's register slab of [`ProgramSet::eval_batch_into`], kept
+    /// between calls and only ever grown. A nested call would find it taken
+    /// and start an empty one.
+    static SET_SLAB: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// The shape a rate expression lowered to.
 #[derive(Debug, Clone, PartialEq)]
@@ -969,8 +979,10 @@ impl ProgramSet {
     /// Evaluates every program over a [`SoaBatch`] of `width` states in one
     /// pass per program, writing rule-major rows into `out`: the rate of
     /// rule `k` for lane `l` lands in `out[k · width + l]`. The shared
-    /// `width`-strided register slab is tiered like the scalar file (stack
-    /// slabs for the common sizes, heap fallback for pathological sets).
+    /// `width`-strided register slab is this thread's, kept between calls
+    /// and never cleared: every program writes a register before reading
+    /// it. Debug builds fill it with NaN first, so a program that read a
+    /// stale register would fail the bit-identity suites there.
     ///
     /// Each lane of each row is bit-identical to the scalar
     /// [`ProgramSet::eval_into`] on that lane's `(x, ϑ)` — see the
@@ -988,16 +1000,16 @@ impl ProgramSet {
         );
         assert!(theta.covers(width), "per-lane theta width mismatch");
         let need = self.registers * width;
-        if need <= BATCH_SLAB_SMALL {
-            let mut regs = [0.0_f64; BATCH_SLAB_SMALL];
-            self.eval_batch_all(x, &theta, &mut regs, out, width);
-        } else if need <= BATCH_SLAB_LARGE {
-            let mut regs = [0.0_f64; BATCH_SLAB_LARGE];
-            self.eval_batch_all(x, &theta, &mut regs, out, width);
-        } else {
-            let mut regs = vec![0.0_f64; need];
-            self.eval_batch_all(x, &theta, &mut regs, out, width);
+        let mut slab = SET_SLAB.take();
+        if slab.len() < need {
+            slab.resize(need, 0.0);
         }
+        let regs = &mut slab[..need];
+        if cfg!(debug_assertions) {
+            regs.fill(f64::NAN);
+        }
+        self.eval_batch_all(x, &theta, regs, out, width);
+        SET_SLAB.set(slab);
     }
 
     /// One batched pass over every program with a shared register slab.

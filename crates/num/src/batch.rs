@@ -2,8 +2,10 @@
 //!
 //! The bounds pipeline evaluates the same drift/rate expressions at many
 //! points at once — every corner of the parameter box in the differential
-//! hull, every stencil point of a Pontryagin sweep's finite-difference
-//! Jacobian, every trajectory of an ensemble. [`SoaBatch`] is the shared carrier for those point sets: a
+//! hull, every stencil point of a Pontryagin backward pass's
+//! finite-difference Jacobians and every interval of its switch scan, every
+//! trajectory of an ensemble. [`SoaBatch`] is the shared carrier for those
+//! point sets: a
 //! coordinate-major (structure-of-arrays) slab of `width` lanes, so that an
 //! evaluator can advance *all* lanes through each operation before moving to
 //! the next, with every per-coordinate row contiguous in memory.

@@ -152,9 +152,9 @@ impl JacobianScratch {
 ///
 /// Allocation-free: the vector field writes into a caller buffer and the
 /// matrix plus all temporaries are preallocated. This is the scalar
-/// reference of the Pontryagin costate sweep's batched Jacobian
-/// (`mfu_core::pontryagin::batched_jacobian_into`), which must match it bit
-/// for bit.
+/// reference of the Pontryagin backward pass's batched Jacobian stencils
+/// (`mfu_core::pontryagin::JacobianStencils`), which must match it bit for
+/// bit.
 ///
 /// # Errors
 ///

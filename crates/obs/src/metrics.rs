@@ -157,16 +157,28 @@ pub enum Timer {
     SimSimulate,
     /// Mean-field bound computation (Pontryagin or hull), per CLI run.
     CoreBound,
+    /// Pontryagin forward passes: every start's first pass and every trial
+    /// pass of the step search.
+    CorePontryaginForward,
+    /// Pontryagin backward passes: Jacobian stencil batches and the costate
+    /// recursion.
+    CorePontryaginBackward,
+    /// Pontryagin switch scans: the batched Hamiltonian scores of every
+    /// interval.
+    CorePontryaginSwitch,
 }
 
 impl Timer {
     /// Every timer, in snapshot rendering order.
-    pub const ALL: [Timer; 5] = [
+    pub const ALL: [Timer; 8] = [
         Timer::LangParse,
         Timer::LangValidate,
         Timer::LangLower,
         Timer::SimSimulate,
         Timer::CoreBound,
+        Timer::CorePontryaginForward,
+        Timer::CorePontryaginBackward,
+        Timer::CorePontryaginSwitch,
     ];
 
     /// Snake-case snapshot name (without the `_ns` suffix the renderers
@@ -179,6 +191,9 @@ impl Timer {
             Timer::LangLower => "lang_lower",
             Timer::SimSimulate => "sim_simulate",
             Timer::CoreBound => "core_bound",
+            Timer::CorePontryaginForward => "core_pontryagin_forward",
+            Timer::CorePontryaginBackward => "core_pontryagin_backward",
+            Timer::CorePontryaginSwitch => "core_pontryagin_switch",
         }
     }
 }

@@ -10,7 +10,7 @@
 //! * differential-hull bounds and Pontryagin coordinate extremes: the
 //!   compiled drift's batched VM `drift_batch_into` against the same drift
 //!   with that override hidden, so every lane is one scalar `drift_into`;
-//! * the costate sweep's batched Jacobian against the scalar
+//! * the backward pass's batched Jacobian stencils against the scalar
 //!   finite-difference reference of `mfu-num`.
 //!
 //! Together with the property suite in `crates/lang/tests/vm_equivalence.rs`
@@ -22,7 +22,7 @@
 use mean_field_uncertain::core::drift::ImpreciseDrift;
 use mean_field_uncertain::core::hull::{DifferentialHull, HullOptions};
 use mean_field_uncertain::core::pontryagin::{
-    batched_jacobian_into, BatchedJacobianScratch, PontryaginOptions, PontryaginSolver,
+    JacobianStencils, PontryaginOptions, PontryaginSolver,
 };
 use mean_field_uncertain::ctmc::params::ParamSpace;
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
@@ -262,8 +262,10 @@ fn pontryagin_extremes_are_bit_identical_with_batching_on_and_off() {
 
 #[test]
 fn batched_jacobian_matches_the_finite_difference_reference_on_registry_drifts() {
+    // The sweep's Jacobian step.
+    const STEP: f64 = 1e-6;
     let registry = ScenarioRegistry::with_builtins();
-    let mut scratch = BatchedJacobianScratch::default();
+    let mut stencils = JacobianStencils::default();
     for scenario in registry.iter() {
         let model = scenario.compile().unwrap();
         let drift = model.drift();
@@ -272,37 +274,45 @@ fn batched_jacobian_matches_the_finite_difference_reference_on_registry_drifts()
         let mut reference = Jacobian::zeros(dim, dim);
         let mut reference_scratch = JacobianScratch::new(dim, dim);
         // the initial state plus an interior point, at the box's midpoint
-        // and first vertex
+        // and first vertex: four stencils with per-lane controls in one
+        // batch, as a backward pass's chunk evaluates them
         let x0 = model.initial_state();
         let interior: StateVec = x0.iter().map(|&v| 0.75 * v + 0.05).collect();
         let thetas = [
             model.params().midpoint(),
             model.params().vertices().swap_remove(0),
         ];
-        for x in [&x0, &interior] {
-            for theta in &thetas {
-                let ok = batched_jacobian_into(&drift, theta, x, 1e-6, &mut batched, &mut scratch);
-                let reference_ok = finite_difference_jacobian_into(
-                    &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
-                    x,
-                    1e-6,
-                    &mut reference,
-                    &mut reference_scratch,
-                )
-                .is_ok();
-                assert_eq!(ok, reference_ok, "{}: verdict at {x}", model.name());
-                if !ok {
-                    continue;
-                }
-                for i in 0..dim {
-                    for j in 0..dim {
-                        assert_eq!(
-                            batched.entry(i, j).to_bits(),
-                            reference.entry(i, j).to_bits(),
-                            "{}: entry ({i}, {j}) at {x}",
-                            model.name()
-                        );
-                    }
+        let points: Vec<(&StateVec, &Vec<f64>)> = [&x0, &interior]
+            .into_iter()
+            .flat_map(|x| thetas.iter().map(move |theta| (x, theta)))
+            .collect();
+        stencils.reset(dim, model.params().dim(), points.len());
+        for (s, (x, theta)) in points.iter().enumerate() {
+            stencils.set(s, x.as_slice(), theta);
+        }
+        stencils.evaluate(&drift);
+        for (s, (x, theta)) in points.iter().enumerate() {
+            let ok = stencils.jacobian_into(s, &mut batched);
+            let reference_ok = finite_difference_jacobian_into(
+                &mut |x: &StateVec, dx: &mut StateVec| drift.drift_into(x, theta, dx),
+                x,
+                STEP,
+                &mut reference,
+                &mut reference_scratch,
+            )
+            .is_ok();
+            assert_eq!(ok, reference_ok, "{}: verdict at {x}", model.name());
+            if !ok {
+                continue;
+            }
+            for i in 0..dim {
+                for j in 0..dim {
+                    assert_eq!(
+                        batched.entry(i, j).to_bits(),
+                        reference.entry(i, j).to_bits(),
+                        "{}: entry ({i}, {j}) at {x}",
+                        model.name()
+                    );
                 }
             }
         }

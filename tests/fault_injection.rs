@@ -397,17 +397,19 @@ fn single_start_escalates_on_a_local_extremal_and_matches_the_multi_start_bound(
 }
 
 /// How a [`SlowBatches`] drift slows the backward pass's finite-difference
-/// Jacobian stencils: shared-Θ batches, one per interval, and the only
-/// batches a Pontryagin solve evaluates.
+/// Jacobian stencils. A backward pass evaluates them in per-lane-Θ chunks
+/// of up to 16 stencils, one drift batch per chunk; a batch sleeps for the
+/// stencils it carries.
 enum Slowdown {
-    /// Every stencil after the first `n` sleeps until the instant.
+    /// A chunk holding any stencil after the first `n` sleeps until the
+    /// instant.
     StencilsAfter(usize, Instant),
-    /// Each stencil sleeps for the duration.
+    /// Each stencil of a chunk sleeps for the duration.
     StencilsFor(Duration),
 }
 
-/// A drift that sleeps before the stencils its [`Slowdown`] names. Every
-/// evaluation is the wrapped drift's.
+/// A drift that sleeps before the stencil chunks its [`Slowdown`] names.
+/// Every evaluation is the wrapped drift's.
 struct SlowBatches<D> {
     inner: D,
     slowdown: Slowdown,
@@ -426,6 +428,31 @@ impl<D> SlowBatches<D> {
     }
 }
 
+/// The number of central-difference stencils a per-lane-Θ batch carries:
+/// its lanes come in groups of `2·dim`, lanes `2j` and `2j + 1` of a group
+/// differing in coordinate `j` alone and sharing one Θ. Any other batch —
+/// a switch scan's interval states — carries none.
+fn stencils_in(x: &SoaBatch, theta: &BatchTheta<'_>) -> usize {
+    let BatchTheta::PerLane(controls) = theta else {
+        return 0;
+    };
+    let group = 2 * x.rows();
+    if group == 0 || !x.width().is_multiple_of(group) {
+        return 0;
+    }
+    let pairs_straddle = (0..x.width()).step_by(2).all(|lane| {
+        let j = (lane % group) / 2;
+        let moved = |i: usize| x.get(i, lane) != x.get(i, lane + 1);
+        let same_control = |p: usize| controls.get(p, lane) == controls.get(p, lane + 1);
+        (0..x.rows()).all(|i| moved(i) == (i == j)) && (0..controls.rows()).all(same_control)
+    });
+    if pairs_straddle {
+        x.width() / group
+    } else {
+        0
+    }
+}
+
 impl<D: ImpreciseDrift> ImpreciseDrift for SlowBatches<D> {
     fn dim(&self) -> usize {
         self.inner.dim()
@@ -440,13 +467,14 @@ impl<D: ImpreciseDrift> ImpreciseDrift for SlowBatches<D> {
     }
 
     fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
-        if let BatchTheta::Shared(_) = theta {
-            let seen = self.stencils.fetch_add(1, Ordering::SeqCst);
+        let count = stencils_in(x, theta);
+        if count > 0 {
+            let seen = self.stencils.fetch_add(count, Ordering::SeqCst);
             match self.slowdown {
-                Slowdown::StencilsAfter(n, until) if seen >= n => {
+                Slowdown::StencilsAfter(n, until) if seen + count > n => {
                     std::thread::sleep(until.saturating_duration_since(Instant::now()));
                 }
-                Slowdown::StencilsFor(pause) => std::thread::sleep(pause),
+                Slowdown::StencilsFor(pause) => std::thread::sleep(pause * count as u32),
                 Slowdown::StencilsAfter(..) => {}
             }
         }
@@ -460,10 +488,10 @@ fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
     // at ϑ ≡ 0 every Hamiltonian gain is 0, so the midpoint sweep stops at
     // 0 after one backward pass of exactly `n` stencils, well inside the
     // budget, and the first vertex probe ϑ ≡ −1 reaches 1/2 and escalates.
-    // From stencil n + 1 on — the first of an escalated start — every
-    // stencil sleeps past the deadline. The escalated starts must find the
-    // solve's deadline spent and stop before their first sweep completes,
-    // rather than each starting a fresh budget of their own.
+    // From stencil n + 1 on — the first chunk of an escalated start — every
+    // stencil chunk sleeps past the deadline. The escalated starts must
+    // find the solve's deadline spent and stop before their first sweep
+    // completes, rather than each starting a fresh budget of their own.
     let n = 50;
     let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
     let local_extremal = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
@@ -499,9 +527,10 @@ fn one_deadline_bounds_the_whole_solve_escalated_starts_included() {
 
 #[test]
 fn the_deadline_cuts_a_backward_pass_between_intervals() {
-    // Each of the 200 backward intervals sleeps 1 ms, so the first backward
-    // pass alone takes over 200 ms. The 20 ms deadline must stop it between
-    // two intervals instead of letting it run to its end.
+    // Each of the 200 backward intervals' stencils sleeps 1 ms, so the
+    // first backward pass alone takes over 200 ms. The 20 ms deadline must
+    // stop it between two intervals instead of letting it run to its end:
+    // it is checked before each 16-stencil chunk and each interval.
     let registry = ScenarioRegistry::with_builtins();
     let scenario = registry.get("sir").unwrap();
     let model = scenario.compile().unwrap();
@@ -527,8 +556,9 @@ fn the_deadline_cuts_a_backward_pass_between_intervals() {
     assert!(solution.truncated());
     assert!(!solution.converged());
     assert_eq!(solution.iterations(), 0, "a backward pass completed");
-    // every backward interval evaluates one Jacobian; sleeps never end
-    // early, so at most 21 intervals fit the budget
+    // every backward interval the recursion reaches counts one Jacobian;
+    // sleeps never end early, so at most 21 intervals fit the budget (in
+    // chunks of 16: the second chunk's batch sleeps past the deadline)
     let jacobians = obs
         .metrics
         .snapshot()

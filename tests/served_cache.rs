@@ -191,25 +191,103 @@ fn hull_vertex_evaluations_are_pinned() {
     }
 }
 
+/// One served Pontryagin query's pinned work and answer: sweeps, RK4
+/// steps, Jacobian evaluations, then every coordinate's lower and upper
+/// extreme as `f64::to_bits`.
+type SweepPin = (&'static str, [u64; 3], &'static [u64], &'static [u64]);
+
+const SWEEP_PINS: [SweepPin; 4] = [
+    (
+        "sir",
+        [29, 3120, 1160],
+        &[0x3fd837ae5777b52e, 0x3f90b78ee1081aec, 0x3fbd8d54830054bb],
+        &[0x3feba42593d43b9a, 0x3fc5c14d86cfabd5, 0x3fe045889b8c4c03],
+    ),
+    (
+        "botnet",
+        [28, 4280, 1120],
+        &[
+            0x3fd62d183070b1ff,
+            0x3f454a10a8d3b8a5,
+            0x3f5c9f5243bf3129,
+            0x3fb15ed5b2f1dbd4,
+        ],
+        &[
+            0x3fedc0831c55affe,
+            0x3fc29bfe6ede8cf4,
+            0x3fc7d7b0afe763f9,
+            0x3fd656bf10ebe31e,
+        ],
+    ),
+    // 4 Θ vertices per switch scan over 4 reduced coordinates; its
+    // costate gate trips on three extremes
+    (
+        "gps",
+        [28, 3920, 1120],
+        &[
+            0x3fbdf4e288a105b9,
+            0x3f820058dde8e276,
+            0x3fd14f93898d31a8,
+            0x3fbab7db56aad501,
+        ],
+        &[
+            0x3fdf9c7562ac9afc,
+            0x3fc2a4733037a0aa,
+            0x3fdc70544573ad6f,
+            0x3fd4c4c32edda2f4,
+        ],
+    ),
+    // six of its 16 extremes escalate to the vertex starts, and their
+    // step searches reject trial passes
+    (
+        "bike_city_4",
+        [80, 12880, 3200],
+        &[
+            0xbf995059fd8713b7,
+            0xbfa7cd8a654bbc38,
+            0xbf980fb88056ef5c,
+            0xbf932dbb2c75cc71,
+            0x3fc998fe474c0097,
+            0x3fc998fe474c0097,
+            0x3fc9f2fec7c041dd,
+            0x3fca7ba131fdb3fe,
+        ],
+        &[
+            0x3fa99c06e2cffd96,
+            0x3f8b5f03859b1531,
+            0x3f7597f5e10e4bc1,
+            0x3fc15697fc28a9c9,
+            0x3fd0b7e0d019dc98,
+            0x3fd184f4e22a7da6,
+            0x3fd36c69b0e5d6f0,
+            0x3fd11787939c07a5,
+        ],
+    ),
+];
+
 #[test]
 fn pontryagin_sweep_work_is_pinned() {
     // The sweep counters are pure functions of the code as well: one more
     // sweep (a backward pass with its Jacobians) or one more trial forward
-    // pass anywhere in a served solve shows here exactly. Both queries run
+    // pass anywhere in a served solve shows here exactly. Every query runs
     // at the scenario's declared horizon, every coordinate and both
-    // extremes, single start with the escalation ladder.
-    for (model, sweeps, rk4_steps, jacobian_evals) in
-        [("sir", 29, 3120, 1160), ("botnet", 28, 4280, 1120)]
-    {
+    // extremes, single start with the escalation ladder. The extremes are
+    // pinned bit for bit too, so a batched backward pass or switch scan
+    // that drifted from the per-interval scalar sweep fails here.
+    for (model, work, lower, upper) in SWEEP_PINS {
         let outcome = QueryService::new(fast_options())
             .bound(&pontryagin_request(model))
             .unwrap_or_else(|e| panic!("{model}: Pontryagin query failed: {e}"));
-        let cost = &outcome.artifact.cost;
+        let artifact = &outcome.artifact;
+        let cost = &artifact.cost;
         assert_eq!(
-            (cost.sweeps, cost.rk4_steps, cost.jacobian_evals),
-            (sweeps, rk4_steps, jacobian_evals),
+            [cost.sweeps, cost.rk4_steps, cost.jacobian_evals],
+            work,
             "{model}: (sweeps, RK4 steps, Jacobian evaluations)"
         );
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&artifact.lower), lower, "{model}: lower extremes");
+        assert_eq!(bits(&artifact.upper), upper, "{model}: upper extremes");
     }
 }
 
