@@ -37,7 +37,7 @@ use mfu_lang::vm::RateProgram;
 use mfu_num::batch::{BatchTheta, SoaBatch};
 use mfu_num::ode::{Integrator, Rk4};
 use mfu_num::StateVec;
-use mfu_obs::Obs;
+use mfu_obs::{Counter, Metrics, Obs};
 use mfu_serve::{BoundRequest, QueryService, ServiceOptions};
 use mfu_sim::gillespie::{SimulationOptions, Simulator};
 use mfu_sim::policy::ConstantPolicy;
@@ -618,13 +618,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- served queries: artifact-cache cold vs hot latency --------------
     // The `mfu serve` acceptance gauge: a repeated bound query must come
     // out of the artifact cache at a latency ≥ 100× better than the cold
-    // hull computation that populated it (a hot answer costs one key hash
-    // and an `Arc` clone). Cold is the first hull query against a fresh
-    // in-process service; hot is the identical request replayed. `hot_ns`
-    // and `cold_ns` are regression-gated like every other timing leaf;
-    // `speedup_x` and `hit_ratio` document the run (the hit ratio is a
-    // deterministic function of the replay count).
-    let service = QueryService::new(ServiceOptions::default());
+    // hull computation that populated it. A hot answer costs one key hash
+    // and an `Arc` clone per tier: the interner knows the source text, so
+    // it neither parses nor validates it, which `hot_source_parses` counts
+    // (`--assert-overhead` fails unless it reads 0). Cold is the first hull
+    // query against a fresh in-process service; hot is the identical
+    // request replayed. `hot_ns` and `cold_ns` are regression-gated like
+    // every other timing leaf; `speedup_x` and `hit_ratio` document the
+    // run (the hit ratio is a deterministic function of the replay count).
+    let served_metrics = Metrics::enabled();
+    let service = QueryService::new(ServiceOptions::default()).with_metrics(served_metrics.clone());
+    let source_parses = || {
+        served_metrics
+            .snapshot()
+            .map_or(0, |snap| snap.counter(Counter::ServeSourceParses))
+    };
     let served_request = BoundRequest {
         model: Some("sir".to_string()),
         source: None,
@@ -637,6 +645,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("served cold query failed: {e}"))?;
     assert!(!cold.cache_hit, "fresh service answered from the cache");
     let served_cold_ns = cold.elapsed_ns.max(1) as f64;
+    let cold_source_parses = source_parses();
     let mut served_hits = 0u64;
     let served_hot_ns = median_ns(25, || {
         let outcome = service.bound(&served_request).expect("hot query failed");
@@ -647,6 +656,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .max(1.0);
     let served_speedup = served_cold_ns / served_hot_ns;
     let served_hit_ratio = served_hits as f64 / (served_hits + 1) as f64;
+    let hot_source_parses = source_parses() - cold_source_parses;
 
     // ---- report ----------------------------------------------------------
     let speedup = tree_ns / vm_ns;
@@ -750,7 +760,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"speedup_x\": {served_speedup:.0},\n    \
          \"hits\": {served_hits},\n    \
          \"misses\": 1,\n    \
-         \"hit_ratio\": {served_hit_ratio:.4}\n  }}\n}}\n"
+         \"hit_ratio\": {served_hit_ratio:.4},\n    \
+         \"hot_source_parses\": {hot_source_parses}\n  }}\n}}\n"
     ));
 
     println!("{json}");
@@ -794,6 +805,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(1);
         }
         eprintln!("served-query hot path {served_speedup:.0}x faster than cold (>= 100x floor)");
+        // by counter, not clock: a hot answer must not parse its source
+        if hot_source_parses > 0 {
+            eprintln!(
+                "served-query assertion failed: {hot_source_parses} of {served_hits} \
+                 hot queries parsed their source"
+            );
+            std::process::exit(1);
+        }
+        eprintln!("served-query hot path parsed no source over {served_hits} hits");
     }
     Ok(())
 }

@@ -6,8 +6,10 @@
 //! so ties cannot occur and eviction order is a pure function of the
 //! operation sequence — the property the serve-layer determinism tests
 //! pin down. The [`ModelInterner`](crate::hash::ModelInterner) keeps its
-//! compiled models here, and `mfu-serve` its bound artifacts.
+//! compiled models and its source texts here, and `mfu-serve` its bound
+//! artifacts.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -69,8 +71,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.stamp
     }
 
-    /// Looks `key` up, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Looks `key` up, marking it most recently used on a hit. The key may
+    /// be borrowed, so a `&str` finds a `String` key without a copy.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         let stamp = self.touch();
         let (value, last_used) = self.entries.get_mut(key)?;
         *last_used = stamp;

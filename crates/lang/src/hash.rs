@@ -21,7 +21,10 @@
 //! [`ModelInterner`] builds on the hash: it maps content hash → compiled
 //! model (shared via [`Arc`]) so identical sources compile once, with an
 //! optional capacity bound evicted in deterministic least-recently-used
-//! order by an [`LruCache`].
+//! order by an [`LruCache`]. In front of the hash sits a tier keyed by the
+//! exact source text, so a text seen before skips parse, validate and hash
+//! altogether; a reformatted or renamed text still finds its model through
+//! the hash.
 //!
 //! ```
 //! use mfu_lang::hash::source_hash;
@@ -272,19 +275,29 @@ pub fn source_hash(source: &str) -> Result<(ModelHash, ResolvedModel), LangError
     Ok((hash, resolved))
 }
 
-/// A content-addressed cache of compiled models.
+/// A content-addressed cache of compiled models, with a source-text tier
+/// in front.
 ///
-/// `intern_source` parses and validates every call (cheap, and it is what
-/// produces the hash) but compiles only on a cache miss; hits return the
-/// same [`Arc`] so downstream engines share one compiled model. The models
-/// live in an [`LruCache`]: with a capacity bound, insertion past the bound
-/// evicts the least recently used entry — "use" meaning any lookup or
-/// insertion — deterministically.
+/// The models live in an [`LruCache`] keyed by content hash; hits return
+/// the same [`Arc`] so downstream engines share one compiled model. With a
+/// capacity bound, insertion past the bound evicts the least recently used
+/// entry — "use" meaning any lookup or insertion — deterministically.
+///
+/// A second [`LruCache`] of the same capacity maps each exact source text
+/// that validated to its content hash. `intern_source` looks the text up
+/// first: when it is known and its model is still held, the call returns
+/// that model with no parse, validate or hash. Otherwise it parses and
+/// validates (counted by [`parses`](Self::parses)), hashes, records the
+/// text, and compiles only when the hash is new. The content hash stays
+/// the model's identity: a reformatted or renamed source parses once and
+/// then shares its model through the hash.
 #[derive(Debug)]
 pub struct ModelInterner {
     entries: LruCache<u128, Arc<CompiledModel>>,
+    texts: LruCache<String, ModelHash>,
     hits: u64,
     misses: u64,
+    parses: u64,
 }
 
 impl ModelInterner {
@@ -293,13 +306,16 @@ impl ModelInterner {
         ModelInterner::with_capacity(usize::MAX)
     }
 
-    /// An interner holding at most `capacity` compiled models (LRU
-    /// eviction past the bound). A capacity of zero caches nothing.
+    /// An interner holding at most `capacity` compiled models, and as many
+    /// source texts (LRU eviction past the bound). A capacity of zero
+    /// caches nothing.
     pub fn with_capacity(capacity: usize) -> Self {
         ModelInterner {
             entries: LruCache::new(capacity),
+            texts: LruCache::new(capacity),
             hits: 0,
             misses: 0,
+            parses: 0,
         }
     }
 
@@ -313,7 +329,7 @@ impl ModelInterner {
         self.entries.is_empty()
     }
 
-    /// Cache hits served so far.
+    /// Calls of `intern_source` that returned a cached model.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -323,7 +339,14 @@ impl ModelInterner {
         self.misses
     }
 
-    /// Entries evicted to stay within the capacity bound.
+    /// Calls of `intern_source` that ran parse and validate, failures
+    /// included: every call whose exact text was not known with its model
+    /// still held.
+    pub fn parses(&self) -> u64 {
+        self.parses
+    }
+
+    /// Models evicted to stay within the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.entries.evictions()
     }
@@ -333,13 +356,22 @@ impl ModelInterner {
         self.entries.get(&hash.0).map(Arc::clone)
     }
 
-    /// Interns a source: hashes it, returns the cached compiled model on a
-    /// hit, compiles and caches on a miss.
+    /// Interns a source: returns the cached compiled model of a known text
+    /// or of a known hash, compiles and caches on a miss.
     pub fn intern_source(
         &mut self,
         source: &str,
     ) -> Result<(ModelHash, Arc<CompiledModel>), LangError> {
+        // A known text whose model was evicted falls through to a parse.
+        if let Some(&hash) = self.texts.get(source) {
+            if let Some(model) = self.get(hash) {
+                self.hits += 1;
+                return Ok((hash, model));
+            }
+        }
+        self.parses += 1;
         let (hash, resolved) = source_hash(source)?;
+        self.texts.insert(source.to_string(), hash);
         if let Some(model) = self.get(hash) {
             self.hits += 1;
             return Ok((hash, model));
@@ -479,19 +511,21 @@ mod tests {
     fn interner_compiles_once_and_shares_the_model() {
         let mut interner = ModelInterner::new();
         let (h1, m1) = interner.intern_source(BASE).expect("first intern");
-        let (h2, m2) = interner.intern_source(BASE).expect("second intern");
-        assert_eq!(h1, h2);
-        assert!(Arc::ptr_eq(&m1, &m2), "hit must return the same Arc");
-        assert_eq!(interner.misses(), 1);
-        assert_eq!(interner.hits(), 1);
+        assert_eq!(
+            (interner.hits(), interner.misses(), interner.parses()),
+            (0, 1, 1)
+        );
+        for round in 1..=3 {
+            let (h, m) = interner.intern_source(BASE).expect("repeat intern");
+            assert_eq!(h, h1);
+            assert!(Arc::ptr_eq(&m, &m1), "hit must return the same Arc");
+            assert_eq!(
+                (interner.hits(), interner.misses(), interner.parses()),
+                (round, 1, 1),
+                "an identical text is neither parsed nor compiled again"
+            );
+        }
         assert_eq!(interner.len(), 1);
-
-        // The rescaled twin pattern: a renamed model is a hit, not a miss.
-        let renamed = BASE.replacen("model decay;", "model decay_xl;", 1);
-        let (h3, m3) = interner.intern_source(&renamed).expect("renamed intern");
-        assert_eq!(h1, h3);
-        assert!(Arc::ptr_eq(&m1, &m3));
-        assert_eq!(interner.hits(), 2);
     }
 
     #[test]
@@ -500,17 +534,21 @@ mod tests {
         let (a, b, c) = (variant("2.0"), variant("3.0"), variant("4.0"));
 
         let mut interner = ModelInterner::with_capacity(2);
-        let (ha, _) = interner.intern_source(&a).expect("a");
+        let (ha, ma) = interner.intern_source(&a).expect("a");
         let (hb, _) = interner.intern_source(&b).expect("b");
-        // Touch `a` so `b` is now the least recently used.
-        assert!(interner.get(ha).is_some());
+        // A text hit on `a` touches its model, so `b` is now the least
+        // recently used.
+        interner.intern_source(&a).expect("a again");
         let (hc, _) = interner.intern_source(&c).expect("c");
 
         assert_eq!(interner.len(), 2);
         assert_eq!(interner.evictions(), 1);
-        assert!(interner.get(ha).is_some(), "recently used entry survives");
         assert!(interner.get(hc).is_some(), "new entry present");
         assert!(interner.get(hb).is_none(), "LRU entry evicted");
+        let (_, again) = interner.intern_source(&a).expect("a once more");
+        assert!(Arc::ptr_eq(&again, &ma), "recently used entry survives");
+        assert_eq!(interner.get(ha).map(|m| Arc::ptr_eq(&m, &ma)), Some(true));
+        assert_eq!(interner.parses(), 3, "`a`'s text survived with its model");
     }
 
     #[test]
@@ -520,6 +558,75 @@ mod tests {
         let (_, m2) = interner.intern_source(BASE).expect("second");
         assert!(!Arc::ptr_eq(&m1, &m2));
         assert_eq!(interner.len(), 0);
-        assert_eq!(interner.misses(), 2);
+        assert_eq!(
+            (interner.hits(), interner.misses(), interner.parses()),
+            (0, 2, 2),
+            "no text and no model is kept, so every call parses and compiles"
+        );
+    }
+
+    #[test]
+    fn reformatted_text_parses_once_and_shares_the_model() {
+        // The rescaled twin pattern: a renamed model is a hit, not a miss.
+        let mut interner = ModelInterner::new();
+        let (h1, m1) = interner.intern_source(BASE).expect("base");
+        let renamed = BASE.replacen("model decay;", "model decay_xl;", 1);
+        let spaced = BASE.replace(", ", " ,  ");
+        for (i, variant) in [renamed, spaced].iter().enumerate() {
+            let parses = 2 + i as u64;
+            for repeat in 0..2 {
+                let (h, m) = interner.intern_source(variant).expect("variant");
+                assert_eq!(h, h1, "a new text of the same model keeps its hash");
+                assert!(Arc::ptr_eq(&m, &m1), "the hash path shares the model");
+                assert_eq!(
+                    interner.parses(),
+                    parses,
+                    "a new text parses once, then hits by text (repeat {repeat})"
+                );
+            }
+        }
+        assert_eq!((interner.hits(), interner.misses()), (4, 1));
+        assert_eq!(interner.len(), 1);
+    }
+
+    #[test]
+    fn invalid_source_errors_every_call_and_is_never_cached() {
+        let mut interner = ModelInterner::new();
+        for call in 1..=3 {
+            assert!(interner.intern_source("model broken;").is_err());
+            assert_eq!(
+                (interner.hits(), interner.misses(), interner.parses()),
+                (0, 0, call),
+                "an invalid text parses (and fails) on every call"
+            );
+        }
+        assert!(interner.is_empty());
+        interner
+            .intern_source(BASE)
+            .expect("a valid text still interns");
+        assert_eq!(interner.parses(), 4);
+    }
+
+    #[test]
+    fn an_evicted_models_text_falls_through_to_a_recompile() {
+        let other = BASE.replacen("[0.5, 2.0]", "[0.5, 3.0]", 1);
+        let mut interner = ModelInterner::with_capacity(1);
+        let (h1, m1) = interner.intern_source(BASE).expect("base");
+        // Evict the model alone: BASE's text stays known.
+        let (h2, _) = source_hash(&other).expect("other validates");
+        interner.insert(h2, Arc::new(crate::compile(&other).expect("compiles")));
+        assert!(interner.get(h1).is_none(), "BASE's model was evicted");
+
+        let (h, m) = interner.intern_source(BASE).expect("base again");
+        assert_eq!(h, h1);
+        assert!(!Arc::ptr_eq(&m, &m1), "an evicted model is compiled afresh");
+        assert_eq!(
+            (interner.hits(), interner.misses(), interner.parses()),
+            (0, 2, 2),
+            "a known text whose model is gone parses, misses and recompiles"
+        );
+        let (_, hot) = interner.intern_source(BASE).expect("base hot");
+        assert!(Arc::ptr_eq(&hot, &m), "the text is stored again");
+        assert_eq!((interner.hits(), interner.parses()), (1, 2));
     }
 }

@@ -78,11 +78,14 @@ pub enum Counter {
     ServeModelHits,
     /// Compiled-model interner misses (each one compiled a model).
     ServeModelMisses,
+    /// Requests whose source text the interner parsed and validated (every
+    /// request but those whose exact text it already held with its model).
+    ServeSourceParses,
 }
 
 impl Counter {
     /// Every counter, in snapshot rendering order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::SimEventsFired,
         Counter::SimPropensityEvals,
         Counter::SimPropensitySkips,
@@ -108,6 +111,7 @@ impl Counter {
         Counter::ServeArtifactEvictions,
         Counter::ServeModelHits,
         Counter::ServeModelMisses,
+        Counter::ServeSourceParses,
     ];
 
     /// Snake-case snapshot name.
@@ -139,6 +143,7 @@ impl Counter {
             Counter::ServeArtifactEvictions => "serve_artifact_evictions",
             Counter::ServeModelHits => "serve_model_hits",
             Counter::ServeModelMisses => "serve_model_misses",
+            Counter::ServeSourceParses => "serve_source_parses",
         }
     }
 }

@@ -11,13 +11,16 @@
 //!   `stats`, `shutdown`) over the hand-rolled [`mfu_core::json`] layer;
 //! * [`service`] — the [`service::QueryService`]: a two-tier cache in
 //!   front of the hull and Pontryagin engines. Tier one interns compiled
-//!   models by canonical content hash ([`mfu_lang::hash`]); tier two maps
-//!   (model hash, method, box, horizon) — floats by bit pattern — to the
-//!   exact [`mfu_core::artifact::BoundArtifact`] the cold computation
-//!   produced, so hits are bit-identical to cold answers by construction;
+//!   models by canonical content hash ([`mfu_lang::hash`]), with the exact
+//!   source texts it has seen in front, so a known text is not parsed
+//!   again; tier two maps (model hash, method, box, horizon) — floats by
+//!   bit pattern — to the exact [`mfu_core::artifact::BoundArtifact`] the
+//!   cold computation produced and the JSON it rendered, so hits are
+//!   bit-identical to cold answers by construction and render nothing;
 //! * [`server`] — a plain-TCP front-end (`mfu serve`) with a one-shot
-//!   client helper (`mfu query`): thread per connection, clean shutdown
-//!   via a protocol request.
+//!   client helper (`mfu query`): thread per connection, request lines
+//!   capped at [`server::MAX_LINE_BYTES`], clean shutdown via a protocol
+//!   request.
 //!
 //! ```no_run
 //! use mfu_serve::server::{query_line, Server};

@@ -15,12 +15,18 @@
 //! model's declared interval). Responses always carry `"ok"`; successful
 //! bound responses add `"cache"` (`"hit"`/`"miss"`), a numeric
 //! `"cache_hit"` twin (`1`/`0`, so `json_check --require` can gate it),
-//! `"elapsed_ns"` and the full artifact:
+//! `"elapsed_ns"` and the full artifact. Keys come out sorted, as
+//! [`Json::object`] writes them:
 //!
 //! ```json
-//! {"ok":true,"cache":"hit","cache_hit":1,"elapsed_ns":1234,"artifact":{...}}
-//! {"ok":false,"error":"unknown scenario `sri`"}
+//! {"artifact":{...},"cache":"hit","cache_hit":1,"elapsed_ns":1234,"ok":true}
+//! {"error":"unknown scenario `sri`","ok":false}
 //! ```
+//!
+//! A bound response line is written by [`splice_bound_response`] around
+//! the artifact's rendered JSON, so the service can answer a cache hit
+//! with the rendering its cold computation stored; [`bound_response`]
+//! renders an artifact and splices it the same way.
 
 use mfu_core::artifact::{BoundArtifact, BoundMethod};
 use mfu_core::json::Json;
@@ -137,17 +143,29 @@ impl Request {
 /// Renders a successful bound response line (without the trailing newline).
 #[must_use]
 pub fn bound_response(artifact: &BoundArtifact, cache_hit: bool, elapsed_ns: u64) -> String {
-    Json::object([
-        ("ok", Json::Bool(true)),
-        (
-            "cache",
-            Json::string(if cache_hit { "hit" } else { "miss" }),
-        ),
-        ("cache_hit", Json::Number(if cache_hit { 1.0 } else { 0.0 })),
-        ("elapsed_ns", Json::Number(elapsed_ns as f64)),
-        ("artifact", artifact.to_json()),
-    ])
-    .render()
+    splice_bound_response(&artifact.render(), cache_hit, elapsed_ns)
+}
+
+/// Writes a successful bound response line (without the trailing newline)
+/// around an artifact's rendered JSON, byte for byte what rendering the
+/// whole response as one [`Json::object`] would give: its keys sorted,
+/// `elapsed_ns` as the writer prints an `f64`.
+#[must_use]
+pub fn splice_bound_response(artifact_json: &str, cache_hit: bool, elapsed_ns: u64) -> String {
+    use std::fmt::Write as _;
+    let cache = if cache_hit {
+        r#","cache":"hit","cache_hit":1"#
+    } else {
+        r#","cache":"miss","cache_hit":0"#
+    };
+    let mut line = String::with_capacity(artifact_json.len() + 80);
+    line.push_str(r#"{"artifact":"#);
+    line.push_str(artifact_json);
+    line.push_str(cache);
+    // a u64 as f64 is finite, which the JSON writer prints with `{}`
+    let _ = write!(line, r#","elapsed_ns":{}"#, elapsed_ns as f64);
+    line.push_str(r#","ok":true}"#);
+    line
 }
 
 /// Renders an error response line.
@@ -214,6 +232,67 @@ mod tests {
                 "{line}: error `{err}` does not mention `{needle}`"
             );
         }
+    }
+
+    /// The response as one [`Json::object`] renders it: the reference the
+    /// splice must match byte for byte.
+    fn reference_response(artifact: &BoundArtifact, cache_hit: bool, elapsed_ns: u64) -> String {
+        Json::object([
+            ("ok", Json::Bool(true)),
+            (
+                "cache",
+                Json::string(if cache_hit { "hit" } else { "miss" }),
+            ),
+            ("cache_hit", Json::Number(if cache_hit { 1.0 } else { 0.0 })),
+            ("elapsed_ns", Json::Number(elapsed_ns as f64)),
+            ("artifact", artifact.to_json()),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn the_splice_writes_the_rendered_response_byte_for_byte() {
+        let finite = BoundArtifact {
+            model: "sir \"quoted\"".into(),
+            model_hash: "0123456789abcdef0123456789abcdef".into(),
+            method: BoundMethod::Pontryagin,
+            horizon: 3.0,
+            param_box: vec![mfu_core::artifact::ParamRange {
+                name: "contact".into(),
+                lo: 2.0,
+                hi: 5.0,
+            }],
+            species: vec!["S".into(), "I".into()],
+            lower: vec![0.1, 1e-300],
+            upper: vec![0.30000000000000004, 1.0],
+            truncated: false,
+            cost: mfu_core::artifact::ArtifactCost {
+                wall_ns: 123,
+                rk4_steps: 4,
+                jacobian_evals: 5,
+                sweeps: 6,
+                hull_vertex_evals: 7,
+            },
+        };
+        let mut non_finite = finite.clone();
+        non_finite.lower[1] = f64::NEG_INFINITY;
+        non_finite.upper[0] = f64::NAN;
+        for artifact in [&finite, &non_finite] {
+            let rendered = artifact.render();
+            for cache_hit in [true, false] {
+                for elapsed_ns in [0, 7, 123_456_789] {
+                    let reference = reference_response(artifact, cache_hit, elapsed_ns);
+                    assert_eq!(bound_response(artifact, cache_hit, elapsed_ns), reference);
+                    assert_eq!(
+                        splice_bound_response(&rendered, cache_hit, elapsed_ns),
+                        reference
+                    );
+                }
+            }
+        }
+        assert!(reference_response(&non_finite, true, 0).contains("null"));
+        assert!(reference_response(&finite, false, 7)
+            .starts_with(r#"{"artifact":{"cost":{"hull_vertex_evals":7,"#));
     }
 
     #[test]

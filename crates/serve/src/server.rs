@@ -8,13 +8,23 @@
 //! overlap). A `shutdown` request flips an atomic flag and the handler
 //! then pokes the listener with a loopback connect so the blocking
 //! `accept` wakes up and observes the flag.
+//!
+//! A request line may hold at most [`MAX_LINE_BYTES`] bytes, newline
+//! included: a longer one gets an `{"ok":false,...}` line and the
+//! connection is closed, so a client that never sends a newline cannot
+//! grow the server's memory without bound.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::protocol::error_response;
 use crate::service::QueryService;
+
+/// The longest request line the server reads, newline included (1 MiB;
+/// the largest registry source, `grid_6x6`, is under 6 KiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A bound-but-not-yet-running server.
 pub struct Server {
@@ -80,25 +90,49 @@ fn handle_connection(
     shutdown: &AtomicBool,
     local: SocketAddr,
 ) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    // One buffer for every line of the connection. It holds bytes, not a
+    // `String`: the cap may cut a multi-byte character, and an over-long
+    // line must still get its error line.
+    let mut buffer = Vec::new();
+    loop {
+        buffer.clear();
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut buffer)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let (response, stop) = service.handle_line(&line);
+        let over_cap = !buffer.ends_with(b"\n") && buffer.len() == MAX_LINE_BYTES;
+        let (response, stop) = if over_cap {
+            let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            (error_response(&message), false)
+        } else {
+            if buffer.ends_with(b"\n") {
+                buffer.pop();
+                if buffer.ends_with(b"\r") {
+                    buffer.pop();
+                }
+            }
+            let Ok(line) = std::str::from_utf8(&buffer) else {
+                break;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            service.handle_line(line)
+        };
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
+            || over_cap
         {
             break;
         }
@@ -182,6 +216,64 @@ mod tests {
 
         let bye = parse(&query_line(&addr, r#"{"op":"shutdown"}"#).unwrap()).unwrap();
         assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_refused_and_the_server_stays_up() {
+        use std::time::Duration;
+
+        let (handle, addr) = test_server();
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut flood = stream.try_clone().unwrap();
+        // 2 MiB and no newline. The server stops reading at the cap and
+        // closes the connection, so this write may fail part-way.
+        let writer = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+        });
+        let mut response = String::new();
+        BufReader::new(stream).read_line(&mut response).unwrap();
+        writer.join().unwrap();
+        let parsed = parse(response.trim_end()).unwrap();
+        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(parsed
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("exceeds"));
+
+        // the server still answers a new connection
+        let stats = parse(&query_line(&addr, r#"{"op":"stats"}"#).unwrap()).unwrap();
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        query_line(&addr, r#"{"op":"shutdown"}"#).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_and_crlf_is_stripped() {
+        let (handle, addr) = test_server();
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer
+            .write_all(b"\r\n  \n{\"op\":\"stats\"}\r\n{\"op\":\"stats\"}")
+            .unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        let lines: Vec<String> = BufReader::new(stream)
+            .lines()
+            .map(|line| line.unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2, "one response per non-blank line: {lines:?}");
+        for line in &lines {
+            let parsed = parse(line).unwrap();
+            assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        query_line(&addr, r#"{"op":"shutdown"}"#).unwrap();
         handle.join().unwrap().unwrap();
     }
 

@@ -1,13 +1,15 @@
 //! The query service: two-tier cache in front of the bounding engines.
 //!
-//! Tier one is a [`ModelInterner`]: sources are content-hashed after
-//! validation and compiled once per hash. Tier two is a bounded
+//! Tier one is a [`ModelInterner`]: a source text seen before maps
+//! straight to its model; a new text is parsed, validated and
+//! content-hashed, and compiled once per hash. Tier two is a bounded
 //! [`LruCache`] of [`BoundArtifact`]s keyed by the *query cell* — (model
 //! hash, method, effective parameter box, horizon), every float by its
 //! IEEE-754 bits. The paper's guarantee makes the second tier sound:
 //! bounds hold for every query in the same (box, horizon) cell, so a
 //! cached artifact answers all of them, bit-identically — a hit returns
-//! the very artifact the cold computation produced.
+//! the very artifact the cold computation produced, together with the JSON
+//! that computation rendered, so a served hit parses and renders nothing.
 //!
 //! Engine options (hull step and grid, Pontryagin grid and tolerances,
 //! run budgets) are pinned server-side in [`ServiceOptions`], *not* taken
@@ -30,7 +32,7 @@ use mfu_lang::scenarios::ScenarioRegistry;
 use mfu_lang::CompiledModel;
 use mfu_obs::{Counter, Metrics, Obs, Tracer};
 
-use crate::protocol::{bound_response, error_response, BoundRequest, Request};
+use crate::protocol::{error_response, splice_bound_response, BoundRequest, Request};
 use std::sync::Arc;
 
 /// Server-side knobs: cache capacities and pinned engine options.
@@ -78,15 +80,25 @@ struct ArtifactKey {
 pub struct QueryOutcome {
     /// The artifact answering the query (shared with the cache on a hit).
     pub artifact: Arc<BoundArtifact>,
+    /// The artifact's JSON, rendered once by the cold computation and
+    /// shared with the cache on a hit.
+    pub rendered: Arc<str>,
     /// `true` when the artifact came out of the cache.
     pub cache_hit: bool,
     /// Wall-clock nanoseconds this query took inside the service.
     pub elapsed_ns: u64,
 }
 
+/// An artifact-cache entry: the artifact and its rendered JSON.
+#[derive(Clone)]
+struct CachedArtifact {
+    artifact: Arc<BoundArtifact>,
+    rendered: Arc<str>,
+}
+
 struct ServiceState {
     interner: ModelInterner,
-    artifacts: LruCache<ArtifactKey, Arc<BoundArtifact>>,
+    artifacts: LruCache<ArtifactKey, CachedArtifact>,
 }
 
 /// The long-running query service behind `mfu serve`.
@@ -128,8 +140,8 @@ impl QueryService {
         }
     }
 
-    /// Attaches a metrics recorder; hits, misses and evictions land on the
-    /// `Serve*` counters.
+    /// Attaches a metrics recorder; hits, misses, evictions and source
+    /// parses land on the `Serve*` counters.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = metrics;
@@ -182,14 +194,16 @@ impl QueryService {
             ));
         }
 
-        // Tier one: intern the model (compiles only on a miss).
+        // Tier one: intern the model (parses only a new text, compiles
+        // only a new hash).
         let (hash, model) = {
             let mut state = self.lock_state();
-            let hits_before = state.interner.hits();
-            let interned = state
-                .interner
-                .intern_source(&source)
-                .map_err(|e| e.to_string())?;
+            let (hits_before, parses_before) = (state.interner.hits(), state.interner.parses());
+            let interned = state.interner.intern_source(&source);
+            if state.interner.parses() > parses_before {
+                self.metrics.add(Counter::ServeSourceParses, 1);
+            }
+            let interned = interned.map_err(|e| e.to_string())?;
             if state.interner.hits() > hits_before {
                 self.metrics.add(Counter::ServeModelHits, 1);
             } else {
@@ -216,10 +230,11 @@ impl QueryService {
         };
 
         // Tier two: artifact lookup.
-        if let Some(artifact) = self.lock_state().artifacts.get(&key).cloned() {
+        if let Some(cached) = self.lock_state().artifacts.get(&key).cloned() {
             self.metrics.add(Counter::ServeArtifactHits, 1);
             return Ok(QueryOutcome {
-                artifact,
+                artifact: cached.artifact,
+                rendered: cached.rendered,
                 cache_hit: true,
                 elapsed_ns: started.elapsed().as_nanos() as u64,
             });
@@ -235,10 +250,15 @@ impl QueryService {
                 self.compute_pontryagin(&model, horizon, &display_name, hash)?
             }
         });
+        let rendered: Arc<str> = artifact.render().into();
         if !artifact.truncated {
+            let cached = CachedArtifact {
+                artifact: Arc::clone(&artifact),
+                rendered: Arc::clone(&rendered),
+            };
             let mut state = self.lock_state();
             let evictions_before = state.artifacts.evictions();
-            state.artifacts.insert(key, Arc::clone(&artifact));
+            state.artifacts.insert(key, cached);
             let evicted = state.artifacts.evictions() - evictions_before;
             drop(state);
             if evicted > 0 {
@@ -247,6 +267,7 @@ impl QueryService {
         }
         Ok(QueryOutcome {
             artifact,
+            rendered,
             cache_hit: false,
             elapsed_ns: started.elapsed().as_nanos() as u64,
         })
@@ -357,6 +378,10 @@ impl QueryService {
                 "model_evictions",
                 Json::Number(state.interner.evictions() as f64),
             ),
+            (
+                "source_parses",
+                Json::Number(state.interner.parses() as f64),
+            ),
         ])
     }
 
@@ -376,7 +401,7 @@ impl QueryService {
             Ok(Request::Bound(request)) => match self.bound(&request) {
                 Err(message) => (error_response(&message), false),
                 Ok(outcome) => (
-                    bound_response(&outcome.artifact, outcome.cache_hit, outcome.elapsed_ns),
+                    splice_bound_response(&outcome.rendered, outcome.cache_hit, outcome.elapsed_ns),
                     false,
                 ),
             },
@@ -477,6 +502,13 @@ mod tests {
         assert_eq!(snap.counter(Counter::ServeArtifactMisses), 1);
         assert_eq!(snap.counter(Counter::ServeModelMisses), 1);
         assert_eq!(snap.counter(Counter::ServeModelHits), 1);
+        assert_eq!(
+            snap.counter(Counter::ServeSourceParses),
+            1,
+            "the hit's source text was known, so it was not parsed"
+        );
+        assert!(Arc::ptr_eq(&cold.rendered, &hot.rendered));
+        assert_eq!(&*hot.rendered, hot.artifact.render());
     }
 
     #[test]
@@ -645,13 +677,14 @@ mod tests {
 
         let (response, _) = service.handle_line(r#"{"op":"stats"}"#);
         let parsed = mfu_core::json::parse(&response).unwrap();
-        assert_eq!(
+        let stat = |key: &str| {
             parsed
                 .get("stats")
-                .and_then(|s| s.get("artifact_len"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
+                .and_then(|s| s.get(key))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(stat("artifact_len"), Some(1.0));
+        assert_eq!(stat("source_parses"), Some(1.0));
 
         let (response, stop) = service.handle_line(r#"{"op":"shutdown"}"#);
         assert!(stop);

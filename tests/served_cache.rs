@@ -7,7 +7,9 @@
 //! * the hot (cache-hit) artifact against a cold recomputation on a
 //!   *fresh* service — which simultaneously proves cold determinism,
 //! * the responses a crowd of concurrent clients receive for the same
-//!   query racing a single shared service.
+//!   query racing a single shared service,
+//! * the response lines of hits against the cold line: the same rendered
+//!   artifact, spliced in with no parse and no render.
 //!
 //! The cache-internal properties (LRU determinism, content-hash dedup,
 //! eviction counting) live in `crates/serve`; this is the end-to-end
@@ -15,9 +17,11 @@
 
 use mean_field_uncertain::core::artifact::{BoundArtifact, BoundMethod};
 use mean_field_uncertain::core::hull::HullOptions;
+use mean_field_uncertain::core::json::{self, Json};
 use mean_field_uncertain::core::pontryagin::PontryaginOptions;
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
-use mean_field_uncertain::serve::{BoundRequest, QueryService, ServiceOptions};
+use mean_field_uncertain::obs::{Counter, Metrics};
+use mean_field_uncertain::serve::{BoundRequest, QueryService, Request, ServiceOptions};
 
 /// The hull's rectangle grid is exponential in the dimension, so the sweep
 /// keeps to the models both methods can bound in test time (same cap as
@@ -173,6 +177,111 @@ fn concurrent_clients_racing_one_service_get_identical_answers() {
         hits += usize::from(first.cache_hit) + 1;
     }
     assert!(hits >= 8, "the cache never warmed across 16 queries");
+}
+
+/// Splits a bound response line into its artifact JSON and the fields the
+/// splice writes after it (`cache`, `cache_hit`, `elapsed_ns`, `ok`).
+fn split_response(line: &str) -> (&str, &str) {
+    let artifact = line
+        .strip_prefix(r#"{"artifact":"#)
+        .unwrap_or_else(|| panic!("response does not open with its artifact: {line}"));
+    let tail = artifact
+        .rfind(r#","cache":"#)
+        .unwrap_or_else(|| panic!("response has no cache field: {line}"));
+    artifact.split_at(tail)
+}
+
+/// Checks the fields after the artifact, and that `elapsed_ns` is a plain
+/// integer.
+fn assert_tail(tail: &str, cache_hit: bool, what: &str) {
+    let (cache, flag) = if cache_hit { ("hit", 1) } else { ("miss", 0) };
+    let prefix = format!(r#","cache":"{cache}","cache_hit":{flag},"elapsed_ns":"#);
+    let elapsed = tail
+        .strip_prefix(&prefix)
+        .and_then(|rest| rest.strip_suffix(r#","ok":true}"#))
+        .unwrap_or_else(|| panic!("{what}: unexpected response tail `{tail}`"));
+    assert!(
+        !elapsed.is_empty() && elapsed.bytes().all(|b| b.is_ascii_digit()),
+        "{what}: elapsed_ns `{elapsed}`"
+    );
+}
+
+#[test]
+fn served_hits_splice_the_cold_rendering_and_parse_nothing() {
+    // By name, by inline source and with a box override: four cells over
+    // two distinct source texts (`sir` thrice, `sis` inline).
+    let registry = ScenarioRegistry::with_builtins();
+    let inline = Json::object([
+        ("op", Json::string("bound")),
+        (
+            "source",
+            Json::string(registry.get("sis").unwrap().source()),
+        ),
+        ("method", Json::string("hull")),
+        ("horizon", Json::Number(1.0)),
+    ])
+    .render();
+    let lines = [
+        r#"{"op":"bound","model":"sir","method":"hull","horizon":1.0}"#.to_string(),
+        r#"{"op":"bound","model":"sir","method":"hull","horizon":1.0,"box":{"contact":[2,4]}}"#
+            .to_string(),
+        r#"{"op":"bound","model":"sir","method":"pontryagin","horizon":1.0}"#.to_string(),
+        inline,
+    ];
+    let metrics = Metrics::enabled();
+    let service = QueryService::new(fast_options()).with_metrics(metrics.clone());
+    let counter = |c: Counter| metrics.snapshot().unwrap().counter(c);
+
+    let cold: Vec<String> = lines.iter().map(|l| service.handle_line(l).0).collect();
+    assert_eq!(
+        counter(Counter::ServeSourceParses),
+        2,
+        "one parse per distinct source text"
+    );
+    assert_eq!(counter(Counter::ServeArtifactMisses), 4);
+
+    for round in 0..3 {
+        for (line, cold_line) in lines.iter().zip(&cold) {
+            let what = format!("round {round}: {line}");
+            let (hot_line, stop) = service.handle_line(line);
+            assert!(!stop);
+            let (cold_artifact, cold_tail) = split_response(cold_line);
+            let (hot_artifact, hot_tail) = split_response(&hot_line);
+            assert_eq!(hot_artifact, cold_artifact, "{what}: artifact bytes");
+            assert_tail(cold_tail, false, &what);
+            assert_tail(hot_tail, true, &what);
+            let parsed = json::parse(&hot_line).expect("a hot line is JSON");
+            assert_eq!(parsed.get("cache_hit").and_then(Json::as_f64), Some(1.0));
+
+            // hits share the one rendering the cold computation stored
+            let Ok(Request::Bound(request)) = Request::parse(line) else {
+                panic!("{what}: not a bound request");
+            };
+            let first = service.bound(&request).expect("hit");
+            let second = service.bound(&request).expect("hit");
+            assert!(first.cache_hit && second.cache_hit, "{what}");
+            assert!(
+                std::sync::Arc::ptr_eq(&first.rendered, &second.rendered),
+                "{what}: hits rendered afresh"
+            );
+            assert_eq!(&*first.rendered, cold_artifact, "{what}: stored rendering");
+        }
+    }
+    assert_eq!(
+        counter(Counter::ServeSourceParses),
+        2,
+        "hits must not parse their source"
+    );
+    assert_eq!(counter(Counter::ServeArtifactHits), 3 * 4 * 3);
+    let (stats, _) = service.handle_line(r#"{"op":"stats"}"#);
+    let stats = json::parse(&stats).expect("stats line is JSON");
+    assert_eq!(
+        stats
+            .get("stats")
+            .and_then(|s| s.get("source_parses"))
+            .and_then(Json::as_f64),
+        Some(2.0)
+    );
 }
 
 #[test]
