@@ -721,11 +721,10 @@ fn cmd_run(target: &str, options: &RunOptions) -> Result<String, String> {
     let (lo, hi) = obs
         .metrics
         .time(Timer::CoreBound, || {
-            let lo = solver.minimize_coordinate(&drift, &x0, horizon, coordinate)?;
-            let hi = solver.maximize_coordinate(&drift, &x0, horizon, coordinate)?;
-            Ok::<_, mfu_core::CoreError>((lo, hi))
+            solver.coordinate_bounds(&drift, &x0, horizon, coordinate..coordinate + 1)
         })
-        .map_err(|e| format!("Pontryagin bound failed: {e}"))?;
+        .map_err(|e| format!("Pontryagin bound failed: {e}"))?
+        .swap_remove(0);
     // Like a truncated simulation, a sweep the deadline cut short is not an
     // error: its value is still a feasible bound, noted on stderr.
     if lo.truncated() || hi.truncated() {

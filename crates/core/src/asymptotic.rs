@@ -107,10 +107,10 @@ pub fn asymptotic_box<D: ImpreciseDrift + Sync>(drift: &D, x0: &StateVec) -> Res
     for round in 0..MAX_ROUNDS {
         let mut new_lower = StateVec::zeros(dim);
         let mut new_upper = StateVec::zeros(dim);
-        for coordinate in 0..dim {
-            let (lo, hi) = solver.coordinate_extremes(drift, x0, horizon, coordinate)?;
-            new_lower[coordinate] = lo;
-            new_upper[coordinate] = hi;
+        let bounds = solver.coordinate_bounds(drift, x0, horizon, 0..dim)?;
+        for (coordinate, (lo, hi)) in bounds.into_iter().enumerate() {
+            new_lower[coordinate] = lo.objective_value();
+            new_upper[coordinate] = hi.objective_value();
         }
         if round > 0 {
             let movement = new_lower

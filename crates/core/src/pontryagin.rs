@@ -36,7 +36,14 @@
 //! controls, each lane folding its Hamiltonian like
 //! [`extremal_theta`](crate::drift::extremal_theta). Both are bit for bit
 //! the per-interval scalar computations. The forward passes stay sequential
-//! and scalar.
+//! and scalar, and integrate only states not computed yet:
+//!
+//! * the state at node `k` depends only on the controls before `k`, so a
+//!   trial pass of step 4 copies the adopted states up to its first
+//!   switched interval and integrates from there;
+//! * a start's first pass depends only on its constant control, so the
+//!   objectives of one [`PontryaginSolver::solve_all`] call share them: the
+//!   midpoint's and each vertex's is integrated at most once per call.
 //!
 //! Arbitrary linear functionals `α·x(T)` are supported, which is what the
 //! paper calls *template* refinement of the reachable set.
@@ -45,12 +52,13 @@
 //! 200 sweeps per start and a `1e-6` finite-difference Jacobian step. A
 //! single-start solve always runs the Θ-vertex escalation ladder, whose
 //! vertex probes are the vertex starts' first passes (see
-//! [`PontryaginSolver::solve`]). State and costate share one time grid and
-//! step with the workspace's one scalar RK4 step, [`Rk4::step_into`]; a
-//! wall-clock budget is checked before every interval of every pass but the
-//! midpoint start's first, and before each stencil chunk of a backward pass
-//! (see [`PontryaginOptions::budget`]).
+//! [`PontryaginSolver::solve_all`]). State and costate share one time grid
+//! and step with the workspace's one scalar RK4 step, [`Rk4::step_into`]; a
+//! wall-clock budget, one per objective, is checked before every interval
+//! of every pass but the midpoint start's first, and before each stencil
+//! chunk of a backward pass (see [`PontryaginOptions::budget`]).
 
+use std::ops::Range;
 use std::time::Instant;
 
 use mfu_guard::{RunBudget, DIVERGENCE_CAP};
@@ -178,21 +186,23 @@ pub struct PontryaginOptions {
     /// the vertex starts only when one's first pass, probed in vertex
     /// order, beats the sweep.
     pub multi_start: bool,
-    /// Run budget for the solve. Only `wall_clock` applies: one deadline
-    /// starts with [`PontryaginSolver::solve`] and every pass of the solve
-    /// checks it before each interval — each backward and trial pass of
-    /// every start, each vertex probe and each vertex start's first pass.
-    /// Only the midpoint start's first pass ignores it: without that pass
-    /// there is no bound. A backward pass also checks it before each chunk
-    /// of 16 intervals, whose Jacobian stencils it evaluates in one drift
-    /// batch, so a solve overruns its deadline by at most one such batch
-    /// (or one interval of a forward pass). A tripped deadline discards the
-    /// pass it cuts, so an expired solve starts nothing new, while a vertex
-    /// probe it finished still starts its escalated vertex start. The solve
-    /// then returns the best start so far with `converged() == false` and
-    /// `truncated() == true` instead of erroring — every adopted control is
-    /// a feasible selection of the inclusion, so the bound so far is
-    /// valid, merely not extremal.
+    /// Run budget for each objective's solve. Only `wall_clock` applies:
+    /// one deadline starts with each objective of
+    /// [`PontryaginSolver::solve_all`] and every pass of its solve checks it
+    /// before each interval — each backward and trial pass of every start,
+    /// each vertex probe and each vertex start's first pass. Only the
+    /// midpoint start's first pass ignores it: without that pass there is
+    /// no bound. A backward pass also checks it before each chunk of 16
+    /// intervals, whose Jacobian stencils it evaluates in one drift batch,
+    /// so a solve overruns its deadline by at most one such batch (or one
+    /// interval of a forward pass). A tripped deadline discards the pass it
+    /// cuts, so an expired solve starts nothing new, while a vertex probe it
+    /// finished still starts its escalated vertex start; a first pass it cut
+    /// is never shared with a later objective, which integrates it again
+    /// under its own deadline. The solve then returns the best start so far
+    /// with `converged() == false` and `truncated() == true` instead of
+    /// erroring — every adopted control is a feasible selection of the
+    /// inclusion, so the bound so far is valid, merely not extremal.
     pub budget: RunBudget,
 }
 
@@ -322,16 +332,16 @@ impl PontryaginSolver {
         }
     }
 
-    /// Attaches an observability bundle: every solve flushes its RK4-step,
-    /// Jacobian-evaluation, costate-gate-trip, sweep-iteration,
-    /// rejected-step and restart counts into `obs.metrics` (multi-start
-    /// restarts run on scoped threads and share the handle's atomics),
-    /// adds the wall-clock time of its forward passes, backward passes and
-    /// switch scans to the `core_pontryagin_{forward,backward,switch}`
+    /// Attaches an observability bundle: every objective's solve flushes
+    /// its RK4-step, reused-step, Jacobian-evaluation, costate-gate-trip,
+    /// sweep-iteration, rejected-step and restart counts into `obs.metrics`
+    /// (multi-start restarts run on scoped threads and share the handle's
+    /// atomics), adds the wall-clock time of its forward passes, backward
+    /// passes and switch scans to the `core_pontryagin_{forward,backward,switch}`
     /// timers (read only while metrics are enabled), records which restart
-    /// won as a gauge, and emits a `pontryagin_solve` trace event per solve.
-    /// Results are unaffected — counters and timers are flushed after the
-    /// numerics finish.
+    /// won as a gauge, and emits a `pontryagin_solve` trace event per
+    /// objective. Results are unaffected — counters and timers are flushed
+    /// after the numerics finish.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -347,7 +357,7 @@ impl PontryaginSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PontryaginSolver::solve`], and
+    /// Same conditions as [`PontryaginSolver::solve_all`], and
     /// [`CoreError::InvalidInput`] when `coordinate` is not below the
     /// drift's dimension.
     pub fn maximize_coordinate<D: ImpreciseDrift + Sync>(
@@ -387,7 +397,8 @@ impl PontryaginSolver {
         )
     }
 
-    /// Returns `(min, max)` of coordinate `i` of `x(T)` over the solution set.
+    /// Returns `(min, max)` of coordinate `i` of `x(T)` over the solution
+    /// set, both from one [`PontryaginSolver::solve_all`] call.
     ///
     /// # Errors
     ///
@@ -399,15 +410,67 @@ impl PontryaginSolver {
         horizon: f64,
         coordinate: usize,
     ) -> Result<(f64, f64)> {
-        let lo = self.minimize_coordinate(drift, x0, horizon, coordinate)?;
-        let hi = self.maximize_coordinate(drift, x0, horizon, coordinate)?;
+        let (lo, hi) = self
+            .coordinate_bounds(drift, x0, horizon, coordinate..coordinate + 1)?
+            .swap_remove(0);
         Ok((lo.objective_value(), hi.objective_value()))
     }
 
-    /// Runs the forward–backward sweep for an arbitrary linear objective.
+    /// The minimum and the maximum of every coordinate in `coordinates`, as
+    /// `(min, max)` pairs in coordinate order, from one
+    /// [`PontryaginSolver::solve_all`] call: all the extremes share their
+    /// constant-control first passes.
     ///
-    /// Every start of the sweep is one forward pass under a constant
-    /// control — the midpoint of `Θ` first — followed by its sweeps. With
+    /// # Errors
+    ///
+    /// Same conditions as [`PontryaginSolver::solve_all`], and
+    /// [`CoreError::InvalidInput`] when a coordinate is not below the
+    /// drift's dimension.
+    pub fn coordinate_bounds<D: ImpreciseDrift + Sync>(
+        &self,
+        drift: &D,
+        x0: &StateVec,
+        horizon: f64,
+        coordinates: Range<usize>,
+    ) -> Result<Vec<(ExtremalSolution, ExtremalSolution)>> {
+        let dim = drift.dim();
+        if !coordinates.is_empty() {
+            check_coordinate(dim, coordinates.end - 1)?;
+        }
+        let objectives: Vec<LinearObjective> = coordinates
+            .flat_map(|i| {
+                [
+                    LinearObjective::minimize_coordinate(dim, i),
+                    LinearObjective::maximize_coordinate(dim, i),
+                ]
+            })
+            .collect();
+        let mut solutions = self.solve_all(drift, x0, horizon, &objectives)?.into_iter();
+        Ok(std::iter::from_fn(|| Some((solutions.next()?, solutions.next()?))).collect())
+    }
+
+    /// Runs the forward–backward sweep for an arbitrary linear objective:
+    /// [`PontryaginSolver::solve_all`] of that one objective.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PontryaginSolver::solve_all`].
+    pub fn solve<D: ImpreciseDrift + Sync>(
+        &self,
+        drift: &D,
+        x0: &StateVec,
+        horizon: f64,
+        objective: LinearObjective,
+    ) -> Result<ExtremalSolution> {
+        let mut solutions = self.solve_all(drift, x0, horizon, std::slice::from_ref(&objective))?;
+        Ok(solutions.swap_remove(0))
+    }
+
+    /// Runs the forward–backward sweep for each objective, in order, and
+    /// returns their extremal solutions in that order.
+    ///
+    /// Every start of a sweep is one forward pass under a constant control
+    /// — the midpoint of `Θ` first — followed by its sweeps. With
     /// [`PontryaginOptions::multi_start`] enabled every vertex of `Θ` is a
     /// start too and the best extremal is returned. The starts are
     /// independent, so they run in parallel across threads (reusing the
@@ -425,36 +488,45 @@ impl PontryaginSolver {
     /// never lowers the objective of its start, so an escalated vertex start
     /// ends at least at the probe that beat the midpoint sweep.
     ///
-    /// The wall-clock budget starts here, once, and every pass of the solve
-    /// but the midpoint start's first checks it before each interval: an
-    /// expired solve starts nothing new, and a probe it finished still
-    /// starts its vertex sweep.
+    /// A first pass does not depend on the objective, so the call
+    /// integrates each at most once, when an objective first asks for it,
+    /// and every later objective takes it from there: its steps still count
+    /// as RK4 steps ([`Counter::CoreRk4Steps`] counts every step a solve
+    /// used) and also as reused ([`Counter::CorePontryaginReusedSteps`]).
+    /// Unless a deadline trips, every solution and every counter but the
+    /// reused steps is bit for bit what a call of its own objective gives.
+    ///
+    /// Each objective starts its own wall-clock budget, and every pass of
+    /// its solve but the midpoint start's first checks it before each
+    /// interval: an expired solve starts nothing new, and a probe it
+    /// finished still starts its vertex sweep. A first pass the deadline cut
+    /// is never shared: the next objective that needs it integrates it
+    /// again under its own deadline.
     ///
     /// # Errors
     ///
-    /// Returns an error on inconsistent inputs, when an integration step
-    /// produces non-finite values, or when a forward pass diverges. A sweep
-    /// that merely does not converge within the sweep cap is *not* an
-    /// error; the returned solution reports `converged() == false`.
-    pub fn solve<D: ImpreciseDrift + Sync>(
+    /// Returns an error on inconsistent inputs, and otherwise the first
+    /// objective's error in order: when an integration step produces
+    /// non-finite values, or when a forward pass diverges. A sweep that
+    /// merely does not converge within the sweep cap is *not* an error; the
+    /// returned solution reports `converged() == false`.
+    pub fn solve_all<D: ImpreciseDrift + Sync>(
         &self,
         drift: &D,
         x0: &StateVec,
         horizon: f64,
-        objective: LinearObjective,
-    ) -> Result<ExtremalSolution> {
-        let deadline = self
-            .options
-            .budget
-            .wall_clock
-            .and_then(|limit| Instant::now().checked_add(limit));
+        objectives: &[LinearObjective],
+    ) -> Result<Vec<ExtremalSolution>> {
         let dim = drift.dim();
         if x0.dim() != dim {
             return Err(CoreError::invalid_input(
                 "initial condition dimension mismatch",
             ));
         }
-        if objective.weights().dim() != dim {
+        if objectives
+            .iter()
+            .any(|objective| objective.weights().dim() != dim)
+        {
             return Err(CoreError::invalid_input(
                 "objective weight dimension mismatch",
             ));
@@ -465,45 +537,51 @@ impl PontryaginSolver {
             ));
         }
         let grid = TimeGrid::new(0.0, horizon, self.options.grid_intervals.max(1))?;
+        let clock = self.obs.metrics.is_enabled();
+        let mut first_passes = FirstPasses::new(drift, x0, &grid, clock);
+        objectives
+            .iter()
+            .map(|objective| self.solve_one(&mut first_passes, objective))
+            .collect()
+    }
+
+    /// One objective of [`PontryaginSolver::solve_all`], under its own
+    /// deadline, taking its starts' first passes from `first_passes`.
+    fn solve_one<D: ImpreciseDrift + Sync>(
+        &self,
+        first_passes: &mut FirstPasses<'_, D>,
+        objective: &LinearObjective,
+    ) -> Result<ExtremalSolution> {
+        let deadline = self
+            .options
+            .budget
+            .wall_clock
+            .and_then(|limit| Instant::now().checked_add(limit));
+        let (drift, grid) = (first_passes.drift, first_passes.grid);
         let sign = if objective.is_maximization() {
             1.0
         } else {
             -1.0
         };
 
-        // Every start's first pass runs here, so a vertex probe of the
-        // ladder can be its vertex start's first pass. Only the midpoint
-        // start's ignores the deadline: without it there is no bound.
-        let clock = self.obs.metrics.is_enabled();
+        // Only the midpoint start's first pass ignores the deadline: without
+        // it there is no bound.
         let mut tally = SweepTally::default();
-        let mut rk4 = Rk4Scratch::new(dim);
-        let mut first_pass = |control: Vec<f64>, deadline| {
-            let control = vec![control; grid.intervals() + 1];
-            let mut state = vec![x0.clone(); control.len()];
-            let started = clock.then(Instant::now);
-            let outcome = forward_pass(
-                drift,
-                &grid,
-                &control,
-                &mut state,
-                &mut rk4,
-                deadline,
-                &mut tally.rk4_steps,
-            );
-            tally.forward_ns += elapsed_ns(started);
-            FirstPass {
-                control,
-                state,
-                outcome,
-            }
-        };
-        let mut starts = vec![first_pass(drift.params().midpoint(), None)];
+        first_passes.ensure(0, None, &mut tally);
+        let mut starts = 1;
         if self.options.multi_start {
-            for vertex in drift.params().vertices() {
-                starts.push(first_pass(vertex, deadline));
+            starts = first_passes.len();
+            for start in 1..starts {
+                first_passes.ensure(start, deadline, &mut tally);
             }
         }
-        let mut outcomes = self.sweep_all(drift, &grid, &objective, &starts, deadline);
+        let mut outcomes = self.sweep_all(
+            drift,
+            grid,
+            objective,
+            &first_passes.get(0..starts),
+            deadline,
+        );
 
         // ---- escalation ladder ---------------------------------------------
         // Pontryagin's principle is only necessary: a single-start sweep can
@@ -522,25 +600,31 @@ impl PontryaginSolver {
         if let Some(midpoint_value) = midpoint_value {
             let ascent = objective.ascent_weights();
             let threshold = sign * midpoint_value + ESCALATION_MARGIN;
-            let vertices = drift.params().vertices();
-            let mut probes = Vec::with_capacity(vertices.len());
+            let vertex_starts = 1..first_passes.len();
+            let mut probed = 1;
             // probe in vertex order until one beats or the deadline cuts one
-            for vertex in &vertices {
-                let probe = first_pass(vertex.clone(), deadline);
+            for start in vertex_starts.clone() {
+                let probe = first_passes.ensure(start, deadline, &mut tally);
+                probed = start + 1;
                 truncated = matches!(probe.outcome, Ok(false));
                 escalated = matches!(probe.outcome, Ok(true))
                     && ascent.dot(&probe.state[grid.intervals()]) > threshold;
-                probes.push(probe);
                 if truncated || escalated {
                     break;
                 }
             }
             if escalated {
-                for vertex in &vertices[probes.len()..] {
-                    probes.push(first_pass(vertex.clone(), deadline));
+                for start in probed..vertex_starts.end {
+                    first_passes.ensure(start, deadline, &mut tally);
                 }
                 self.obs.metrics.add(Counter::CorePontryaginEscalations, 1);
-                outcomes.extend(self.sweep_all(drift, &grid, &objective, &probes, deadline));
+                outcomes.extend(self.sweep_all(
+                    drift,
+                    grid,
+                    objective,
+                    &first_passes.get(vertex_starts),
+                    deadline,
+                ));
             }
         }
         tally.flush(&self.obs.metrics);
@@ -598,10 +682,10 @@ impl PontryaginSolver {
         drift: &D,
         grid: &TimeGrid,
         objective: &LinearObjective,
-        starts: &[FirstPass],
+        starts: &[&FirstPass],
         deadline: Option<Instant>,
     ) -> Vec<Result<Option<ExtremalSolution>>> {
-        let sweep = |start| self.solve_from(drift, grid, objective, start, deadline);
+        let sweep = |start: &&FirstPass| self.solve_from(drift, grid, objective, start, deadline);
         let n = starts.len();
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
@@ -732,17 +816,27 @@ impl PontryaginSolver {
             let mut size = switches.len();
             loop {
                 trial_control.clone_from(&control);
+                let mut first = n;
                 for &(_, k, vertex) in &switches[..size] {
                     trial_control[k].clone_from(&candidates[vertex]);
+                    first = first.min(k);
                 }
                 let (intervals, last) = trial_control.split_at_mut(n);
                 last[0].clone_from(&intervals[n - 1]);
+                // Node k's state depends only on the controls before k, so
+                // up to the first switched interval the trial's states are
+                // the adopted ones. `trial_state` holds a rejected trial's
+                // or the previously adopted states: copy them over.
+                for (trial, adopted) in trial_state[..=first].iter_mut().zip(&state) {
+                    trial.copy_from(adopted);
+                }
+                tally.reuse(first as u64);
                 let started = clock.then(Instant::now);
                 let finished = forward_pass(
                     drift,
-                    grid,
-                    &trial_control,
-                    &mut trial_state,
+                    grid.step(),
+                    &trial_control[first..],
+                    &mut trial_state[first..],
                     &mut rk4,
                     deadline,
                     &mut tally.rk4_steps,
@@ -795,7 +889,10 @@ impl PontryaginSolver {
 /// metrics handle's atomics make the flush thread-safe).
 #[derive(Debug, Default)]
 struct SweepTally {
+    /// Every RK4 step a pass used, integrated or reused.
     rk4_steps: u64,
+    /// The steps of `rk4_steps` taken from an earlier pass.
+    reused_steps: u64,
     jacobian_evals: u64,
     gate_trips: u64,
     rejected_steps: u64,
@@ -805,8 +902,15 @@ struct SweepTally {
 }
 
 impl SweepTally {
+    /// Counts `steps` forward steps a pass took from an earlier pass.
+    fn reuse(&mut self, steps: u64) {
+        self.rk4_steps += steps;
+        self.reused_steps += steps;
+    }
+
     fn flush(&self, metrics: &Metrics) {
         metrics.add(Counter::CoreRk4Steps, self.rk4_steps);
+        metrics.add(Counter::CorePontryaginReusedSteps, self.reused_steps);
         metrics.add(Counter::CoreJacobianEvals, self.jacobian_evals);
         metrics.add(Counter::CoreCostateGateTrips, self.gate_trips);
         metrics.add(Counter::CorePontryaginRejectedSteps, self.rejected_steps);
@@ -833,6 +937,94 @@ struct FirstPass {
     /// it), or the error of a step that left the finite numbers. The
     /// divergence cap is not checked yet.
     outcome: Result<bool>,
+    /// The RK4 steps the pass took.
+    steps: u64,
+}
+
+/// The first passes of one [`PontryaginSolver::solve_all`] call, by start:
+/// the midpoint of `Θ` (start 0), then each vertex in order. A pass is
+/// integrated when an objective first asks for it, and every later
+/// objective takes it from here, except a pass the deadline cut: the next
+/// objective asking for it integrates it again under its own deadline.
+struct FirstPasses<'a, D> {
+    drift: &'a D,
+    x0: &'a StateVec,
+    grid: &'a TimeGrid,
+    /// Each start's constant control.
+    controls: Vec<Vec<f64>>,
+    passes: Vec<Option<FirstPass>>,
+    rk4: Rk4Scratch,
+    /// Whether the forward clock is read (metrics are enabled).
+    clock: bool,
+}
+
+impl<'a, D: ImpreciseDrift> FirstPasses<'a, D> {
+    fn new(drift: &'a D, x0: &'a StateVec, grid: &'a TimeGrid, clock: bool) -> Self {
+        let mut controls = vec![drift.params().midpoint()];
+        controls.extend(drift.params().vertices());
+        FirstPasses {
+            drift,
+            x0,
+            grid,
+            passes: controls.iter().map(|_| None).collect(),
+            controls,
+            rk4: Rk4Scratch::new(drift.dim()),
+            clock,
+        }
+    }
+
+    /// The number of starts: the midpoint and every vertex.
+    fn len(&self) -> usize {
+        self.controls.len()
+    }
+
+    /// Start `start`'s first pass. Integrates it under `deadline`, adding
+    /// its steps and forward time to `tally`, unless an earlier objective
+    /// took it to the horizon or to an error: its steps then count in
+    /// `tally` as reused.
+    fn ensure(
+        &mut self,
+        start: usize,
+        deadline: Option<Instant>,
+        tally: &mut SweepTally,
+    ) -> &FirstPass {
+        match &mut self.passes[start] {
+            Some(pass) if !matches!(pass.outcome, Ok(false)) => tally.reuse(pass.steps),
+            slot => {
+                let control = vec![self.controls[start].clone(); self.grid.intervals() + 1];
+                let mut state = vec![self.x0.clone(); control.len()];
+                let mut steps = 0;
+                let started = self.clock.then(Instant::now);
+                let outcome = forward_pass(
+                    self.drift,
+                    self.grid.step(),
+                    &control,
+                    &mut state,
+                    &mut self.rk4,
+                    deadline,
+                    &mut steps,
+                );
+                tally.forward_ns += elapsed_ns(started);
+                tally.rk4_steps += steps;
+                *slot = Some(FirstPass {
+                    control,
+                    state,
+                    outcome,
+                    steps,
+                });
+            }
+        }
+        self.passes[start].as_ref().expect("the pass is in place")
+    }
+
+    /// The first passes of `starts`, each already
+    /// [`ensure`](FirstPasses::ensure)d by the objective asking.
+    fn get(&self, starts: Range<usize>) -> Vec<&FirstPass> {
+        self.passes[starts]
+            .iter()
+            .map(|pass| pass.as_ref().expect("an ensured first pass"))
+            .collect()
+    }
 }
 
 /// The error for a coordinate objective on a coordinate the drift lacks,
@@ -852,23 +1044,24 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|deadline| Instant::now() >= deadline)
 }
 
-/// Integrates the state forward over `grid` under a piecewise-constant
+/// Integrates the state forward in steps of `h` under a piecewise-constant
 /// control: `state[k + 1]` from `state[k]` under `control[k]`, with
-/// `state[0]` the initial condition. Checks `deadline` before every
+/// `state[0]` already in place, over the `state.len() - 1` intervals the
+/// slices hold (the drift is autonomous, so a pass over the tail of a grid
+/// is a pass over the tails of its slices). Checks `deadline` before every
 /// interval, counts every RK4 step into `rk4_steps` and returns whether the
 /// pass reached the horizon: `false` only when the deadline cut it short.
 /// Fails on a non-finite RK4 step.
 fn forward_pass<D: ImpreciseDrift>(
     drift: &D,
-    grid: &TimeGrid,
+    h: f64,
     control: &[Vec<f64>],
     state: &mut [StateVec],
     rk4: &mut Rk4Scratch,
     deadline: Option<Instant>,
     rk4_steps: &mut u64,
 ) -> Result<bool> {
-    let h = grid.step();
-    for k in 0..grid.intervals() {
+    for k in 0..state.len() - 1 {
         if expired(deadline) {
             return Ok(false);
         }
@@ -1512,13 +1705,15 @@ mod tests {
     #[test]
     fn solve_counters_satisfy_the_sweep_accounting() {
         // Per solve_from call over a grid of n intervals: one forward pass
-        // under the start control (n RK4 steps), then every sweep does a
+        // under the start control (n steps), then every sweep does a
         // backward RK4 pass (n steps) with n Jacobian evaluations, and one
-        // forward trial pass (n steps) per tried switch set. A converged
-        // start accepted a trial in every sweep but its last, so its
-        // accepted trials plus its start pass number its sweeps. Hence
-        // jacobian_evals == sweeps·n and
-        // rk4_steps == 2·jacobian_evals + rejected_steps·n.
+        // forward trial pass (n steps) per tried switch set. Every step
+        // counts in rk4_steps, whether integrated or reused (a trial's
+        // prefix before its first switched interval, a first pass an
+        // earlier objective integrated). A converged start accepted a trial
+        // in every sweep but its last, so its accepted trials plus its
+        // start pass number its sweeps. Hence jacobian_evals == sweeps·n
+        // and rk4_steps == 2·jacobian_evals + rejected_steps·n.
         let drift = decay_drift();
         let x0 = StateVec::from([1.0]);
         let obs = Obs::with_metrics();
@@ -1528,25 +1723,31 @@ mod tests {
             ..Default::default()
         })
         .with_obs(obs.clone());
-        solver
-            .solve(&drift, &x0, 1.0, LinearObjective::maximize_coordinate(1, 0))
-            .unwrap();
+        let objectives = [
+            LinearObjective::maximize_coordinate(1, 0),
+            LinearObjective::minimize_coordinate(1, 0),
+        ];
+        solver.solve_all(&drift, &x0, 1.0, &objectives).unwrap();
 
         let snapshot = obs.metrics.snapshot().unwrap();
         let restarts = snapshot.counter(Counter::CorePontryaginRestarts);
         let sweeps = snapshot.counter(Counter::CorePontryaginSweeps);
         let jacobians = snapshot.counter(Counter::CoreJacobianEvals);
         let rk4 = snapshot.counter(Counter::CoreRk4Steps);
+        let reused = snapshot.counter(Counter::CorePontryaginReusedSteps);
         let rejected = snapshot.counter(Counter::CorePontryaginRejectedSteps);
-        // midpoint + both vertices of the single interval
-        assert_eq!(restarts, 3);
+        // midpoint + both vertices of the single interval, per objective
+        assert_eq!(restarts, 6);
         assert!(sweeps >= restarts, "each restart sweeps at least once");
         assert_eq!(jacobians, sweeps * 200);
         assert_eq!(rk4, 2 * jacobians + rejected * 200);
+        // the minimum takes its three first passes from the maximum
+        assert!(reused >= 3 * 200, "{reused} reused steps");
+        assert!(reused < rk4, "{reused} of {rk4} steps reused");
         let winner = snapshot
             .gauge(Gauge::CorePontryaginWinningRestart)
             .expect("winner gauge set");
-        assert!(winner < restarts);
+        assert!(winner < 3);
     }
 
     /// ẋ = (ϑ, ϑ·x₀) from the origin with ϑ ∈ [−1, 1], maximising x₁(1):
@@ -1647,7 +1848,7 @@ mod tests {
         let mut steps = 0;
         let finished = forward_pass(
             &slow,
-            &grid,
+            grid.step(),
             &control,
             &mut state,
             &mut rk4,
@@ -1660,7 +1861,7 @@ mod tests {
         let mut steps = 0;
         let finished = forward_pass(
             &decay_drift(),
-            &grid,
+            grid.step(),
             &control,
             &mut state,
             &mut rk4,
@@ -1669,6 +1870,74 @@ mod tests {
         );
         assert!(finished.unwrap());
         assert_eq!(steps, 200);
+        // a pass over the slices' tails from node 150 on is the full pass's
+        // tail, bit for bit
+        let full = state.clone();
+        state[151..].fill(StateVec::from([f64::NAN]));
+        let mut steps = 0;
+        let finished = forward_pass(
+            &decay_drift(),
+            grid.step(),
+            &control[150..],
+            &mut state[150..],
+            &mut rk4,
+            None,
+            &mut steps,
+        );
+        assert!(finished.unwrap());
+        assert_eq!(steps, 50);
+        assert!(state
+            .iter()
+            .zip(&full)
+            .all(|(a, b)| a[0].to_bits() == b[0].to_bits()));
+    }
+
+    #[test]
+    fn a_later_objective_integrates_again_a_first_pass_the_deadline_cut() {
+        // On the local extremal drift the midpoint sweep never leaves ϑ ≡ 0,
+        // where x₀ stays 0 (its Jacobian stencils reach x₀ = −1e-6), so
+        // only a vertex probe evaluates the drift at x₀ < −1e-3: the RK4
+        // stages of ϑ ≡ −1's first interval, at x₀ = −h/2 and −h. The
+        // first three such evaluations sleep 150 ms: the first objective's
+        // probe of ϑ ≡ −1 overruns its 300 ms budget within its first
+        // interval and is cut, while the second objective's clock starts
+        // afresh and its own probe of that vertex runs fast.
+        let slow_evals = std::sync::atomic::AtomicUsize::new(0);
+        let theta = ParamSpace::single("u", -1.0, 1.0).unwrap();
+        let drift = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            use std::sync::atomic::Ordering;
+            if x[0] < -1e-3 && slow_evals.fetch_add(1, Ordering::Relaxed) < 3 {
+                std::thread::sleep(std::time::Duration::from_millis(150));
+            }
+            dx[0] = th[0];
+            dx[1] = th[0] * x[0];
+        });
+        let obs = Obs::with_metrics();
+        let solver = PontryaginSolver::new(PontryaginOptions {
+            grid_intervals: 50,
+            budget: RunBudget::unlimited().wall_clock(std::time::Duration::from_millis(300)),
+            ..Default::default()
+        })
+        .with_obs(obs.clone());
+        let objective = LinearObjective::maximize_coordinate(2, 1);
+        let solutions = solver
+            .solve_all(
+                &drift,
+                &StateVec::zeros(2),
+                1.0,
+                &[objective.clone(), objective],
+            )
+            .unwrap();
+        // the cut probe leaves the first objective at the midpoint sweep
+        assert!(solutions[0].truncated());
+        assert_eq!(solutions[0].objective_value(), 0.0);
+        // the second probes ϑ ≡ −1 to the horizon and escalates
+        assert!(!solutions[1].truncated());
+        assert!((solutions[1].objective_value() - 0.5).abs() < 1e-9);
+        let snapshot = obs.metrics.snapshot().unwrap();
+        assert_eq!(snapshot.counter(Counter::CorePontryaginEscalations), 1);
+        // the second objective reused only the midpoint's first pass
+        assert_eq!(snapshot.counter(Counter::CorePontryaginReusedSteps), 50);
     }
 
     #[test]

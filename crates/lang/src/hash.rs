@@ -329,6 +329,11 @@ impl ModelInterner {
         self.entries.is_empty()
     }
 
+    /// Number of source texts currently held.
+    pub fn text_len(&self) -> usize {
+        self.texts.len()
+    }
+
     /// Calls of `intern_source` that returned a cached model.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -46,13 +46,16 @@
 //! coordinate-major, with one shared `theta` or per-lane thetas
 //! ([`BatchTheta`]) — advancing *all lanes through each instruction before
 //! moving to the next*. The register file becomes a `width`-strided slab
-//! (register `r` of lane `l` lives at `r·width + l`), tiered like the
-//! scalar file; the constant, mass-action and affine-product fast paths get
-//! row-at-a-time variants; `Op::Cmp`/`Op::Select` stay branch-free per
-//! lane. Each instruction is one lane loop over chunks of 8 lanes: the
-//! operands are copied into local arrays, computed and stored, which the
-//! compiler turns into vector instructions, and the lanes past the last
-//! full chunk — every lane of a batch narrower than 8 — run one by one.
+//! (register `r` of lane `l` lives at `r·width + l`), one per thread, kept
+//! between calls and never cleared, since no program reads a register
+//! before writing it (debug builds fill it with NaN first, so a program
+//! that did would fail the bit-identity suites); the constant, mass-action
+//! and affine-product fast paths get row-at-a-time variants;
+//! `Op::Cmp`/`Op::Select` stay branch-free per lane. Each instruction is
+//! one lane loop over chunks of 8 lanes: the operands are copied into
+//! local arrays, computed and stored, which the compiler turns into vector
+//! instructions, and the lanes past the last full chunk — every lane of a
+//! batch narrower than 8 — run one by one.
 //! The operator, the constant or row source of a fused leaf operand and a
 //! `PowInt` exponent are resolved before the loop, so each combination is
 //! a loop of its own. Because every lane executes exactly the scalar
@@ -598,18 +601,29 @@ fn arith(regs: &mut [f64], w: usize, dst: Reg, a: impl Lanes, b: impl Lanes, op:
     }
 }
 
-/// Stack tiers of [`RateProgram::eval_batch_into`]'s register slab
-/// (`registers · width` slots): a small tier that stays cheap to zero at
-/// width 1 — the overhead-gated regime — and a larger one before falling
-/// back to the heap.
-const BATCH_SLAB_SMALL: usize = 64;
-const BATCH_SLAB_LARGE: usize = 2048;
-
 thread_local! {
-    /// This thread's register slab of [`ProgramSet::eval_batch_into`], kept
-    /// between calls and only ever grown. A nested call would find it taken
-    /// and start an empty one.
-    static SET_SLAB: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// This thread's register slab of the batched entry points
+    /// ([`RateProgram::eval_batch_into`], [`ProgramSet::eval_batch_into`]),
+    /// kept between calls and only ever grown. A nested call would find it
+    /// taken and start an empty one.
+    static BATCH_SLAB: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `run` over `need` slots of this thread's register slab. The slots
+/// are never cleared: every program writes a register before reading it.
+/// Debug builds fill them with NaN first, so a program that read a stale
+/// register would fail the bit-identity suites there.
+fn with_batch_slab(need: usize, run: impl FnOnce(&mut [f64])) {
+    let mut slab = BATCH_SLAB.take();
+    if slab.len() < need {
+        slab.resize(need, 0.0);
+    }
+    let regs = &mut slab[..need];
+    if cfg!(debug_assertions) {
+        regs.fill(f64::NAN);
+    }
+    run(regs);
+    BATCH_SLAB.set(slab);
 }
 
 /// The shape a rate expression lowered to.
@@ -785,7 +799,9 @@ impl RateProgram {
     /// advance together (see the [module docs](self)).
     ///
     /// Fast-path shapes evaluate row-at-a-time without touching a register
-    /// slab; bytecode programs run over a tiered `width`-strided slab.
+    /// slab; bytecode programs run over this thread's `width`-strided
+    /// register slab, kept between calls and never cleared (debug builds
+    /// fill it with NaN first, like [`ProgramSet::eval_batch_into`]'s).
     ///
     /// # Panics
     ///
@@ -797,17 +813,9 @@ impl RateProgram {
         assert_eq!(out.len(), width, "one output slot per lane");
         assert!(theta.covers(width), "per-lane theta width mismatch");
         if let ProgramKind::Bytecode(p) = &self.kind {
-            let need = p.registers * width;
-            if need <= BATCH_SLAB_SMALL {
-                let mut regs = [0.0_f64; BATCH_SLAB_SMALL];
-                p.run_batch(x, &theta, &mut regs, out);
-            } else if need <= BATCH_SLAB_LARGE {
-                let mut regs = [0.0_f64; BATCH_SLAB_LARGE];
-                p.run_batch(x, &theta, &mut regs, out);
-            } else {
-                let mut regs = vec![0.0_f64; need];
-                p.run_batch(x, &theta, &mut regs, out);
-            }
+            with_batch_slab(p.registers * width, |regs| {
+                p.run_batch(x, &theta, regs, out);
+            });
         } else {
             self.eval_batch_fast(x, &theta, out);
         }
@@ -999,17 +1007,9 @@ impl ProgramSet {
             "output slice too short"
         );
         assert!(theta.covers(width), "per-lane theta width mismatch");
-        let need = self.registers * width;
-        let mut slab = SET_SLAB.take();
-        if slab.len() < need {
-            slab.resize(need, 0.0);
-        }
-        let regs = &mut slab[..need];
-        if cfg!(debug_assertions) {
-            regs.fill(f64::NAN);
-        }
-        self.eval_batch_all(x, &theta, regs, out, width);
-        SET_SLAB.set(slab);
+        with_batch_slab(self.registers * width, |regs| {
+            self.eval_batch_all(x, &theta, regs, out, width);
+        });
     }
 
     /// One batched pass over every program with a shared register slab.

@@ -45,7 +45,9 @@ pub enum Counter {
     SimTauDemotions,
     /// Completed simulation runs flushed into this recorder.
     SimRuns,
-    /// RK4 integration steps taken by the Pontryagin solver.
+    /// RK4 integration steps taken by the Pontryagin solver, each pass's
+    /// every step, whether integrated or taken from an earlier pass (those
+    /// count in [`Counter::CorePontryaginReusedSteps`] too).
     CoreRk4Steps,
     /// Finite-difference Jacobian evaluations in the backward sweep.
     CoreJacobianEvals,
@@ -63,6 +65,11 @@ pub enum Counter {
     /// Pontryagin trial forward passes whose switch set did not improve
     /// the objective (each one halves the set or ends the sweep).
     CorePontryaginRejectedSteps,
+    /// The Pontryagin forward RK4 steps of [`Counter::CoreRk4Steps`] a
+    /// pass took from an earlier pass instead of integrating them: a trial
+    /// pass's states before its first switched interval, and a first pass
+    /// another objective of the same solve already integrated.
+    CorePontryaginReusedSteps,
     /// Hull grid points (box corners and midpoints) the drift is evaluated
     /// at, each once per right-hand side and with every Θ candidate.
     CoreHullVertexEvals,
@@ -85,7 +92,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot rendering order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 27] = [
         Counter::SimEventsFired,
         Counter::SimPropensityEvals,
         Counter::SimPropensitySkips,
@@ -104,6 +111,7 @@ impl Counter {
         Counter::CorePontryaginRestarts,
         Counter::CorePontryaginEscalations,
         Counter::CorePontryaginRejectedSteps,
+        Counter::CorePontryaginReusedSteps,
         Counter::CoreHullVertexEvals,
         Counter::LangRulesLowered,
         Counter::ServeArtifactHits,
@@ -136,6 +144,7 @@ impl Counter {
             Counter::CorePontryaginRestarts => "core_pontryagin_restarts",
             Counter::CorePontryaginEscalations => "core_pontryagin_escalations",
             Counter::CorePontryaginRejectedSteps => "core_pontryagin_rejected_steps",
+            Counter::CorePontryaginReusedSteps => "core_pontryagin_reused_steps",
             Counter::CoreHullVertexEvals => "core_hull_vertex_evals",
             Counter::LangRulesLowered => "lang_rules_lowered",
             Counter::ServeArtifactHits => "serve_artifact_hits",

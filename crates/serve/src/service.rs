@@ -35,13 +35,15 @@ use mfu_obs::{Counter, Metrics, Obs, Tracer};
 use crate::protocol::{error_response, splice_bound_response, BoundRequest, Request};
 use std::sync::Arc;
 
+/// Bound on the compiled-model interner: it holds at most this many
+/// models and as many source texts (LRU past it).
+const MODEL_CAP: usize = 64;
+
 /// Server-side knobs: cache capacities and pinned engine options.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceOptions {
     /// Bound on the artifact cache (LRU past it). Zero caches nothing.
     pub artifact_cap: usize,
-    /// Optional bound on the compiled-model interner.
-    pub model_cap: Option<usize>,
     /// Hull integration options used for every `"method":"hull"` query.
     pub hull: HullOptions,
     /// Pontryagin sweep options used for every `"method":"pontryagin"`
@@ -53,7 +55,6 @@ impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             artifact_cap: 64,
-            model_cap: None,
             hull: HullOptions::default(),
             // The CLI's default sweep resolution, good to ~1e-3 on the
             // registry models while keeping cold queries interactive.
@@ -125,15 +126,11 @@ impl QueryService {
     /// A service over a caller-supplied registry.
     #[must_use]
     pub fn with_registry(registry: ScenarioRegistry, options: ServiceOptions) -> Self {
-        let interner = match options.model_cap {
-            Some(cap) => ModelInterner::with_capacity(cap),
-            None => ModelInterner::new(),
-        };
         QueryService {
             registry,
             options,
             state: Mutex::new(ServiceState {
-                interner,
+                interner: ModelInterner::with_capacity(MODEL_CAP),
                 artifacts: LruCache::new(options.artifact_cap),
             }),
             metrics: Metrics::disabled(),
@@ -316,9 +313,6 @@ impl QueryService {
             metrics: metrics.clone(),
             tracer: Tracer::disabled(),
         });
-        // Each coordinate is bounded on `CompiledModel::bounding_drift`'s
-        // drift; the reduced one serves every coordinate it carries.
-        let mut bounding = model.bounding_drift(0);
         let started = Instant::now();
         let mut lower = Vec::with_capacity(model.dim());
         let mut upper = Vec::with_capacity(model.dim());
@@ -326,20 +320,19 @@ impl QueryService {
         // artifacts are marked truncated and never cached.
         let mut truncated = false;
         let failed = |e| format!("Pontryagin bound failed on `{display_name}`: {e}");
-        for coordinate in 0..model.dim() {
-            if coordinate == bounding.1.dim() {
-                bounding = model.bounding_drift(coordinate);
+        // Each coordinate is bounded on `CompiledModel::bounding_drift`'s
+        // drift; the reduced one serves every coordinate it carries, and
+        // one solve per drift bounds all of them.
+        while lower.len() < model.dim() {
+            let (drift, x0) = model.bounding_drift(lower.len());
+            let bounds = solver
+                .coordinate_bounds(&drift, &x0, horizon, lower.len()..x0.dim())
+                .map_err(failed)?;
+            for (lo, hi) in bounds {
+                truncated |= lo.truncated() || hi.truncated();
+                lower.push(lo.objective_value());
+                upper.push(hi.objective_value());
             }
-            let (drift, x0) = (&bounding.0, &bounding.1);
-            let lo = solver
-                .minimize_coordinate(drift, x0, horizon, coordinate)
-                .map_err(failed)?;
-            let hi = solver
-                .maximize_coordinate(drift, x0, horizon, coordinate)
-                .map_err(failed)?;
-            truncated |= lo.truncated() || hi.truncated();
-            lower.push(lo.objective_value());
-            upper.push(hi.objective_value());
         }
         let wall_ns = started.elapsed().as_nanos() as u64;
         let cost = cost_from(&metrics, wall_ns);
@@ -466,7 +459,6 @@ mod tests {
     fn fast_options() -> ServiceOptions {
         ServiceOptions {
             artifact_cap: 8,
-            model_cap: None,
             hull: HullOptions {
                 step: 1e-2,
                 time_intervals: 10,
@@ -509,6 +501,37 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&cold.rendered, &hot.rendered));
         assert_eq!(&*hot.rendered, hot.artifact.render());
+    }
+
+    #[test]
+    fn a_service_holds_at_most_64_models_and_texts() {
+        // 200 distinct valid models, each its own source text
+        let service = QueryService::new(ServiceOptions::default());
+        for i in 0..200 {
+            let source = format!(
+                "model decay;\n\
+                 species X, Y;\n\
+                 param k in [0.5, 2.0];\n\
+                 rule fade: X -> Y @ k * {}.5 * X;\n\
+                 init X = 0.7, Y = 0.3;\n",
+                i
+            );
+            let request = BoundRequest {
+                model: None,
+                source: Some(source),
+                method: BoundMethod::Hull,
+                horizon: Some(0.01),
+                box_overrides: vec![],
+            };
+            service
+                .bound(&request)
+                .unwrap_or_else(|e| panic!("model {i}: {e}"));
+        }
+        let state = service.lock_state();
+        assert_eq!(state.interner.len(), MODEL_CAP);
+        assert_eq!(state.interner.text_len(), MODEL_CAP);
+        assert_eq!(state.interner.evictions(), 200 - MODEL_CAP as u64);
+        assert_eq!(state.interner.parses(), 200);
     }
 
     #[test]

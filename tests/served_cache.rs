@@ -380,9 +380,11 @@ fn pontryagin_sweep_work_is_pinned() {
     // sweep (a backward pass with its Jacobians) or one more trial forward
     // pass anywhere in a served solve shows here exactly. Every query runs
     // at the scenario's declared horizon, every coordinate and both
-    // extremes, single start with the escalation ladder. The extremes are
-    // pinned bit for bit too, so a batched backward pass or switch scan
-    // that drifted from the per-interval scalar sweep fails here.
+    // extremes, single start with the escalation ladder, the extremes of
+    // each bounding drift in one solve sharing their first passes. The
+    // extremes are pinned bit for bit too, so a batched backward pass or
+    // switch scan that drifted from the per-interval scalar sweep, or a
+    // trial pass started late on a stale prefix, fails here.
     for (model, work, lower, upper) in SWEEP_PINS {
         let outcome = QueryService::new(fast_options())
             .bound(&pontryagin_request(model))
